@@ -7,7 +7,7 @@ into the same representation, and plans shape/rank configurations by
 compression ratio, FLOPs, and measured latency.
 """
 
-from sekron.conv import conv2d_reference, conv_macs, sekron_conv2d
+from sekron.conv import conv2d_reference, conv_macs, flops_denominator, sekron_conv2d
 from sekron.decompose import (
     KroneckerSequence,
     error_bound,
@@ -47,7 +47,6 @@ from sekron.planner import (
     compression_ratio,
     enumerate_configs,
     enumerate_factorizations,
-    flops_denominator,
     flops_ratio,
     measure_dense_latency,
     measure_latency,

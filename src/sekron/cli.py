@@ -10,14 +10,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from sekron.conv import conv2d_reference, sekron_conv2d
 from sekron.decompose import (
-    error_bound,
     reconstruct,
-    reconstruction_error,
     sekron_decompose,
+    tail_bound,
 )
 from sekron.equivalences import (
     CpFactors,
@@ -45,7 +42,6 @@ from sekron.planner import (
     measure_latency,
     measure_sequence_latency,
     select_config,
-    stored_param_count,
     write_candidates_csv,
 )
 from sekron.tensor_core import FactorShapeMatrix
@@ -91,9 +87,11 @@ def _cmd_decompose(args) -> int:
     write_sequence(args.output, seq)
     print(f"wrote {args.output}", file=sys.stderr)
     if args.report:
+        # the tails' sum is the exact squared error (see sekron.decompose);
+        # float() because a single factor has no levels and sum([]) is int 0
         report = {
-            "frobenius_error": reconstruction_error(w, seq),
-            "error_bound": error_bound(w, shapes, ranks),
+            "frobenius_error": float(sum(map(sum, seq.level_tails))),
+            "error_bound": tail_bound(shapes, seq.level_tails),
             "cr": compression_ratio(shapes, ranks),
             "fr": flops_ratio(shapes, ranks) if shapes.num_axes == 4 else None,
             "param_count": seq.param_count,

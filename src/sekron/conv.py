@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from sekron.decompose import KroneckerSequence
+from sekron.decompose import KroneckerSequence, _validate_ranks
 from sekron.errors import ShapeError
-from sekron.tensor_core import as_tensor
+from sekron.tensor_core import FactorShapeMatrix, as_tensor
 
 
 def _check_conv_geometry(h, w, kh, kw, padding):
@@ -138,31 +138,36 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     return t.reshape(batch, f_total, out_h, out_w)
 
 
+def flops_denominator(shapes: FactorShapeMatrix, ranks) -> int:
+    """Per-output-position MACs of the factorized convolution.
+
+    ``sum_i (prod_{k>=i} f_k) (prod_{k<=i} rank_k) (prod_{k<=i} c_k) h_i w_i``
+    with the rank product of the last term sharing the one before it.
+    Term ``i`` is the stage of :func:`sekron_conv2d` that contracts factor
+    ``i``.
+    """
+    if shapes.num_axes != 4:
+        raise ShapeError("FLOP accounting needs factor axes (f, c, h, w)")
+    ranks = _validate_ranks(shapes, ranks)
+    rows = shapes.rows
+    s = shapes.num_factors
+    total = 0
+    for i in range(s):
+        f_prod = math.prod(rows[l][0] for l in range(i, s))
+        r_prod = math.prod(ranks[: min(i, s - 2) + 1])
+        c_prod = math.prod(rows[l][1] for l in range(i + 1))
+        total += f_prod * r_prod * c_prod * rows[i][2] * rows[i][3]
+    return total
+
+
 def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     """Multiply-accumulate count of the staged evaluation.
 
-    Counts, stage by stage, the contraction size times the number of output
-    elements per spatial position, then multiplies by the number of output
-    positions for the given spatial input size.
+    :func:`flops_denominator` per output position, times the number of
+    output positions for the given spatial input size.
     """
-    if seq.shapes.num_axes != 4:
-        raise ShapeError("MAC accounting needs factors with axes (f, c, h, w)")
+    per_position = flops_denominator(seq.shapes, seq.ranks)
     h, w = (int(v) for v in input_hw)
     kh, kw = seq.target_shape[2], seq.target_shape[3]
     out_h, out_w = _check_conv_geometry(h, w, kh, kw, padding)
-    rows = seq.shapes.rows
-    n_factors = seq.shapes.num_factors
-    rho = seq.branch_sizes
-    per_position = 0
-    for k in range(n_factors - 1, -1, -1):
-        f_k, c_k, h_k, w_k = rows[k]
-        f_out = math.prod(rows[l][0] for l in range(k, n_factors))
-        c_groups = math.prod(rows[l][1] for l in range(k))
-        if k == n_factors - 1:
-            branch_out = rho[k]
-            contraction = c_k * h_k * w_k
-        else:
-            branch_out = rho[k] // seq.ranks[k]
-            contraction = seq.ranks[k] * c_k * h_k * w_k
-        per_position += f_out * branch_out * c_groups * contraction
     return per_position * out_h * out_w

@@ -5,6 +5,19 @@ The decomposition repeatedly rearranges the working tensor so that Kronecker
 structure becomes low-rank matrix structure (one ``(branch, block, element)``
 unfolding per level), truncates its SVD, and carries the sigma-scaled right
 factors into the next level.  At full ranks the procedure is exact.
+
+Each level's truncation is the nearest-Kronecker-product step of Van Loan &
+Pitsianis (1993) applied per branch.  Its discarded tail (the sum of squared
+singular values past the kept rank) is recorded on the returned sequence as
+``level_tails``, and the squared reconstruction error *equals* the sum of
+all tails over all levels and branches.  Within one branch, a level's error
+is its discarded tail plus, for each kept left vector ``u_r``, ``u_r``
+Kronecker the error that later levels make in ``u_r``'s carried block.  The
+left vectors are orthonormal and the tail lies in their orthogonal
+complement, so these terms are mutually orthogonal and their squared norms
+add; by induction over levels the squared error is the sum of all tails.
+:func:`error_bound` is a looser bound on the same error that weights each
+level's tails by the factor volumes of the levels before it.
 """
 
 import itertools
@@ -49,11 +62,16 @@ class KroneckerSequence:
     ``factors[k]`` has shape ``(branch_sizes[k], *shapes.rows[k])``; the
     branch axis flattens the retained rank tuple ``(r_0, ..., r_k)``
     row-major (``branch = previous_branch * ranks[k] + r_k``).
+
+    ``level_tails[k][b]`` is the squared singular-value tail that level ``k``
+    discarded on branch ``b``; it is ``None`` unless the sequence came from
+    :func:`sekron_decompose`.
     """
 
     shapes: FactorShapeMatrix
     ranks: tuple[int, ...]
     factors: list[np.ndarray] = field(repr=False)
+    level_tails: list[list[float]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.ranks = _validate_ranks(self.shapes, self.ranks)
@@ -140,13 +158,16 @@ def sekron_decompose(w, shapes: FactorShapeMatrix, ranks) -> KroneckerSequence:
     triplets per branch (left vectors become factor ``k``, sigma-scaled right
     vectors the next working tensor), and the final working tensor becomes
     the last factor.  Each level's truncation is the Frobenius-optimal
-    low-rank approximation of its unfolding.
+    low-rank approximation of its unfolding.  The discarded tails are kept
+    as ``level_tails``; their sum is the exact squared reconstruction error.
     """
     w = as_tensor(w)
     shapes.validate_target(w.shape)
     ranks = _validate_ranks(shapes, ranks)
-    factors, _ = _decompose_levels(w, shapes, ranks)
-    return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)
+    factors, level_tails = _decompose_levels(w, shapes, ranks)
+    return KroneckerSequence(
+        shapes=shapes, ranks=ranks, factors=factors, level_tails=level_tails
+    )
 
 
 def reconstruct(seq: KroneckerSequence) -> np.ndarray:
@@ -179,21 +200,28 @@ def reconstruction_error(w, seq: KroneckerSequence) -> float:
     return float(np.sum(diff * diff))
 
 
-def error_bound(w, shapes: FactorShapeMatrix, ranks) -> float:
-    """Upper bound on the squared reconstruction error of the decomposition.
+def tail_bound(shapes: FactorShapeMatrix, level_tails) -> float:
+    """Volume-weighted bound from the per-level tails of a decomposition.
 
-    Accumulates, level by level, the discarded tail of squared singular
-    values over all branches, weighting level ``k`` by the product of the
-    factor volumes of the levels before it.  The bound is tight for two
-    factors (a single truncation) and never below the measured error.
+    Sums each level's tails over its branches, weighting level ``k`` by the
+    product of the factor volumes of the levels before it.
     """
-    w = as_tensor(w)
-    shapes.validate_target(w.shape)
-    ranks = _validate_ranks(shapes, ranks)
-    _, level_tails = _decompose_levels(w, shapes, ranks)
     bound = 0.0
     weight = 1.0
     for k, tails in enumerate(level_tails):
         bound += weight * sum(tails)
         weight *= shapes.factor_volume(k)
     return bound
+
+
+def error_bound(w, shapes: FactorShapeMatrix, ranks) -> float:
+    """Upper bound on the squared reconstruction error of the decomposition.
+
+    :func:`tail_bound` of the tails that ``sekron_decompose(w, shapes,
+    ranks)`` discards.  The exact error is the unweighted sum of the same
+    tails (see the module docstring), so this bound is tight for two factors
+    (a single truncation, weight 1) and looser for more; it is never below
+    the measured error.  Whether it is the bound the SeKron paper states is
+    unverified.
+    """
+    return tail_bound(shapes, sekron_decompose(w, shapes, ranks).level_tails)

@@ -66,15 +66,15 @@ def _read_file(path, magic: bytes) -> tuple[dict, bytes]:
     return header, data[9 + header_len :]
 
 
-def _parse_dims(header, key, path):
-    dims = header.get(key)
+def _positive_ints(value, path, what, allow_empty=False) -> tuple[int, ...]:
+    # bool is an int subclass, so isinstance() would read true as 1
     if (
-        not isinstance(dims, list)
-        or not dims
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        not isinstance(value, list)
+        or not (value or allow_empty)
+        or not all(type(d) is int and d >= 1 for d in value)
     ):
-        raise MalformedHeaderError(f"{path}: {key!r} must be a list of positive ints")
-    return tuple(dims)
+        raise MalformedHeaderError(f"{path}: {what} must be a list of positive ints")
+    return tuple(value)
 
 
 def _payload_floats(payload: bytes, count: int, path) -> np.ndarray:
@@ -100,7 +100,7 @@ def read_tensor(path) -> np.ndarray:
         raise MalformedHeaderError(
             f"{path}: unsupported dtype {header.get('dtype')!r}, expected 'f64'"
         )
-    shape = _parse_dims(header, "shape", path)
+    shape = _positive_ints(header.get("shape"), path, "'shape'")
     values = _payload_floats(payload, math.prod(shape), path)
     return values.reshape(shape)
 
@@ -132,30 +132,17 @@ def read_sequence(path) -> KroneckerSequence:
     rows = header.get("factor_shapes")
     if not isinstance(rows, list) or not rows:
         raise MalformedHeaderError(f"{path}: 'factor_shapes' must be a list of rows")
-    parsed_rows = []
-    for row in rows:
-        if (
-            not isinstance(row, list)
-            or not row
-            or not all(isinstance(d, int) and d >= 1 for d in row)
-        ):
-            raise MalformedHeaderError(
-                f"{path}: factor shape rows must be lists of positive ints"
-            )
-        parsed_rows.append(tuple(row))
-    shapes = FactorShapeMatrix(tuple(parsed_rows))
+    parsed_rows = tuple(_positive_ints(row, path, "factor shape rows") for row in rows)
+    if len({len(row) for row in parsed_rows}) != 1:
+        raise MalformedHeaderError(f"{path}: factor shape rows differ in length")
+    shapes = FactorShapeMatrix(parsed_rows)
     if header.get("S") != shapes.num_factors or header.get("N") != shapes.num_axes:
         raise MalformedHeaderError(f"{path}: S/N disagree with 'factor_shapes'")
-    ranks = header.get("ranks")
-    if not isinstance(ranks, list) or not all(
-        isinstance(r, int) and r >= 1 for r in ranks
-    ):
-        raise MalformedHeaderError(f"{path}: 'ranks' must be a list of positive ints")
+    ranks = _positive_ints(header.get("ranks"), path, "'ranks'", allow_empty=True)
     if len(ranks) != shapes.num_factors - 1:
         raise MalformedHeaderError(
             f"{path}: {len(ranks)} ranks for {shapes.num_factors} factors"
         )
-    ranks = tuple(ranks)
     rho = _branch_sizes(shapes, ranks)
     total = sum(r * shapes.factor_volume(k) for k, r in enumerate(rho))
     values = _payload_floats(payload, total, path)

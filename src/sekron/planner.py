@@ -6,11 +6,11 @@ import csv
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from sekron.conv import conv2d_reference, sekron_conv2d
+from sekron.conv import conv2d_reference, flops_denominator, sekron_conv2d
 from sekron.decompose import _branch_sizes, _validate_ranks, random_sequence
 from sekron.errors import (
     CandidateLimitError,
@@ -74,26 +74,6 @@ def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:
     return dense / stored_param_count(shapes, ranks)
 
 
-def flops_denominator(shapes: FactorShapeMatrix, ranks) -> int:
-    """Per-output-position MACs of the factorized convolution.
-
-    ``sum_i (prod_{k>=i} f_k) (prod_{k<=i} rank_k) (prod_{k<=i} c_k) h_i w_i``
-    with the rank product of the last term sharing the one before it.
-    """
-    if shapes.num_axes != 4:
-        raise ShapeError("FLOP accounting needs factor axes (f, c, h, w)")
-    ranks = _validate_ranks(shapes, ranks)
-    rows = shapes.rows
-    s = shapes.num_factors
-    total = 0
-    for i in range(s):
-        f_prod = math.prod(rows[l][0] for l in range(i, s))
-        r_prod = math.prod(ranks[: min(i, s - 2) + 1])
-        c_prod = math.prod(rows[l][1] for l in range(i + 1))
-        total += f_prod * r_prod * c_prod * rows[i][2] * rows[i][3]
-    return total
-
-
 def flops_ratio(shapes: FactorShapeMatrix, ranks) -> float:
     """Dense per-position MACs divided by factorized per-position MACs."""
     dense = math.prod(shapes.target_shape)
@@ -142,7 +122,6 @@ def enumerate_configs(
             "raise max_candidates or reduce max_rank / sequence length"
         )
     configs = []
-    seen = set()
     for combo in itertools.product(*per_axis):
         rows = tuple(zip(*combo))
         shapes = FactorShapeMatrix(rows)
@@ -150,10 +129,6 @@ def enumerate_configs(
         for ranks in itertools.product(range(1, req.max_rank + 1), repeat=s - 1):
             if any(r > cap for r, cap in zip(ranks, caps)):
                 continue
-            key = (rows, ranks)
-            if key in seen:
-                continue
-            seen.add(key)
             configs.append(
                 CandidateConfig(
                     shapes=shapes,
@@ -165,6 +140,20 @@ def enumerate_configs(
     return configs
 
 
+def _median_ms(run, trials: int) -> float:
+    """Median wall-clock milliseconds of ``run()`` over ``trials`` calls,
+    after one warm-up call."""
+    if trials < 3:
+        raise ValueError("need at least 3 trials for a stable median")
+    run()
+    times = []
+    for _ in range(trials):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times) * 1000.0)
+
+
 def measure_sequence_latency(
     seq, input_shape, trials: int = 5, padding: int = 0, rng=None
 ) -> float:
@@ -173,17 +162,9 @@ def measure_sequence_latency(
     Runs one warm-up call first.  Benchmarks should not run concurrently
     with other work; numbers are only comparable within one process.
     """
-    if trials < 3:
-        raise ValueError("need at least 3 trials for a stable median")
     rng = np.random.default_rng(rng)
     x = rng.standard_normal(tuple(int(d) for d in input_shape))
-    sekron_conv2d(x, seq, padding=padding)
-    times = []
-    for _ in range(trials):
-        start = time.perf_counter()
-        sekron_conv2d(x, seq, padding=padding)
-        times.append(time.perf_counter() - start)
-    return float(np.median(times) * 1000.0)
+    return _median_ms(lambda: sekron_conv2d(x, seq, padding=padding), trials)
 
 
 def measure_latency(
@@ -199,18 +180,10 @@ def measure_dense_latency(
     weight_shape, input_shape, trials: int = 5, padding: int = 0, rng=0
 ) -> float:
     """Baseline: median milliseconds of the dense reference convolution."""
-    if trials < 3:
-        raise ValueError("need at least 3 trials for a stable median")
     rng = np.random.default_rng(rng)
     w = rng.standard_normal(tuple(int(d) for d in weight_shape))
     x = rng.standard_normal(tuple(int(d) for d in input_shape))
-    conv2d_reference(x, w, padding=padding)
-    times = []
-    for _ in range(trials):
-        start = time.perf_counter()
-        conv2d_reference(x, w, padding=padding)
-        times.append(time.perf_counter() - start)
-    return float(np.median(times) * 1000.0)
+    return _median_ms(lambda: conv2d_reference(x, w, padding=padding), trials)
 
 
 def select_config(

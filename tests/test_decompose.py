@@ -16,9 +16,11 @@ from sekron import (
     kron_sequence,
     random_sequence,
     reconstruct,
+    read_sequence,
     reconstruction_error,
     sekron_decompose,
     unfold_blocks,
+    write_sequence,
 )
 
 
@@ -178,6 +180,37 @@ class TestErrorBound:
             w = rng.standard_normal((4, 4, 2, 2))
             seq = sekron_decompose(w, shapes, (1, 1))
             assert reconstruction_error(w, seq) <= error_bound(w, shapes, (1, 1)) + 1e-9
+
+
+class TestLevelTails:
+    @pytest.mark.parametrize(
+        "rows, ranks",
+        [
+            (((2, 2, 1, 1), (2, 2, 3, 3)), (2,)),
+            (((2, 2, 1, 1), (2, 1, 2, 1), (1, 2, 1, 2)), (2, 2)),
+            (((2, 2),) * 4, (2, 2, 2)),
+        ],
+    )
+    def test_tail_sum_is_exact_error(self, rows, ranks):
+        shapes = FactorShapeMatrix(rows)
+        assert all(r < cap for r, cap in zip(ranks, shapes.max_ranks()))
+        rng = np.random.default_rng(len(rows))
+        w = rng.standard_normal(shapes.target_shape)
+        seq = sekron_decompose(w, shapes, ranks)
+        assert [len(tails) for tails in seq.level_tails] == [
+            math.prod(ranks[:k]) for k in range(len(ranks))
+        ]
+        exact = reconstruction_error(w, seq)
+        assert exact > 0
+        assert sum(map(sum, seq.level_tails)) == pytest.approx(exact, rel=1e-9, abs=0)
+
+    def test_none_unless_decomposed(self, tmp_path):
+        shapes = FactorShapeMatrix(((2, 2), (2, 2)))
+        assert random_sequence(shapes, (1,), rng=0).level_tails is None
+        seq = sekron_decompose(np.ones((4, 4)), shapes, (1,))
+        path = tmp_path / "seq.sks"
+        write_sequence(path, seq)
+        assert read_sequence(path).level_tails is None
 
 
 class TestInvariants:
