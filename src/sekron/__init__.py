@@ -15,6 +15,7 @@ from sekron.decompose import (
     reconstruct,
     reconstruction_error,
     sekron_decompose,
+    stored_param_count,
 )
 from sekron.equivalences import (
     CpFactors,
@@ -32,6 +33,7 @@ from sekron.errors import (
     FileFormatError,
     MalformedHeaderError,
     NoFeasibleConfigError,
+    NonFinitePayloadError,
     RankError,
     SekronError,
     ShapeError,
@@ -52,7 +54,6 @@ from sekron.planner import (
     measure_latency,
     measure_sequence_latency,
     select_config,
-    stored_param_count,
     write_candidates_csv,
 )
 from sekron.tensor_core import (
@@ -60,7 +61,6 @@ from sekron.tensor_core import (
     fold_blocks,
     kron_pair,
     kron_sequence,
-    reinterpret_shape,
     seq_index_compose,
     seq_index_decompose,
     unfold_blocks,
@@ -78,6 +78,7 @@ __all__ = [
     "KroneckerSequence",
     "MalformedHeaderError",
     "NoFeasibleConfigError",
+    "NonFinitePayloadError",
     "PlanRequest",
     "RankError",
     "SekronError",
@@ -112,7 +113,6 @@ __all__ = [
     "read_tensor",
     "reconstruct",
     "reconstruction_error",
-    "reinterpret_shape",
     "select_config",
     "sekron_conv2d",
     "sekron_decompose",

@@ -71,69 +71,50 @@ def _check_sequence_for_conv(seq: KroneckerSequence, in_channels: int):
 def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     """Convolve without materializing the composed weight tensor.
 
-    Evaluates the separated sums factor by factor, last factor first.  A
-    working activation with axes ``(batch, accumulated-f, branch, channel
-    group, H, W)`` is contracted with one factor per stage: the stage for
-    factor ``k`` sums its rank index and channel digit grouped over the
-    surviving branches, and samples spatial taps with dilation equal to the
-    kernel extent of the factors after ``k``.  Numerically equivalent to
-    ``conv2d_reference(x, reconstruct(seq), padding)``.
+    Runs one stage per factor, last factor first.  A working activation
+    with axes ``(batch, accumulated-f, branch, channel group, H, W)`` is
+    contracted with factor ``k``: the stage splits the branch axis into
+    ``(surviving branch, r_k)``, sums ``r_k`` and the channel digit ``c_k``,
+    and samples spatial taps with dilation equal to the kernel extent of the
+    factors after ``k``.  The last factor is the same stage with ``r = 1``:
+    the input's single branch broadcasts against the factor's
+    ``prod(ranks)`` branches, so that stage fans out.  Numerically
+    equivalent to ``conv2d_reference(x, reconstruct(seq), padding)``.
     """
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be (batch, C, H, W), got {x.ndim} axes")
     _check_sequence_for_conv(seq, x.shape[1])
-    rows = seq.shapes.rows
-    n_factors = seq.shapes.num_factors
     kh, kw = seq.target_shape[2], seq.target_shape[3]
     _check_conv_geometry(x.shape[2], x.shape[3], kh, kw, padding)
 
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     # (batch, accumulated-f, branch, channel group, H, W)
     t = xp[:, None, None, :, :, :]
-    for k in range(n_factors - 1, -1, -1):
-        f_k, c_k, h_k, w_k = rows[k]
-        dil_h = math.prod(rows[l][2] for l in range(k + 1, n_factors))
-        dil_w = math.prod(rows[l][3] for l in range(k + 1, n_factors))
-        out_h = t.shape[4] - (h_k - 1) * dil_h
-        out_w = t.shape[5] - (w_k - 1) * dil_w
-        factor = seq.factors[k]
-        if k == n_factors - 1:
-            batch, _, _, channels, in_h, in_w = t.shape
-            tin = t.reshape(batch, channels // c_k, c_k, in_h, in_w)
-            out = np.zeros(
-                (batch, f_k, factor.shape[0], channels // c_k, out_h, out_w)
-            )
-            for i in range(h_k):
-                for j in range(w_k):
-                    out += np.einsum(
-                        "pfc,bgcuv->bfpguv",
-                        factor[:, :, :, i, j],
-                        tin[:, :, :, i * dil_h : i * dil_h + out_h,
-                            j * dil_w : j * dil_w + out_w],
-                    )
-            t = out
-        else:
-            r_k = seq.ranks[k]
-            batch, f_acc, branch, channels, in_h, in_w = t.shape
-            tin = t.reshape(
-                batch, f_acc, branch // r_k, r_k, channels // c_k, c_k, in_h, in_w
-            )
-            fin = factor.reshape(branch // r_k, r_k, f_k, c_k, h_k, w_k)
-            out = np.zeros(
-                (batch, f_k, f_acc, branch // r_k, channels // c_k, out_h, out_w)
-            )
-            for i in range(h_k):
-                for j in range(w_k):
-                    out += np.einsum(
-                        "prfc,bFprgcuv->bfFpguv",
-                        fin[:, :, :, :, i, j],
-                        tin[..., i * dil_h : i * dil_h + out_h,
-                            j * dil_w : j * dil_w + out_w],
-                    )
-            t = out.reshape(
-                batch, f_k * f_acc, branch // r_k, channels // c_k, out_h, out_w
-            )
+    dil_h = dil_w = 1
+    stages = zip(seq.shapes.rows, seq.ranks + (1,), seq.factors)
+    for (f_k, c_k, h_k, w_k), r_k, factor in reversed(list(stages)):
+        batch, f_acc, branch, channels, in_h, in_w = t.shape
+        out_h = in_h - (h_k - 1) * dil_h
+        out_w = in_w - (w_k - 1) * dil_w
+        tin = t.reshape(
+            batch, f_acc, branch // r_k, r_k, channels // c_k, c_k, in_h, in_w
+        )
+        fin = factor.reshape(-1, r_k, f_k, c_k, h_k, w_k)
+        out = np.zeros(
+            (batch, f_k, f_acc, fin.shape[0], channels // c_k, out_h, out_w)
+        )
+        for i in range(h_k):
+            for j in range(w_k):
+                out += np.einsum(
+                    "prfc,bFprgcuv->bfFpguv",
+                    fin[:, :, :, :, i, j],
+                    tin[..., i * dil_h : i * dil_h + out_h,
+                        j * dil_w : j * dil_w + out_w],
+                )
+        t = out.reshape((batch, f_k * f_acc) + out.shape[3:])
+        dil_h *= h_k
+        dil_w *= w_k
     batch, f_total, _, _, out_h, out_w = t.shape
     return t.reshape(batch, f_total, out_h, out_w)
 

@@ -55,6 +55,13 @@ def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
     return ranks
 
 
+def stored_param_count(shapes: FactorShapeMatrix, ranks) -> int:
+    """Elements stored by a sequence with these shapes and ranks."""
+    ranks = _validate_ranks(shapes, ranks)
+    rho = _branch_sizes(shapes, ranks)
+    return sum(r * shapes.factor_volume(k) for k, r in enumerate(rho))
+
+
 @dataclass
 class KroneckerSequence:
     """Factors of a Kronecker-sequence representation.

@@ -45,3 +45,7 @@ class MalformedHeaderError(FileFormatError):
 
 class TruncatedPayloadError(FileFormatError):
     code = "truncated-payload"
+
+
+class NonFinitePayloadError(FileFormatError):
+    code = "non-finite-payload"

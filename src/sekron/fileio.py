@@ -2,7 +2,8 @@
 
 Both formats are magic + version byte + u32-LE header length + UTF-8 JSON
 header + row-major little-endian float64 payload.  Round trips are
-byte-exact; every way a file can be malformed maps to a distinct error type.
+byte-exact; every way a file can be malformed maps to a distinct error type,
+including a payload that holds NaN or an infinity (``NonFinitePayloadError``).
 """
 
 import json
@@ -11,10 +12,11 @@ import struct
 
 import numpy as np
 
-from sekron.decompose import KroneckerSequence, _branch_sizes
+from sekron.decompose import KroneckerSequence, _branch_sizes, stored_param_count
 from sekron.errors import (
     BadMagicError,
     MalformedHeaderError,
+    NonFinitePayloadError,
     TruncatedPayloadError,
     VersionMismatchError,
 )
@@ -83,7 +85,10 @@ def _payload_floats(payload: bytes, count: int, path) -> np.ndarray:
         raise TruncatedPayloadError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise NonFinitePayloadError(f"{path}: payload holds NaN or infinite values")
+    return values
 
 
 def write_tensor(path, t) -> None:
@@ -136,19 +141,21 @@ def read_sequence(path) -> KroneckerSequence:
     if len({len(row) for row in parsed_rows}) != 1:
         raise MalformedHeaderError(f"{path}: factor shape rows differ in length")
     shapes = FactorShapeMatrix(parsed_rows)
-    if header.get("S") != shapes.num_factors or header.get("N") != shapes.num_axes:
+    counts = (header.get("S"), header.get("N"))
+    # true == 1.0 == 1, so the type must be exactly int as well
+    if counts != (shapes.num_factors, shapes.num_axes) or not all(
+        type(v) is int for v in counts
+    ):
         raise MalformedHeaderError(f"{path}: S/N disagree with 'factor_shapes'")
     ranks = _positive_ints(header.get("ranks"), path, "'ranks'", allow_empty=True)
     if len(ranks) != shapes.num_factors - 1:
         raise MalformedHeaderError(
             f"{path}: {len(ranks)} ranks for {shapes.num_factors} factors"
         )
-    rho = _branch_sizes(shapes, ranks)
-    total = sum(r * shapes.factor_volume(k) for k, r in enumerate(rho))
-    values = _payload_floats(payload, total, path)
+    values = _payload_floats(payload, stored_param_count(shapes, ranks), path)
     factors = []
     offset = 0
-    for k, r in enumerate(rho):
+    for k, r in enumerate(_branch_sizes(shapes, ranks)):
         size = r * shapes.factor_volume(k)
         factors.append(values[offset : offset + size].reshape((r,) + shapes.rows[k]))
         offset += size

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sekron.conv import conv2d_reference, flops_denominator, sekron_conv2d
-from sekron.decompose import _branch_sizes, _validate_ranks, random_sequence
+from sekron.decompose import random_sequence, stored_param_count
 from sekron.errors import (
     CandidateLimitError,
     NoFeasibleConfigError,
@@ -59,13 +59,6 @@ class PlanRequest:
             raise ValueError("target compression ratio must be >= 1")
         if self.max_rank < 1:
             raise ValueError("max rank must be >= 1")
-
-
-def stored_param_count(shapes: FactorShapeMatrix, ranks) -> int:
-    """Elements stored by a sequence with these shapes and ranks."""
-    ranks = _validate_ranks(shapes, ranks)
-    rho = _branch_sizes(shapes, ranks)
-    return sum(r * shapes.factor_volume(k) for k, r in enumerate(rho))
 
 
 def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:

@@ -108,25 +108,16 @@ class FactorShapeMatrix:
         return ",".join("x".join(str(d) for d in row) for row in self.rows)
 
 
-def kron_pair(a, b, pad: bool = False) -> np.ndarray:
+def kron_pair(a, b) -> np.ndarray:
     """Kronecker product of two tensors with equal axis counts.
 
     ``out[i_1..i_N] = a[i_n // b.shape[n], ...] * b[i_n % b.shape[n], ...]``,
     so ``out.shape[n] = a.shape[n] * b.shape[n]``.
-
-    Mismatched axis counts are an error unless ``pad=True``, which left-pads
-    the shorter shape with singleton axes.
     """
     a = as_tensor(a)
     b = as_tensor(b)
     if a.ndim != b.ndim:
-        if not pad:
-            raise ShapeError(
-                f"axis count mismatch: {a.ndim} vs {b.ndim} (pass pad=True to pad with 1s)"
-            )
-        n = max(a.ndim, b.ndim)
-        a = a.reshape((1,) * (n - a.ndim) + a.shape)
-        b = b.reshape((1,) * (n - b.ndim) + b.shape)
+        raise ShapeError(f"axis count mismatch: {a.ndim} vs {b.ndim}")
     return np.kron(a, b)
 
 
@@ -245,13 +236,3 @@ def fold_blocks(m, grid_shape, block_shape) -> np.ndarray:
     final = tuple(g * b for g, b in zip(grid_shape, block_shape))
     return np.ascontiguousarray(t.reshape((n_branches,) + final))
 
-
-def reinterpret_shape(w, new_shape) -> np.ndarray:
-    """Reshape without touching the row-major data order."""
-    w = as_tensor(w)
-    new_shape = tuple(int(d) for d in new_shape)
-    if math.prod(new_shape) != w.size:
-        raise ShapeError(
-            f"cannot reinterpret {w.size} elements as shape {new_shape}"
-        )
-    return w.reshape(new_shape)

@@ -9,8 +9,10 @@ import pytest
 from sekron import (
     FactorShapeMatrix,
     error_bound,
+    random_sequence,
     read_sequence,
     reconstruction_error,
+    write_sequence,
     write_tensor,
 )
 from sekron.cli import run_cli
@@ -55,6 +57,24 @@ def sequence_file(tmp_path, factor_shapes, ranks):
     return ["reconstruct", "--input", str(path), "--output", str(tmp_path / "out.skt")]
 
 
+def nan_weight(tmp_path):
+    w = np.random.default_rng(0).standard_normal((4, 4, 2, 2))
+    w[0, 0, 0, 0] = np.nan
+    write_tensor(tmp_path / "w.skt", w)
+    return ["decompose", "--input", str(tmp_path / "w.skt"), "--shapes", "2x2x1x1,2x2x2x2",
+            "--ranks", "2", "--output", str(tmp_path / "w.sks")]
+
+
+def inf_activation(tmp_path):
+    shapes = FactorShapeMatrix.from_string("2x2x1x1,2x2x3x3")
+    write_sequence(tmp_path / "w.sks", random_sequence(shapes, (2,), rng=0))
+    x = np.random.default_rng(0).standard_normal((1, 4, 5, 5))
+    x[0, 0, 0, 0] = np.inf
+    write_tensor(tmp_path / "x.skt", x)
+    return ["conv", "--weights", str(tmp_path / "w.sks"), "--input", str(tmp_path / "x.skt"),
+            "--output", str(tmp_path / "y.skt"), "--padding", "1"]
+
+
 def tiny_plan(tmp_path, *extra):
     return ["plan", "--shape", "2,2,1,1", "--seq-len", "2", "--target-cr", "1",
             "--max-rank", "1", "--out", str(tmp_path / "sweep.csv"), *extra]
@@ -70,6 +90,8 @@ CASES = {
     "bool-dimension": (3, bool_dimension),
     "bool-rank": (3, lambda p: sequence_file(p, [[2, 2], [2, 2]], [True])),
     "ragged-rows": (3, lambda p: sequence_file(p, [[2, 2], [2, 2, 1]], [1])),
+    "nan-weight": (3, nan_weight),
+    "inf-activation": (3, inf_activation),
     "rank-over-cap": (4, lambda p: decompose_argv(p, "2x2x1x1,2x2x2x2", "5")),
     "unparsable-rank": (4, lambda p: decompose_argv(p, "2x2x1x1,2x2x2x2", "a")),
     "budget-unmet": (5, lambda p: tiny_plan(

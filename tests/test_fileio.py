@@ -5,14 +5,20 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sekron import (
     FactorShapeMatrix,
+    FileFormatError,
     KroneckerSequence,
     MalformedHeaderError,
+    NonFinitePayloadError,
+    random_sequence,
     read_sequence,
     read_tensor,
     write_sequence,
+    write_tensor,
 )
 
 
@@ -71,6 +77,15 @@ class TestSequenceHeader:
         with pytest.raises(MalformedHeaderError):
             read_sequence(path)
 
+    @pytest.mark.parametrize("key, value", [("S", True), ("S", 1.0), ("N", 2.0)])
+    def test_non_int_counts_are_malformed_header(self, tmp_path, key, value):
+        path = tmp_path / "s.sks"
+        header = sequence_header([[2, 3]], [])
+        header[key] = value
+        write_raw(path, b"SKSQ", header, 6)
+        with pytest.raises(MalformedHeaderError):
+            read_sequence(path)
+
     def test_round_trip_is_byte_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = ((2, 1), (1, 2), (2, 2))
@@ -80,3 +95,50 @@ class TestSequenceHeader:
         write_sequence(first, seq)
         write_sequence(second, read_sequence(first))
         assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A valid ``.skt`` and ``.sks``, each as (reader, bytes, payload offset),
+    and a path to write corrupted copies to."""
+    root = tmp_path_factory.mktemp("valid")
+    tensor, sequence = root / "t.skt", root / "s.sks"
+    write_tensor(tensor, np.random.default_rng(0).standard_normal((3, 2)))
+    shapes = FactorShapeMatrix(((2, 1), (1, 2), (2, 2)))
+    write_sequence(sequence, random_sequence(shapes, (2, 2), rng=0))
+    files = []
+    for reader, path in ((read_tensor, tensor), (read_sequence, sequence)):
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<I", data[5:9])
+        files.append((reader, data, 9 + header_len))
+    return files, root / "probe"
+
+
+class TestCorruptedFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_truncation_or_header_byte_change_is_format_error(self, valid_files, data):
+        files, probe = valid_files
+        reader, blob, payload_at = data.draw(st.sampled_from(files))
+        if data.draw(st.booleans()):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            at = data.draw(st.integers(0, payload_at - 1))
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+            blob = blob[:at] + bytes([byte]) + blob[at + 1 :]
+        probe.write_bytes(blob)
+        with pytest.raises(FileFormatError):
+            reader(probe)
+
+    @settings(max_examples=100, deadline=None)
+    # all-ones exponent: mantissa 0 is +-inf, any other mantissa a NaN
+    @given(st.data(), st.integers(0, 1), st.one_of(st.just(0), st.integers(0, 2**52 - 1)))
+    def test_non_finite_payload_word_is_rejected(self, valid_files, data, sign, mantissa):
+        files, probe = valid_files
+        reader, blob, payload_at = data.draw(st.sampled_from(files))
+        word = data.draw(st.integers(0, (len(blob) - payload_at) // 8 - 1))
+        at = payload_at + 8 * word
+        bits = struct.pack("<Q", sign << 63 | 0x7FF << 52 | mantissa)
+        probe.write_bytes(blob[:at] + bits + blob[at + 8 :])
+        with pytest.raises(NonFinitePayloadError):
+            reader(probe)

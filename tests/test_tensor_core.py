@@ -14,7 +14,6 @@ from sekron import (
     fold_blocks,
     kron_pair,
     kron_sequence,
-    reinterpret_shape,
     seq_index_compose,
     seq_index_decompose,
     unfold_blocks,
@@ -60,14 +59,9 @@ class TestKronPair:
             b = rng.standard_normal(shapes[1])
             assert np.array_equal(kron_pair(a, b), kron_index_oracle(a, b))
 
-    def test_axis_mismatch_is_an_error_unless_padded(self):
-        a = np.ones((2,))
-        b = np.ones((2, 2))
+    def test_axis_mismatch_is_an_error(self):
         with pytest.raises(ShapeError):
-            kron_pair(a, b)
-        out = kron_pair(a, b, pad=True)
-        assert out.shape == (2, 4)
-        assert np.array_equal(out, kron_index_oracle(np.ones((1, 2)), b))
+            kron_pair(np.ones((2,)), np.ones((2, 2)))
 
 
 class TestKronSequence:
@@ -215,6 +209,11 @@ class TestUnfoldFold:
         m = rng.standard_normal((1, 12, 1))
         assert np.array_equal(fold_blocks(m, (3, 4), (1, 1)), m.reshape(1, 3, 4))
 
+    def test_trailing_block_unfold_is_reshape(self):
+        rng = np.random.default_rng(43)
+        w = rng.standard_normal((2, 2, 3, 3))
+        assert np.array_equal(unfold_blocks(w[None], (1, 1, 3, 3), 1)[0], w.reshape(4, 9))
+
     def test_non_divisible_axis_rejected(self):
         with pytest.raises(ShapeError):
             unfold_blocks(np.ones((1, 4, 6)), (3, 3), 1)
@@ -222,27 +221,6 @@ class TestUnfoldFold:
     def test_fold_size_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             fold_blocks(np.ones((1, 4, 5)), (2, 2), (2, 3))
-
-
-class TestReinterpretShape:
-    def test_flatten_keeps_order(self):
-        w = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(reinterpret_shape(w, (6,)), np.arange(6.0))
-
-    def test_round_trip_identity(self):
-        w = np.arange(6.0)
-        assert np.array_equal(reinterpret_shape(reinterpret_shape(w, (3, 2)), (6,)), w)
-
-    def test_matches_unfold_of_trailing_block(self):
-        rng = np.random.default_rng(43)
-        w = rng.standard_normal((2, 2, 3, 3))
-        direct = reinterpret_shape(w, (4, 9))
-        via_unfold = unfold_blocks(w[None], (1, 1, 3, 3), 1)[0]
-        assert np.array_equal(direct, via_unfold)
-
-    def test_element_count_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            reinterpret_shape(np.ones((2, 3)), (7,))
 
 
 class TestFactorShapeMatrix:
