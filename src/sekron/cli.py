@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--reference",
         action="store_true",
-        help="compose the weights first and run the dense reference convolution",
+        help="compose the weights first and run the dense im2col GEMM convolution",
     )
     p.set_defaults(func=_cmd_conv)
 

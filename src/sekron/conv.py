@@ -2,13 +2,16 @@
 for Kronecker-sequence weights.
 
 Both operate on activations of shape ``(batch, channels, height, width)``
-with symmetric zero padding and stride 1, and both accumulate kernel taps in
-a fixed row-major order so results are deterministic.
+with symmetric zero padding and stride 1, and both lower convolution to GEMM
+over an im2col window view (Chellapilla et al. 2006): one matrix product per
+image, per stage on the factorized path.  An image's result therefore does
+not depend on the rest of its batch.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sekron.decompose import KroneckerSequence, _validate_ranks
 from sekron.errors import ShapeError
@@ -28,10 +31,12 @@ def _check_conv_geometry(h, w, kh, kw, padding):
 
 
 def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
-    """Direct cross-correlation of ``x`` (batch, C, H, W) with a dense
-    ``(F, C, K_h, K_w)`` weight tensor, stride 1.
+    """Cross-correlation of ``x`` (batch, C, H, W) with a dense
+    ``(F, C, K_h, K_w)`` weight tensor, stride 1, as one im2col GEMM.
 
-    ``out[b,f,x,y] = sum_{c,i,j} weights[f,c,i,j] * padded[b,c,i+x,j+y]``
+    ``out[b,f,x,y] = sum_{c,i,j} weights[f,c,i,j] * padded[b,c,i+x,j+y]``,
+    computed as ``weights.reshape(F, -1) @ cols`` with the window columns in
+    ``(c, i, j)`` order.
     """
     x = as_tensor(x)
     weights = as_tensor(weights)
@@ -46,15 +51,11 @@ def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
     kh, kw = weights.shape[2], weights.shape[3]
     out_h, out_w = _check_conv_geometry(x.shape[2], x.shape[3], kh, kw, padding)
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((x.shape[0], weights.shape[0], out_h, out_w))
-    for i in range(kh):
-        for j in range(kw):
-            out += np.einsum(
-                "fc,bcuv->bfuv",
-                weights[:, :, i, j],
-                xp[:, :, i : i + out_h, j : j + out_w],
-            )
-    return out
+    # im2col: columns (c, i, j) by output position (u, v)
+    cols = sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    cols = cols.reshape(x.shape[0], -1, out_h * out_w)
+    out = weights.reshape(weights.shape[0], -1) @ cols
+    return out.reshape(x.shape[0], weights.shape[0], out_h, out_w)
 
 
 def _check_sequence_for_conv(seq: KroneckerSequence, in_channels: int):
@@ -71,52 +72,50 @@ def _check_sequence_for_conv(seq: KroneckerSequence, in_channels: int):
 def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     """Convolve without materializing the composed weight tensor.
 
-    Runs one stage per factor, last factor first.  A working activation
-    with axes ``(batch, accumulated-f, branch, channel group, H, W)`` is
-    contracted with factor ``k``: the stage splits the branch axis into
-    ``(surviving branch, r_k)``, sums ``r_k`` and the channel digit ``c_k``,
-    and samples spatial taps with dilation equal to the kernel extent of the
-    factors after ``k``.  The last factor is the same stage with ``r = 1``:
-    the input's single branch broadcasts against the factor's
-    ``prod(ranks)`` branches, so that stage fans out.  Numerically
-    equivalent to ``conv2d_reference(x, reconstruct(seq), padding)``.
+    Runs each image through one stage per factor, last factor first, so no
+    intermediate is larger than one image's.  A working activation with
+    axes ``(branch, accumulated-f, channel group, H, W)`` is contracted with
+    factor ``k``: the stage splits the branch axis into ``(surviving branch,
+    r_k)`` and takes a window view of the spatial axes whose taps are
+    dilated by the kernel extent of the factors after ``k``.  The stage is
+    then one GEMM of the factor, as an ``(f_k, r_k c_k h_k w_k)`` matrix per
+    surviving branch, with the window columns, so ``r_k``, the channel
+    digit ``c_k`` and the taps are summed in one product.  The last factor
+    is the same stage with ``r = 1``: the input has a single branch, so all
+    ``prod(ranks)`` branches of the factor fold into the GEMM rows and the
+    stage fans out.  Numerically equivalent to
+    ``conv2d_reference(x, reconstruct(seq), padding)``.
     """
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be (batch, C, H, W), got {x.ndim} axes")
     _check_sequence_for_conv(seq, x.shape[1])
     kh, kw = seq.target_shape[2], seq.target_shape[3]
-    _check_conv_geometry(x.shape[2], x.shape[3], kh, kw, padding)
+    out_h, out_w = _check_conv_geometry(x.shape[2], x.shape[3], kh, kw, padding)
 
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # (batch, accumulated-f, branch, channel group, H, W)
-    t = xp[:, None, None, :, :, :]
-    dil_h = dil_w = 1
-    stages = zip(seq.shapes.rows, seq.ranks + (1,), seq.factors)
-    for (f_k, c_k, h_k, w_k), r_k, factor in reversed(list(stages)):
-        batch, f_acc, branch, channels, in_h, in_w = t.shape
-        out_h = in_h - (h_k - 1) * dil_h
-        out_w = in_w - (w_k - 1) * dil_w
-        tin = t.reshape(
-            batch, f_acc, branch // r_k, r_k, channels // c_k, c_k, in_h, in_w
-        )
-        fin = factor.reshape(-1, r_k, f_k, c_k, h_k, w_k)
-        out = np.zeros(
-            (batch, f_k, f_acc, fin.shape[0], channels // c_k, out_h, out_w)
-        )
-        for i in range(h_k):
-            for j in range(w_k):
-                out += np.einsum(
-                    "prfc,bFprgcuv->bfFpguv",
-                    fin[:, :, :, :, i, j],
-                    tin[..., i * dil_h : i * dil_h + out_h,
-                        j * dil_w : j * dil_w + out_w],
-                )
-        t = out.reshape((batch, f_k * f_acc) + out.shape[3:])
-        dil_h *= h_k
-        dil_w *= w_k
-    batch, f_total, _, _, out_h, out_w = t.shape
-    return t.reshape(batch, f_total, out_h, out_w)
+    stages = list(zip(seq.shapes.rows, seq.ranks + (1,), seq.factors))[::-1]
+    out = np.empty((x.shape[0], seq.target_shape[0], out_h, out_w))
+    for b in range(x.shape[0]):
+        # (branch, accumulated-f, channel group, H, W)
+        t = xp[b, None, None]
+        dil_h = dil_w = 1
+        for (f_k, c_k, h_k, w_k), r_k, factor in stages:
+            branch, f_acc, channels, in_h, in_w = t.shape
+            p, q = factor.shape[0] // r_k, branch // r_k
+            tin = t.reshape(q, r_k, f_acc, channels // c_k, c_k, in_h, in_w)
+            span = ((h_k - 1) * dil_h + 1, (w_k - 1) * dil_w + 1)
+            win = sliding_window_view(tin, span, axis=(5, 6))[..., ::dil_h, ::dil_w]
+            # columns (r, c, i, j) by (F, g, u, v) per surviving branch
+            cols = win.transpose(0, 1, 4, 7, 8, 2, 3, 5, 6)
+            cols = cols.reshape(q, r_k * c_k * h_k * w_k, -1)
+            fmat = factor.reshape(p, r_k, f_k, -1).transpose(0, 2, 1, 3)
+            t = np.matmul(fmat.reshape(q, p // q * f_k, -1), cols)
+            t = t.reshape(p, f_k * f_acc, channels // c_k, *win.shape[5:7])
+            dil_h *= h_k
+            dil_w *= w_k
+        out[b] = t.reshape(out.shape[1:])
+    return out
 
 
 def flops_denominator(shapes: FactorShapeMatrix, ranks) -> int:

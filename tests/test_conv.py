@@ -1,5 +1,7 @@
 """Reference convolution and the equivalence of the factorized path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,21 @@ from sekron import (
     sekron_conv2d,
     sekron_decompose,
 )
+
+
+def per_tap_conv(x, w, padding=0):
+    """Independent oracle: ``out[b,f,x,y] = sum w[f,c,i,j] * xp[b,c,i+x,j+y]``,
+    one einsum per kernel tap."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    kh, kw = w.shape[2:]
+    out_h, out_w = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    out = np.zeros((x.shape[0], w.shape[0], out_h, out_w))
+    for i in range(kh):
+        for j in range(kw):
+            out += np.einsum(
+                "fc,bcuv->bfuv", w[:, :, i, j], xp[:, :, i : i + out_h, j : j + out_w]
+            )
+    return out
 
 
 class TestReferenceConv:
@@ -51,6 +68,21 @@ class TestReferenceConv:
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(ShapeError):
             conv2d_reference(np.ones((1, 1, 2, 2)), np.ones((1, 1, 4, 4)))
+
+    def test_matches_per_tap_oracle(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            f, c, kh, kw = (int(v) for v in rng.integers(1, 6, size=4))
+            batch = int(rng.integers(1, 4))
+            padding = int(rng.integers(0, 3))
+            h = max(kh - 2 * padding, 1) + int(rng.integers(0, 6))
+            w = max(kw - 2 * padding, 1) + int(rng.integers(0, 6))
+            x = rng.standard_normal((batch, c, h, w))
+            weights = rng.standard_normal((f, c, kh, kw))
+            got = conv2d_reference(x, weights, padding=padding)
+            want = per_tap_conv(x, weights, padding=padding)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestSekronConv:
@@ -113,6 +145,38 @@ class TestSekronConv:
         with pytest.raises(ShapeError):
             sekron_conv2d(np.ones((1, 3, 6, 6)), seq)
 
+    def test_spatial_taps_in_two_factors(self):
+        # factor 0's 3x3 taps run at dilation 3 inside the composed 9x9 kernel
+        seq = random_sequence(
+            FactorShapeMatrix(((2, 2, 3, 3), (2, 2, 3, 3))), (2,), rng=16
+        )
+        x = np.random.default_rng(17).standard_normal((2, 4, 6, 7))
+        got = sekron_conv2d(x, seq, padding=4)
+        want = conv2d_reference(x, reconstruct(seq), padding=4)
+        assert got.shape == (2, 4, 6, 7)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_fan_out_stage_works_one_image_at_a_time(self):
+        # Batch 8, with the 3x3 factor on the fan-out stage.  Beyond the
+        # padded input and the result, only one image's stage output and
+        # columns are live at a time; a whole-batch GEMM would hold all 8.
+        seq = random_sequence(
+            FactorShapeMatrix(((16, 16, 1, 1), (4, 4, 3, 3))), (4,), rng=18
+        )
+        x = np.random.default_rng(19).standard_normal((8, 64, 16, 16))
+        padded = 8 * 64 * 18 * 18
+        result = 8 * 64 * 16 * 16
+        fan_out = (4 * 4) * 16 * 16 * 16  # branches x f, groups, H, W
+        columns = (4 * 3 * 3) * 16 * 16 * 16  # (c, i, j) by (groups, H, W)
+        budget = 8 * (padded + result + 2 * (fan_out + columns))
+        tracemalloc.start()
+        try:
+            sekron_conv2d(x, seq, padding=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
+
     def test_non_conv_axis_count_rejected(self):
         seq = random_sequence(FactorShapeMatrix(((2, 2), (2, 2))), (1,), rng=9)
         with pytest.raises(ShapeError):
@@ -153,8 +217,8 @@ class TestConvMacs:
             assert conv_macs(seq, (h, w)) == flops_denominator(shapes, ranks) * positions
 
 
-def test_equivalence_sweep():
-    # mixed shapes/ranks/padding, sekron path vs reconstruct-then-convolve
+def sweep_cases():
+    """Mixed shapes/ranks/padding at S = 1..4: (seq, x, padding) per trial."""
     rng = np.random.default_rng(14)
     for trial in range(40):
         s = int(rng.integers(1, 5))
@@ -180,7 +244,21 @@ def test_equivalence_sweep():
         h = dims[2] + int(rng.integers(0, 5))
         w = dims[3] + int(rng.integers(0, 5))
         x = rng.standard_normal((batch, dims[1], h, w))
+        yield seq, x, padding
+
+
+def test_equivalence_sweep():
+    # sekron path vs reconstruct-then-convolve
+    for seq, x, padding in sweep_cases():
         got = sekron_conv2d(x, seq, padding=padding)
         want = conv2d_reference(x, reconstruct(seq), padding=padding)
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1e-30)
+
+
+def test_images_independent_of_batch():
+    for seq, x, padding in sweep_cases():
+        batched = sekron_conv2d(x, seq, padding=padding)
+        for i in range(x.shape[0]):
+            alone = sekron_conv2d(x[i : i + 1], seq, padding=padding)
+            assert np.array_equal(batched[i : i + 1], alone)
