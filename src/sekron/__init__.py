@@ -13,7 +13,6 @@ from sekron.decompose import (
     error_bound,
     random_sequence,
     reconstruct,
-    reconstruction_error,
     sekron_decompose,
     stored_param_count,
 )
@@ -25,7 +24,6 @@ from sekron.equivalences import (
     from_tr,
     from_tt,
     from_tucker,
-    native_reconstruct,
 )
 from sekron.errors import (
     BadMagicError,
@@ -42,7 +40,7 @@ from sekron.errors import (
     VersionMismatchError,
 )
 from sekron.fileio import read_sequence, read_tensor, write_sequence, write_tensor
-from sekron.linalg import SvdResult, svd, tail_energy, truncate
+from sekron.linalg import SvdResult, svd, tail_energy, truncate, truncated_svd
 from sekron.planner import (
     CandidateConfig,
     PlanRequest,
@@ -61,8 +59,6 @@ from sekron.tensor_core import (
     fold_blocks,
     kron_pair,
     kron_sequence,
-    seq_index_compose,
-    seq_index_decompose,
     unfold_blocks,
 )
 
@@ -107,21 +103,18 @@ __all__ = [
     "measure_dense_latency",
     "measure_latency",
     "measure_sequence_latency",
-    "native_reconstruct",
     "random_sequence",
     "read_sequence",
     "read_tensor",
     "reconstruct",
-    "reconstruction_error",
     "select_config",
     "sekron_conv2d",
     "sekron_decompose",
-    "seq_index_compose",
-    "seq_index_decompose",
     "stored_param_count",
     "svd",
     "tail_energy",
     "truncate",
+    "truncated_svd",
     "unfold_blocks",
     "write_candidates_csv",
     "write_sequence",

@@ -18,6 +18,15 @@ complement, so these terms are mutually orthogonal and their squared norms
 add; by induction over levels the squared error is the sum of all tails.
 :func:`error_bound` is a looser bound on the same error that weights each
 level's tails by the factor volumes of the levels before it.
+
+Each branch unfolding goes through :func:`sekron.linalg.truncated_svd`.  A
+level kept below its full rank takes its left vectors from the eigenvectors
+of the unfolding's smaller Gram matrix, which never builds the discarded
+triplets; the price is a squared condition number, so singular values below
+about ``1e-8 * sigma_1`` are lost to rounding.  Its tails are measured as
+residuals of the kept factors, so the error identity above holds to
+rounding either way.  A level kept at full rank runs the full SVD and
+records tails of exactly ``0.0``.
 """
 
 import itertools
@@ -27,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sekron.errors import RankError, ShapeError
-from sekron.linalg import svd, tail_energy, truncate
+from sekron.linalg import truncated_svd
 from sekron.tensor_core import (
     FactorShapeMatrix,
     as_tensor,
@@ -143,13 +152,12 @@ def _decompose_levels(w, shapes, ranks):
         carried = np.empty((n_branches * r_hat,) + block)
         tails = []
         for b in range(n_branches):
-            res = svd(mats[b])
-            u_r, scaled_v_r = truncate(res, r_hat)
+            u_r, scaled_v_r, tail = truncated_svd(mats[b], r_hat)
             head[b * r_hat : (b + 1) * r_hat] = u_r.T.reshape((r_hat,) + row)
             carried[b * r_hat : (b + 1) * r_hat] = scaled_v_r.T.reshape(
                 (r_hat,) + block
             )
-            tails.append(tail_energy(res, r_hat))
+            tails.append(tail)
         factors.append(head)
         level_tails.append(tails)
         work = carried
@@ -194,17 +202,6 @@ def reconstruct(seq: KroneckerSequence) -> np.ndarray:
             slices.append(seq.factors[k][branch])
         out += kron_sequence(slices)
     return out
-
-
-def reconstruction_error(w, seq: KroneckerSequence) -> float:
-    """Squared Frobenius norm of ``w - reconstruct(seq)``."""
-    w = as_tensor(w)
-    if w.shape != seq.target_shape:
-        raise ShapeError(
-            f"tensor shape {w.shape} != sequence target {seq.target_shape}"
-        )
-    diff = w - reconstruct(seq)
-    return float(np.sum(diff * diff))
 
 
 def tail_bound(shapes: FactorShapeMatrix, level_tails) -> float:

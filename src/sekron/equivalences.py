@@ -1,5 +1,5 @@
 """Embeddings of CP, Tucker, TT and TR factorizations into Kronecker
-sequences, with native reconstruction oracles for each format.
+sequences.
 
 Every ``from_*`` conversion returns a :class:`KroneckerSequence` whose
 reconstruction equals the format's own scalar-formula reconstruction.  The
@@ -8,10 +8,8 @@ shares across rank indices are stored replicated, and structural ones/zeros
 are stored densely.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -107,51 +105,6 @@ class TrCores:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(c.shape[0] for c in self.cores)
-
-
-def _cp_reconstruct(f: CpFactors) -> np.ndarray:
-    out = np.zeros(f.dims)
-    for r in range(f.rank):
-        out += reduce(np.multiply.outer, (m[r] for m in f.matrices))
-    return out
-
-
-def _tucker_reconstruct(f: TuckerFactors) -> np.ndarray:
-    out = np.zeros(f.dims)
-    for idx in itertools.product(*(range(d) for d in f.core.shape)):
-        out += f.core[idx] * reduce(
-            np.multiply.outer, (m[:, r] for m, r in zip(f.matrices, idx))
-        )
-    return out
-
-
-def _tr_reconstruct(f: TrCores) -> np.ndarray:
-    out = np.zeros(f.dims)
-    ranks = f.ring_ranks
-    for idx in itertools.product(*(range(r) for r in ranks)):
-        closed = idx + (idx[0],)
-        out += reduce(
-            np.multiply.outer,
-            (c[:, closed[n], closed[n + 1]] for n, c in enumerate(f.cores)),
-        )
-    return out
-
-
-def native_reconstruct(format: str, factors) -> np.ndarray:
-    """Reconstruct a tensor by direct summation of the format's scalar formula.
-
-    Deliberately independent of the Kronecker machinery; serves as the oracle
-    the ``from_*`` conversions are checked against.
-    """
-    if format == "cp":
-        return _cp_reconstruct(factors)
-    if format == "tucker":
-        return _tucker_reconstruct(factors)
-    if format in ("tr", "tt"):
-        if format == "tt":
-            _check_tt_boundary(factors)
-        return _tr_reconstruct(factors)
-    raise ValueError(f"unknown format {format!r}")
 
 
 def _one_hot_row(n_axes: int, axis: int, dim: int) -> tuple[int, ...]:

@@ -1,4 +1,16 @@
-"""Thin SVD with a reproducible sign convention, plus rank truncation."""
+"""Thin SVD with a reproducible sign convention, rank truncation, and the
+truncated SVD the decomposition runs on.
+
+:func:`truncated_svd` keeps only the top ``r_hat`` singular triplets.  Below
+full rank it never builds the discarded ones: it takes the eigenvectors of
+the smaller Gram matrix (``M M^T`` or ``M^T M``), a small symmetric
+eigenproblem plus matrix products instead of a full SVD.  Forming the Gram
+matrix squares the condition number, so singular values below about
+``1e-8 * sigma_1`` are lost to rounding and their vectors are not accurate.
+The discarded tail is therefore measured as the residual of the returned
+factors, never as ``||M||^2 - sum(sigma^2)``, which cancels.  At full rank
+nothing is discarded; the full SVD runs and the tail is exactly ``0.0``.
+"""
 
 from dataclasses import dataclass
 
@@ -21,6 +33,25 @@ class SvdResult:
         return self.s.shape[0]
 
 
+def _checked_matrix(m) -> np.ndarray:
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeError(f"svd expects a matrix, got {m.ndim} axes")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("svd input must be finite")
+    return m
+
+
+def _normalize_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
+    """Negate, in place, every column of ``u`` whose largest-magnitude entry
+    (the first one, on ties) is negative, and the same columns of ``v``."""
+    pivot = np.argmax(np.abs(u), axis=0)
+    flip = u[pivot, np.arange(u.shape[1])] < 0
+    u[:, flip] = -u[:, flip]
+    if v is not None:
+        v[:, flip] = -v[:, flip]
+
+
 def svd(m) -> SvdResult:
     """Thin SVD of a 2-D array.
 
@@ -29,21 +60,13 @@ def svd(m) -> SvdResult:
     across runs.  Non-convergence of the underlying LAPACK driver is reported
     as :class:`SvdConvergenceError`, never silently.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"svd expects a matrix, got {m.ndim} axes")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("svd input must be finite")
+    m = _checked_matrix(m)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
     v = vt.T
-    for r in range(s.shape[0]):
-        pivot = np.argmax(np.abs(u[:, r]))
-        if u[pivot, r] < 0:
-            u[:, r] = -u[:, r]
-            v[:, r] = -v[:, r]
+    _normalize_signs(u, v)
     return SvdResult(u=u, s=s, v=np.ascontiguousarray(v))
 
 
@@ -66,3 +89,41 @@ def tail_energy(res: SvdResult, r_hat: int) -> float:
     if not 0 <= r_hat <= res.rank:
         raise RankError(f"rank {r_hat} out of range [0, {res.rank}]")
     return float(np.sum(res.s[r_hat:] ** 2))
+
+
+def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rank-``r_hat`` truncation of a 2-D array and its squared residual.
+
+    Returns ``(u_r, scaled_v_r, tail)``, as :func:`truncate` and
+    :func:`tail_energy` give them on :func:`svd`: orthonormal left vectors
+    with the same sign rule, right factors ``m.T @ u_r`` (the sigma-scaled
+    right vectors), and ``tail = ||m - u_r @ scaled_v_r.T||^2``.
+
+    Below full rank (``r_hat < min(m.shape)``) the left vectors come from
+    the Gram matrix, as described in the module docstring: exact to rounding
+    for singular values above about ``1e-8 * sigma_1``, and an orthonormal
+    basis, with ``tail`` the true residual, for any input.  At full rank the
+    full SVD runs and ``tail`` is exactly ``0.0``.
+    """
+    m = _checked_matrix(m)
+    rows, cols = m.shape
+    full = min(rows, cols)
+    if not 1 <= r_hat <= full:
+        raise RankError(f"rank {r_hat} out of range [1, {full}]")
+    if r_hat == full:
+        res = svd(m)
+        return (*truncate(res, r_hat), tail_energy(res, r_hat))
+    try:
+        if rows <= cols:
+            _, vecs = np.linalg.eigh(m @ m.T)
+            u_r = np.ascontiguousarray(vecs[:, : -r_hat - 1 : -1])
+        else:
+            _, vecs = np.linalg.eigh(m.T @ m)
+            u_r, _ = np.linalg.qr(m @ vecs[:, : -r_hat - 1 : -1])
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
+    _normalize_signs(u_r)
+    scaled_v_r = m.T @ u_r
+    residual = u_r @ scaled_v_r.T
+    residual -= m
+    return u_r, scaled_v_r, float(np.vdot(residual, residual))

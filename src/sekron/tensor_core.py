@@ -1,5 +1,5 @@
 """Dense N-way tensors, Kronecker products of tensor sequences, and the
-block unfolding / index arithmetic they rest on.
+block unfolding they rest on.
 
 Conventions used throughout the package:
 
@@ -127,50 +127,6 @@ def kron_sequence(factors) -> np.ndarray:
     if not factors:
         raise ShapeError("kron_sequence needs at least one factor")
     return reduce(kron_pair, (as_tensor(f) for f in factors))
-
-
-def seq_index_decompose(index, shapes: FactorShapeMatrix) -> list[tuple[int, ...]]:
-    """Split a multi-index of the composed tensor into one sub-index per factor.
-
-    Per axis this is the mixed-radix expansion of ``index[n]`` with radices
-    ``(rows[0][n], ..., rows[S-1][n])``, most significant digit first.
-    Inverse of :func:`seq_index_compose`.
-    """
-    index = tuple(int(i) for i in index)
-    target = shapes.target_shape
-    if len(index) != shapes.num_axes:
-        raise ShapeError(f"index has {len(index)} axes, expected {shapes.num_axes}")
-    for n, (i, size) in enumerate(zip(index, target)):
-        if not 0 <= i < size:
-            raise ShapeError(f"index {i} out of range [0, {size}) on axis {n}")
-    digits = [[0] * shapes.num_axes for _ in range(shapes.num_factors)]
-    for n in range(shapes.num_axes):
-        rest = index[n]
-        for k in range(shapes.num_factors):
-            stride = math.prod(row[n] for row in shapes.rows[k + 1 :])
-            digits[k][n], rest = divmod(rest, stride)
-    return [tuple(d) for d in digits]
-
-
-def seq_index_compose(sub_indices, shapes: FactorShapeMatrix) -> tuple[int, ...]:
-    """Recombine per-factor sub-indices: ``i_n = sum_k j_n^k * prod_{l>k} rows[l][n]``."""
-    sub_indices = [tuple(int(j) for j in js) for js in sub_indices]
-    if len(sub_indices) != shapes.num_factors:
-        raise ShapeError(
-            f"got {len(sub_indices)} sub-indices, expected {shapes.num_factors}"
-        )
-    out = [0] * shapes.num_axes
-    for k, js in enumerate(sub_indices):
-        if len(js) != shapes.num_axes:
-            raise ShapeError("sub-index axis count mismatch")
-        for n, j in enumerate(js):
-            if not 0 <= j < shapes.rows[k][n]:
-                raise ShapeError(
-                    f"sub-index {j} out of range [0, {shapes.rows[k][n]}) "
-                    f"for factor {k}, axis {n}"
-                )
-            out[n] += j * math.prod(row[n] for row in shapes.rows[k + 1 :])
-    return tuple(out)
 
 
 def unfold_blocks(w, block_shape, n_branches: int = 1) -> np.ndarray:

@@ -1,0 +1,120 @@
+"""Reference implementations the tests check the package against.
+
+No program path calls them, so they live with the tests rather than in the
+package.  The index bijection and the native reconstructions are built from
+scalar formulas, independent of the Kronecker machinery they check.
+"""
+
+import itertools
+import math
+from functools import reduce
+
+import numpy as np
+
+from sekron import (
+    CpFactors,
+    FactorShapeMatrix,
+    ShapeError,
+    TrCores,
+    TuckerFactors,
+    reconstruct,
+)
+from sekron.tensor_core import as_tensor
+
+
+def seq_index_decompose(index, shapes: FactorShapeMatrix) -> list[tuple[int, ...]]:
+    """Split a multi-index of the composed tensor into one sub-index per factor.
+
+    Per axis this is the mixed-radix expansion of ``index[n]`` with radices
+    ``(rows[0][n], ..., rows[S-1][n])``, most significant digit first.
+    Inverse of :func:`seq_index_compose`.
+    """
+    index = tuple(int(i) for i in index)
+    target = shapes.target_shape
+    if len(index) != shapes.num_axes:
+        raise ShapeError(f"index has {len(index)} axes, expected {shapes.num_axes}")
+    for n, (i, size) in enumerate(zip(index, target)):
+        if not 0 <= i < size:
+            raise ShapeError(f"index {i} out of range [0, {size}) on axis {n}")
+    digits = [[0] * shapes.num_axes for _ in range(shapes.num_factors)]
+    for n in range(shapes.num_axes):
+        rest = index[n]
+        for k in range(shapes.num_factors):
+            stride = math.prod(row[n] for row in shapes.rows[k + 1 :])
+            digits[k][n], rest = divmod(rest, stride)
+    return [tuple(d) for d in digits]
+
+
+def seq_index_compose(sub_indices, shapes: FactorShapeMatrix) -> tuple[int, ...]:
+    """Recombine per-factor sub-indices: ``i_n = sum_k j_n^k * prod_{l>k} rows[l][n]``."""
+    sub_indices = [tuple(int(j) for j in js) for js in sub_indices]
+    if len(sub_indices) != shapes.num_factors:
+        raise ShapeError(
+            f"got {len(sub_indices)} sub-indices, expected {shapes.num_factors}"
+        )
+    out = [0] * shapes.num_axes
+    for k, js in enumerate(sub_indices):
+        if len(js) != shapes.num_axes:
+            raise ShapeError("sub-index axis count mismatch")
+        for n, j in enumerate(js):
+            if not 0 <= j < shapes.rows[k][n]:
+                raise ShapeError(
+                    f"sub-index {j} out of range [0, {shapes.rows[k][n]}) "
+                    f"for factor {k}, axis {n}"
+                )
+            out[n] += j * math.prod(row[n] for row in shapes.rows[k + 1 :])
+    return tuple(out)
+
+
+def _cp_reconstruct(f: CpFactors) -> np.ndarray:
+    out = np.zeros(f.dims)
+    for r in range(f.rank):
+        out += reduce(np.multiply.outer, (m[r] for m in f.matrices))
+    return out
+
+
+def _tucker_reconstruct(f: TuckerFactors) -> np.ndarray:
+    out = np.zeros(f.dims)
+    for idx in itertools.product(*(range(d) for d in f.core.shape)):
+        out += f.core[idx] * reduce(
+            np.multiply.outer, (m[:, r] for m, r in zip(f.matrices, idx))
+        )
+    return out
+
+
+def _tr_reconstruct(f: TrCores) -> np.ndarray:
+    out = np.zeros(f.dims)
+    ranks = f.ring_ranks
+    for idx in itertools.product(*(range(r) for r in ranks)):
+        closed = idx + (idx[0],)
+        out += reduce(
+            np.multiply.outer,
+            (c[:, closed[n], closed[n + 1]] for n, c in enumerate(f.cores)),
+        )
+    return out
+
+
+def native_reconstruct(format: str, factors) -> np.ndarray:
+    """Reconstruct a tensor by direct summation of the format's scalar formula.
+
+    Deliberately independent of the Kronecker machinery; serves as the oracle
+    the ``from_*`` conversions are checked against.
+    """
+    if format == "cp":
+        return _cp_reconstruct(factors)
+    if format == "tucker":
+        return _tucker_reconstruct(factors)
+    if format in ("tr", "tt"):
+        return _tr_reconstruct(factors)
+    raise ValueError(f"unknown format {format!r}")
+
+
+def reconstruction_error(w, seq) -> float:
+    """Squared Frobenius norm of ``w - reconstruct(seq)``."""
+    w = as_tensor(w)
+    if w.shape != seq.target_shape:
+        raise ShapeError(
+            f"tensor shape {w.shape} != sequence target {seq.target_shape}"
+        )
+    diff = w - reconstruct(seq)
+    return float(np.sum(diff * diff))

@@ -11,11 +11,11 @@ from sekron import (
     error_bound,
     random_sequence,
     read_sequence,
-    reconstruction_error,
     write_sequence,
     write_tensor,
 )
 from sekron.cli import run_cli
+from oracles import reconstruction_error
 
 
 def write_raw(path, magic: bytes, header: dict, n_floats: int) -> None:

@@ -17,11 +17,11 @@ from sekron import (
     random_sequence,
     reconstruct,
     read_sequence,
-    reconstruction_error,
     sekron_decompose,
     unfold_blocks,
     write_sequence,
 )
+from oracles import reconstruction_error
 
 
 def rel_error(w, seq):
@@ -203,6 +203,23 @@ class TestLevelTails:
         exact = reconstruction_error(w, seq)
         assert exact > 0
         assert sum(map(sum, seq.level_tails)) == pytest.approx(exact, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((3, 4), (4, 3)),
+            ((2, 2, 1, 1), (2, 1, 2, 1), (1, 2, 1, 2)),
+            ((2, 2),) * 4,
+        ],
+    )
+    def test_full_ranks_discard_nothing(self, rows):
+        # at full rank the tail is the empty sum, so exactly 0.0, not rounding
+        shapes = FactorShapeMatrix(rows)
+        rng = np.random.default_rng(20 + len(rows))
+        w = rng.standard_normal(shapes.target_shape)
+        seq = sekron_decompose(w, shapes, shapes.max_ranks())
+        assert len(seq.level_tails) == len(rows) - 1
+        assert all(t == 0.0 for level in seq.level_tails for t in level)
 
     def test_none_unless_decomposed(self, tmp_path):
         shapes = FactorShapeMatrix(((2, 2), (2, 2)))

@@ -13,9 +13,9 @@ from sekron import (
     from_tr,
     from_tt,
     from_tucker,
-    native_reconstruct,
     reconstruct,
 )
+from oracles import native_reconstruct
 
 
 def assert_matches_oracle(seq, fmt, factors):

@@ -14,10 +14,9 @@ from sekron import (
     fold_blocks,
     kron_pair,
     kron_sequence,
-    seq_index_compose,
-    seq_index_decompose,
     unfold_blocks,
 )
+from oracles import seq_index_compose, seq_index_decompose
 
 
 def kron_index_oracle(a, b):
