@@ -10,7 +10,6 @@ compression ratio, FLOPs, and measured latency.
 from sekron.conv import conv2d_reference, conv_macs, flops_denominator, sekron_conv2d
 from sekron.decompose import (
     KroneckerSequence,
-    error_bound,
     random_sequence,
     reconstruct,
     sekron_decompose,
@@ -40,7 +39,7 @@ from sekron.errors import (
     VersionMismatchError,
 )
 from sekron.fileio import read_sequence, read_tensor, write_sequence, write_tensor
-from sekron.linalg import SvdResult, svd, tail_energy, truncate, truncated_svd
+from sekron.linalg import SvdResult, svd, truncated_svd
 from sekron.planner import (
     CandidateConfig,
     PlanRequest,
@@ -48,7 +47,6 @@ from sekron.planner import (
     enumerate_configs,
     enumerate_factorizations,
     flops_ratio,
-    measure_dense_latency,
     measure_latency,
     measure_sequence_latency,
     select_config,
@@ -57,8 +55,6 @@ from sekron.planner import (
 from sekron.tensor_core import (
     FactorShapeMatrix,
     fold_blocks,
-    kron_pair,
-    kron_sequence,
     unfold_blocks,
 )
 
@@ -90,7 +86,6 @@ __all__ = [
     "conv_macs",
     "enumerate_configs",
     "enumerate_factorizations",
-    "error_bound",
     "flops_denominator",
     "flops_ratio",
     "fold_blocks",
@@ -98,9 +93,6 @@ __all__ = [
     "from_tr",
     "from_tt",
     "from_tucker",
-    "kron_pair",
-    "kron_sequence",
-    "measure_dense_latency",
     "measure_latency",
     "measure_sequence_latency",
     "random_sequence",
@@ -112,8 +104,6 @@ __all__ = [
     "sekron_decompose",
     "stored_param_count",
     "svd",
-    "tail_energy",
-    "truncate",
     "truncated_svd",
     "unfold_blocks",
     "write_candidates_csv",

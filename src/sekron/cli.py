@@ -14,7 +14,6 @@ from sekron.conv import conv2d_reference, sekron_conv2d
 from sekron.decompose import (
     reconstruct,
     sekron_decompose,
-    tail_bound,
 )
 from sekron.equivalences import (
     CpFactors,
@@ -91,7 +90,6 @@ def _cmd_decompose(args) -> int:
         # float() because a single factor has no levels and sum([]) is int 0
         report = {
             "frobenius_error": float(sum(map(sum, seq.level_tails))),
-            "error_bound": tail_bound(shapes, seq.level_tails),
             "cr": compression_ratio(shapes, ranks),
             "fr": flops_ratio(shapes, ranks) if shapes.num_axes == 4 else None,
             "param_count": seq.param_count,
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--report",
         action="store_true",
-        help="print JSON with frobenius_error, error_bound, cr, fr, param_count",
+        help="print JSON with frobenius_error (the exact squared error), cr, fr, param_count",
     )
     p.set_defaults(func=_cmd_decompose)
 

@@ -1,10 +1,11 @@
-"""Recursive Kronecker-sequence decomposition, reconstruction, and the
-per-level truncation error bound.
+"""Recursive Kronecker-sequence decomposition and its inverse.
 
 The decomposition repeatedly rearranges the working tensor so that Kronecker
 structure becomes low-rank matrix structure (one ``(branch, block, element)``
 unfolding per level), truncates its SVD, and carries the sigma-scaled right
 factors into the next level.  At full ranks the procedure is exact.
+:func:`reconstruct` runs the same levels backwards: per branch it multiplies
+the kept left vectors by the carried blocks and folds the unfolding back.
 
 Each level's truncation is the nearest-Kronecker-product step of Van Loan &
 Pitsianis (1993) applied per branch.  Its discarded tail (the sum of squared
@@ -16,8 +17,6 @@ Kronecker the error that later levels make in ``u_r``'s carried block.  The
 left vectors are orthonormal and the tail lies in their orthogonal
 complement, so these terms are mutually orthogonal and their squared norms
 add; by induction over levels the squared error is the sum of all tails.
-:func:`error_bound` is a looser bound on the same error that weights each
-level's tails by the factor volumes of the levels before it.
 
 Each branch unfolding goes through :func:`sekron.linalg.truncated_svd`.  A
 level kept below its full rank takes its left vectors from the eigenvectors
@@ -29,7 +28,6 @@ rounding either way.  A level kept at full rank runs the full SVD and
 records tails of exactly ``0.0``.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +38,7 @@ from sekron.linalg import truncated_svd
 from sekron.tensor_core import (
     FactorShapeMatrix,
     as_tensor,
-    kron_sequence,
+    fold_blocks,
     unfold_blocks,
 )
 
@@ -186,46 +184,21 @@ def sekron_decompose(w, shapes: FactorShapeMatrix, ranks) -> KroneckerSequence:
 
 
 def reconstruct(seq: KroneckerSequence) -> np.ndarray:
-    """Compose the factors back into a dense tensor.
+    """Compose the factors back into a dense tensor: the inverse of the
+    decomposition's level loop.
 
-    Sums, over every retained rank tuple ``(r_0, ..., r_{S-2})``, the
-    Kronecker product chain of the branch-selected factor slices.
+    Runs the levels last to first.  At level ``k`` each branch's unfolding is
+    the product of its factor-``k`` slices (as columns) and the carried
+    blocks of the level below (as rows), and ``fold_blocks`` turns the
+    unfoldings back into the working tensor one level up.  A single factor
+    has no level and is returned as a copy.
     """
-    shapes, ranks = seq.shapes, seq.ranks
-    out = np.zeros(shapes.target_shape)
-    for tup in itertools.product(*(range(r) for r in ranks)):
-        slices = []
-        branch = 0
-        for k in range(shapes.num_factors):
-            if k < len(ranks):
-                branch = branch * ranks[k] + tup[k]
-            slices.append(seq.factors[k][branch])
-        out += kron_sequence(slices)
-    return out
-
-
-def tail_bound(shapes: FactorShapeMatrix, level_tails) -> float:
-    """Volume-weighted bound from the per-level tails of a decomposition.
-
-    Sums each level's tails over its branches, weighting level ``k`` by the
-    product of the factor volumes of the levels before it.
-    """
-    bound = 0.0
-    weight = 1.0
-    for k, tails in enumerate(level_tails):
-        bound += weight * sum(tails)
-        weight *= shapes.factor_volume(k)
-    return bound
-
-
-def error_bound(w, shapes: FactorShapeMatrix, ranks) -> float:
-    """Upper bound on the squared reconstruction error of the decomposition.
-
-    :func:`tail_bound` of the tails that ``sekron_decompose(w, shapes,
-    ranks)`` discards.  The exact error is the unweighted sum of the same
-    tails (see the module docstring), so this bound is tight for two factors
-    (a single truncation, weight 1) and looser for more; it is never below
-    the measured error.  Whether it is the bound the SeKron paper states is
-    unverified.
-    """
-    return tail_bound(shapes, sekron_decompose(w, shapes, ranks).level_tails)
+    shapes, ranks, factors = seq.shapes, seq.ranks, seq.factors
+    work = factors[-1]
+    for k in reversed(range(shapes.num_factors - 1)):
+        r = ranks[k]
+        n_branches = factors[k].shape[0] // r
+        u = factors[k].reshape(n_branches, r, -1).transpose(0, 2, 1)
+        v = work.reshape(n_branches, r, -1)
+        work = fold_blocks(u @ v, shapes.rows[k], shapes.block_shape(k))
+    return work[0].copy() if shapes.num_factors == 1 else work[0]

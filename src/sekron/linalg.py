@@ -1,5 +1,5 @@
-"""Thin SVD with a reproducible sign convention, rank truncation, and the
-truncated SVD the decomposition runs on.
+"""Thin SVD with a reproducible sign convention, and the truncated SVD the
+decomposition runs on.
 
 :func:`truncated_svd` keeps only the top ``r_hat`` singular triplets.  Below
 full rank it never builds the discarded ones: it takes the eigenvectors of
@@ -70,34 +70,14 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, s=s, v=np.ascontiguousarray(v))
 
 
-def truncate(res: SvdResult, r_hat: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top ``r_hat`` left vectors and sigma-scaled right vectors.
-
-    ``u_r @ scaled_v_r.T`` is the optimal (Eckart-Young) rank-``r_hat``
-    approximation of the decomposed matrix; the singular values are folded
-    into the right factor.
-    """
-    if not 1 <= r_hat <= res.rank:
-        raise RankError(f"rank {r_hat} out of range [1, {res.rank}]")
-    u_r = res.u[:, :r_hat]
-    scaled_v_r = res.v[:, :r_hat] * res.s[:r_hat]
-    return u_r, scaled_v_r
-
-
-def tail_energy(res: SvdResult, r_hat: int) -> float:
-    """Sum of squared singular values beyond ``r_hat``."""
-    if not 0 <= r_hat <= res.rank:
-        raise RankError(f"rank {r_hat} out of range [0, {res.rank}]")
-    return float(np.sum(res.s[r_hat:] ** 2))
-
-
 def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Rank-``r_hat`` truncation of a 2-D array and its squared residual.
 
-    Returns ``(u_r, scaled_v_r, tail)``, as :func:`truncate` and
-    :func:`tail_energy` give them on :func:`svd`: orthonormal left vectors
-    with the same sign rule, right factors ``m.T @ u_r`` (the sigma-scaled
-    right vectors), and ``tail = ||m - u_r @ scaled_v_r.T||^2``.
+    Returns ``(u_r, scaled_v_r, tail)``: the top ``r_hat`` left vectors of
+    :func:`svd`, orthonormal and with the same sign rule, right factors
+    ``m.T @ u_r`` (the sigma-scaled right vectors), and ``tail = ||m - u_r @
+    scaled_v_r.T||^2``.  ``u_r @ scaled_v_r.T`` is the optimal
+    (Eckart-Young) rank-``r_hat`` approximation of ``m``.
 
     Below full rank (``r_hat < min(m.shape)``) the left vectors come from
     the Gram matrix, as described in the module docstring: exact to rounding
@@ -112,7 +92,7 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, float]:
         raise RankError(f"rank {r_hat} out of range [1, {full}]")
     if r_hat == full:
         res = svd(m)
-        return (*truncate(res, r_hat), tail_energy(res, r_hat))
+        return res.u, res.v * res.s, 0.0
     try:
         if rows <= cols:
             _, vecs = np.linalg.eigh(m @ m.T)

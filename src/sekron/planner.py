@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sekron.conv import conv2d_reference, flops_denominator, sekron_conv2d
+from sekron.conv import flops_denominator, sekron_conv2d
 from sekron.decompose import random_sequence, stored_param_count
 from sekron.errors import (
     CandidateLimitError,
@@ -55,8 +55,10 @@ class PlanRequest:
             raise ShapeError("target shape must be four positive dims (F, C, KH, KW)")
         if self.sequence_length < 1:
             raise ValueError("sequence length must be >= 1")
-        if self.target_cr < 1:
-            raise ValueError("target compression ratio must be >= 1")
+        if not 1 <= self.target_cr < math.inf:
+            raise ValueError(
+                f"target compression ratio must be finite and >= 1, got {self.target_cr}"
+            )
         if self.max_rank < 1:
             raise ValueError("max rank must be >= 1")
 
@@ -167,17 +169,6 @@ def measure_latency(
     (latency depends on shapes and ranks, not on the numbers)."""
     seq = random_sequence(config.shapes, config.ranks, rng=rng)
     return measure_sequence_latency(seq, input_shape, trials, padding=padding, rng=rng)
-
-
-def measure_dense_latency(
-    weight_shape, input_shape, trials: int = 5, padding: int = 0, rng=0
-) -> float:
-    """Baseline: median milliseconds of the dense reference convolution,
-    ``conv2d_reference``, which lowers the layer to one im2col GEMM."""
-    rng = np.random.default_rng(rng)
-    w = rng.standard_normal(tuple(int(d) for d in weight_shape))
-    x = rng.standard_normal(tuple(int(d) for d in input_shape))
-    return _median_ms(lambda: conv2d_reference(x, w, padding=padding), trials)
 
 
 def select_config(

@@ -1,5 +1,5 @@
-"""Dense N-way tensors, Kronecker products of tensor sequences, and the
-block unfolding they rest on.
+"""Dense N-way tensors, the factor shape matrix of a Kronecker sequence, and
+the block unfolding that turns Kronecker structure into matrix rank.
 
 Conventions used throughout the package:
 
@@ -10,7 +10,6 @@ Conventions used throughout the package:
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -106,27 +105,6 @@ class FactorShapeMatrix:
 
     def to_string(self) -> str:
         return ",".join("x".join(str(d) for d in row) for row in self.rows)
-
-
-def kron_pair(a, b) -> np.ndarray:
-    """Kronecker product of two tensors with equal axis counts.
-
-    ``out[i_1..i_N] = a[i_n // b.shape[n], ...] * b[i_n % b.shape[n], ...]``,
-    so ``out.shape[n] = a.shape[n] * b.shape[n]``.
-    """
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != b.ndim:
-        raise ShapeError(f"axis count mismatch: {a.ndim} vs {b.ndim}")
-    return np.kron(a, b)
-
-
-def kron_sequence(factors) -> np.ndarray:
-    """Left-fold ``kron_pair`` over a non-empty list of same-ndim tensors."""
-    factors = list(factors)
-    if not factors:
-        raise ShapeError("kron_sequence needs at least one factor")
-    return reduce(kron_pair, (as_tensor(f) for f in factors))
 
 
 def unfold_blocks(w, block_shape, n_branches: int = 1) -> np.ndarray:

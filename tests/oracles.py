@@ -2,7 +2,8 @@
 
 No program path calls them, so they live with the tests rather than in the
 package.  The index bijection and the native reconstructions are built from
-scalar formulas, independent of the Kronecker machinery they check.
+scalar formulas, and the Kronecker sum from ``np.kron``, independent of the
+level-by-level machinery they check.
 """
 
 import itertools
@@ -107,6 +108,27 @@ def native_reconstruct(format: str, factors) -> np.ndarray:
     if format in ("tr", "tt"):
         return _tr_reconstruct(factors)
     raise ValueError(f"unknown format {format!r}")
+
+
+def kron_sum(seq) -> np.ndarray:
+    """Sum, over every retained rank tuple ``(r_0, ..., r_{S-2})``, of the
+    ``np.kron`` left fold of the branch-selected factor slices.
+
+    Factor ``k`` contributes its slice at branch ``(...(r_0 * R_1 + r_1) ...)
+    * R_k + r_k`` (row-major); the last factor shares the branch of the one
+    before it.
+    """
+    ranks = seq.ranks
+    out = np.zeros(seq.target_shape)
+    for tup in itertools.product(*(range(r) for r in ranks)):
+        slices = []
+        branch = 0
+        for k, factor in enumerate(seq.factors):
+            if k < len(ranks):
+                branch = branch * ranks[k] + tup[k]
+            slices.append(factor[branch])
+        out += reduce(np.kron, slices)
+    return out
 
 
 def reconstruction_error(w, seq) -> float:

@@ -8,7 +8,6 @@ import pytest
 
 from sekron import (
     FactorShapeMatrix,
-    error_bound,
     random_sequence,
     read_sequence,
     write_sequence,
@@ -96,6 +95,8 @@ CASES = {
     "unparsable-rank": (4, lambda p: decompose_argv(p, "2x2x1x1,2x2x2x2", "a")),
     "budget-unmet": (5, lambda p: tiny_plan(
         p, "--bench-input", "1,2,3,3", "--latency-budget-ms", "0", "--trials", "3")),
+    "target-cr-nan": (4, lambda p: tiny_plan(p, "--target-cr", "nan")),
+    "target-cr-inf": (4, lambda p: tiny_plan(p, "--target-cr", "inf")),
     "candidate-cap": (7, lambda p: ["plan", "--shape", "256,256,3,3", "--seq-len", "4",
                                     "--target-cr", "4", "--out", str(p / "sweep.csv")]),
 }
@@ -112,8 +113,15 @@ def test_exit_code(tmp_path, capsys, case):
         assert captured.err.splitlines()[-1].startswith("error")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_target_cr_is_rejected_before_the_sweep(tmp_path, capsys, value):
+    assert run_cli(tiny_plan(tmp_path, "--target-cr", value)) == 4
+    assert "target compression ratio" in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_report_reads_exact_error_off_the_tails(tmp_path, capsys):
-    shapes, ranks = "2x2x1x1,2x1x2x1,1x2x1x2", (1, 1)
+    shapes = "2x2x1x1,2x1x2x1,1x2x1x2"
     w_path = write_weight(tmp_path)
     out = tmp_path / "w.sks"
     argv = ["decompose", "--input", w_path, "--shapes", shapes, "--ranks", "1,1",
@@ -122,12 +130,8 @@ def test_report_reads_exact_error_off_the_tails(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     report = json.loads(lines[0])
-    assert set(report) == {"frobenius_error", "error_bound", "cr", "fr", "param_count"}
+    assert set(report) == {"frobenius_error", "cr", "fr", "param_count"}
 
     w = np.random.default_rng(0).standard_normal((4, 4, 2, 2))
     exact = reconstruction_error(w, read_sequence(out))
     assert report["frobenius_error"] == pytest.approx(exact, rel=1e-9, abs=0)
-    assert report["error_bound"] == error_bound(
-        w, FactorShapeMatrix.from_string(shapes), ranks
-    )
-    assert report["error_bound"] > report["frobenius_error"]

@@ -19,7 +19,6 @@ from sekron import (
     enumerate_factorizations,
     flops_denominator,
     flops_ratio,
-    measure_dense_latency,
     measure_latency,
     random_sequence,
     sekron_decompose,
@@ -217,9 +216,6 @@ class TestLatency:
         assert fast > 0 and slow > 0
         # medians of repeated runs agree loosely; nothing tighter than 50%
         assert abs(fast - slow) <= 0.5 * max(fast, slow) + 0.5
-
-    def test_dense_baseline_positive(self):
-        assert measure_dense_latency((4, 4, 3, 3), (1, 4, 8, 8), trials=3) > 0
 
     def test_too_few_trials(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Kronecker products, index bijections, and block (un)folding."""
+"""Kronecker products as composed by ``reconstruct``, index bijections, and
+block (un)folding."""
 
 import itertools
 import math
@@ -10,13 +11,25 @@ from hypothesis import strategies as st
 
 from sekron import (
     FactorShapeMatrix,
+    KroneckerSequence,
     ShapeError,
     fold_blocks,
-    kron_pair,
-    kron_sequence,
+    reconstruct,
     unfold_blocks,
 )
 from oracles import seq_index_compose, seq_index_decompose
+
+
+def compose(*factors):
+    """``reconstruct`` of the all-rank-1 sequence of these factors: their
+    Kronecker product."""
+    shapes = FactorShapeMatrix(tuple(np.shape(f) for f in factors))
+    seq = KroneckerSequence(
+        shapes=shapes,
+        ranks=(1,) * (len(factors) - 1),
+        factors=[np.asarray(f)[None] for f in factors],
+    )
+    return reconstruct(seq)
 
 
 def kron_index_oracle(a, b):
@@ -32,10 +45,10 @@ def kron_index_oracle(a, b):
 class TestKronPair:
     def test_identity_factor_leaves_other_unchanged(self):
         b = np.arange(6.0).reshape(2, 3) + 1
-        assert np.array_equal(kron_pair(np.ones((1, 1)), b), b)
+        assert np.array_equal(compose(np.ones((1, 1)), b), b)
 
     def test_vector_example(self):
-        out = kron_pair(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        out = compose(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         assert np.array_equal(out, np.array([3.0, 4.0, 6.0, 8.0]))
 
     def test_matrix_example(self):
@@ -49,53 +62,52 @@ class TestKronPair:
                 [3.0, 4.0, 0.0, 0.0],
             ]
         )
-        assert np.array_equal(kron_pair(a, b), expected)
+        assert np.array_equal(compose(a, b), expected)
 
     def test_matches_index_oracle_on_random_tensors(self):
         rng = np.random.default_rng(7)
         for shapes in [((2,), (3,)), ((2, 3), (2, 2)), ((2, 1, 2), (1, 3, 2))]:
             a = rng.standard_normal(shapes[0])
             b = rng.standard_normal(shapes[1])
-            assert np.array_equal(kron_pair(a, b), kron_index_oracle(a, b))
+            assert np.array_equal(compose(a, b), kron_index_oracle(a, b))
 
     def test_axis_mismatch_is_an_error(self):
         with pytest.raises(ShapeError):
-            kron_pair(np.ones((2,)), np.ones((2, 2)))
+            compose(np.ones((2,)), np.ones((2, 2)))
 
 
 class TestKronSequence:
     def test_single_factor(self):
         a = np.arange(4.0).reshape(2, 2)
-        assert np.array_equal(kron_sequence([a]), a)
+        assert np.array_equal(compose(a), a)
 
     def test_vector_chain_example(self):
-        out = kron_sequence([np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([1.0, 3.0])])
+        out = compose(np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([1.0, 3.0]))
         assert np.array_equal(out, np.array([1.0, 3.0, 1.0, 3.0, 2.0, 6.0, 2.0, 6.0]))
 
     def test_associativity_against_right_fold(self):
         rng = np.random.default_rng(11)
         a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
-        left = kron_sequence([a, b, c])
-        right = kron_pair(a, kron_pair(b, c))
-        assert np.allclose(left, right, rtol=1e-12, atol=0)
+        got = compose(a, b, c)
+        for want in (np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c))):
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ShapeError):
-            kron_sequence([])
+            compose()
 
     def test_scalar_law_exhaustive(self):
-        # value at every output index equals the product of factor entries at
-        # the decomposed sub-indices, on tensors up to 64 elements
+        # every choice of factor sub-indices lands, through the index
+        # composition, on the product of the factor entries, on 64 elements
         rng = np.random.default_rng(13)
         rows = ((2, 2), (2, 1), (2, 4))
         shapes = FactorShapeMatrix(rows)
         factors = [rng.standard_normal(r) for r in rows]
-        out = kron_sequence(factors)
+        out = compose(*factors)
         assert out.size == 64
-        for idx in np.ndindex(out.shape):
-            js = seq_index_decompose(idx, shapes)
+        for js in itertools.product(*(np.ndindex(r) for r in rows)):
             expected = math.prod(f[j] for f, j in zip(factors, js))
-            assert out[idx] == pytest.approx(expected, rel=1e-15)
+            assert out[seq_index_compose(js, shapes)] == pytest.approx(expected, rel=1e-15)
 
 
 @st.composite
@@ -255,5 +267,9 @@ class TestFactorShapeMatrix:
 def test_kron_shape_law(shapes):
     rng = np.random.default_rng(47)
     factors = [rng.standard_normal(row) for row in shapes.rows]
-    out = kron_sequence(factors)
+    out = compose(*factors)
     assert out.shape == shapes.target_shape
+    for _ in range(5):
+        js = [tuple(int(rng.integers(d)) for d in row) for row in shapes.rows]
+        expected = math.prod(f[j] for f, j in zip(factors, js))
+        assert out[seq_index_compose(js, shapes)] == pytest.approx(expected, rel=1e-15)
