@@ -39,7 +39,7 @@ from sekron.errors import (
     VersionMismatchError,
 )
 from sekron.fileio import read_sequence, read_tensor, write_sequence, write_tensor
-from sekron.linalg import SvdResult, svd, truncated_svd
+from sekron.linalg import truncated_svd
 from sekron.planner import (
     CandidateConfig,
     PlanRequest,
@@ -76,7 +76,6 @@ __all__ = [
     "SekronError",
     "ShapeError",
     "SvdConvergenceError",
-    "SvdResult",
     "TrCores",
     "TruncatedPayloadError",
     "TuckerFactors",
@@ -103,7 +102,6 @@ __all__ = [
     "sekron_conv2d",
     "sekron_decompose",
     "stored_param_count",
-    "svd",
     "truncated_svd",
     "unfold_blocks",
     "write_candidates_csv",

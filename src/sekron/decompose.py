@@ -18,14 +18,15 @@ left vectors are orthonormal and the tail lies in their orthogonal
 complement, so these terms are mutually orthogonal and their squared norms
 add; by induction over levels the squared error is the sum of all tails.
 
-Each branch unfolding goes through :func:`sekron.linalg.truncated_svd`.  A
-level kept below its full rank takes its left vectors from the eigenvectors
-of the unfolding's smaller Gram matrix, which never builds the discarded
-triplets; the price is a squared condition number, so singular values below
-about ``1e-8 * sigma_1`` are lost to rounding.  Its tails are measured as
-residuals of the kept factors, so the error identity above holds to
-rounding either way.  A level kept at full rank runs the full SVD and
-records tails of exactly ``0.0``.
+Each level passes the stack of all its branch unfoldings, branch axis
+leading, to one :func:`sekron.linalg.truncated_svd` call, so a level is the
+mirror of a :func:`reconstruct` level.  A level kept below its full rank
+takes its left vectors from the eigenvectors of each unfolding's smaller
+Gram matrix, which never builds the discarded triplets; the price is a
+squared condition number, so singular values below about ``1e-8 * sigma_1``
+are lost to rounding.  Its tails are measured as residuals of the kept
+factors, so the error identity above holds to rounding either way.  A level
+kept at full rank runs the full SVD and records tails of exactly ``0.0``.
 """
 
 import math
@@ -130,54 +131,33 @@ def random_sequence(shapes: FactorShapeMatrix, ranks, rng=None) -> KroneckerSequ
     return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)
 
 
-def _decompose_levels(w, shapes, ranks):
-    """Shared engine: returns (factors, per-level lists of branch tail energies)."""
-    work = w[None]  # leading branch axis, initially a single branch
-    factors = []
-    level_tails = []
-    for k in range(shapes.num_factors - 1):
-        r_hat = ranks[k]
-        cap = shapes.full_rank(k)
-        if r_hat > cap:
-            raise RankError(
-                f"rank {r_hat} exceeds full rank {cap} of the level-{k} unfolding"
-            )
-        row = shapes.rows[k]
-        block = shapes.block_shape(k)
-        n_branches = work.shape[0]
-        mats = unfold_blocks(work, block, n_branches)
-        head = np.empty((n_branches * r_hat,) + row)
-        carried = np.empty((n_branches * r_hat,) + block)
-        tails = []
-        for b in range(n_branches):
-            u_r, scaled_v_r, tail = truncated_svd(mats[b], r_hat)
-            head[b * r_hat : (b + 1) * r_hat] = u_r.T.reshape((r_hat,) + row)
-            carried[b * r_hat : (b + 1) * r_hat] = scaled_v_r.T.reshape(
-                (r_hat,) + block
-            )
-            tails.append(tail)
-        factors.append(head)
-        level_tails.append(tails)
-        work = carried
-    factors.append(work)
-    return factors, level_tails
-
-
 def sekron_decompose(w, shapes: FactorShapeMatrix, ranks) -> KroneckerSequence:
     """Decompose ``w`` into a Kronecker sequence with the given factor shapes.
 
     Level ``k`` unfolds every branch of the working tensor into blocks of
     shape ``shapes.block_shape(k)``, keeps the top ``ranks[k]`` singular
-    triplets per branch (left vectors become factor ``k``, sigma-scaled right
-    vectors the next working tensor), and the final working tensor becomes
-    the last factor.  Each level's truncation is the Frobenius-optimal
-    low-rank approximation of its unfolding.  The discarded tails are kept
-    as ``level_tails``; their sum is the exact squared reconstruction error.
+    triplets per branch in one stacked truncated SVD (left vectors become
+    factor ``k``, sigma-scaled right vectors the next working tensor), and
+    the final working tensor becomes the last factor.  Each level's
+    truncation is the Frobenius-optimal low-rank approximation of its
+    unfolding.  The discarded tails are kept as ``level_tails``; their sum is
+    the exact squared reconstruction error.
     """
     w = as_tensor(w)
     shapes.validate_target(w.shape)
     ranks = _validate_ranks(shapes, ranks)
-    factors, level_tails = _decompose_levels(w, shapes, ranks)
+    work = w[None]  # leading branch axis, initially a single branch
+    factors, level_tails = [], []
+    for k, r in enumerate(ranks):
+        cap = shapes.full_rank(k)
+        if r > cap:
+            raise RankError(f"rank {r} exceeds full rank {cap} of the level-{k} unfolding")
+        block = shapes.block_shape(k)
+        u, scaled_v, tails = truncated_svd(unfold_blocks(work, block), r)
+        factors.append(np.swapaxes(u, 1, 2).reshape((-1,) + shapes.rows[k]))
+        work = np.swapaxes(scaled_v, 1, 2).reshape((-1,) + block)
+        level_tails.append(tails.tolist())
+    factors.append(work)
     return KroneckerSequence(
         shapes=shapes, ranks=ranks, factors=factors, level_tails=level_tails
     )

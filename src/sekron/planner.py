@@ -37,6 +37,13 @@ class CandidateConfig:
         return CandidateConfig(self.shapes, self.ranks, self.cr, self.fr, latency_ms)
 
 
+def _check_target_cr(target_cr: float) -> None:
+    if not 1 <= target_cr < math.inf:
+        raise ValueError(
+            f"target compression ratio must be finite and >= 1, got {target_cr}"
+        )
+
+
 @dataclass(frozen=True)
 class PlanRequest:
     """What to enumerate: a conv weight shape, a sequence length, and a
@@ -55,10 +62,9 @@ class PlanRequest:
             raise ShapeError("target shape must be four positive dims (F, C, KH, KW)")
         if self.sequence_length < 1:
             raise ValueError("sequence length must be >= 1")
-        if not 1 <= self.target_cr < math.inf:
-            raise ValueError(
-                f"target compression ratio must be finite and >= 1, got {self.target_cr}"
-            )
+        _check_target_cr(self.target_cr)
+        if self.latency_budget_ms is not None and math.isnan(self.latency_budget_ms):
+            raise ValueError("latency budget must be a number of milliseconds, got nan")
         if self.max_rank < 1:
             raise ValueError("max rank must be >= 1")
 
@@ -182,8 +188,10 @@ def select_config(
     (4.1 and 3.9 against 4.0) tie.  Ties break toward lower latency, with
     ``latency_ms=None`` after every measured latency, then toward
     lexicographically smaller shapes (``shapes.rows``), then smaller ranks.
-    The choice does not depend on candidate order.
+    The choice does not depend on candidate order.  ``target_cr`` must be
+    finite and ``>= 1``, as in :class:`PlanRequest`.
     """
+    _check_target_cr(target_cr)
     candidates = list(candidates)
     if not candidates:
         raise NoFeasibleConfigError("no candidates to select from")

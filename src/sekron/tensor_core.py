@@ -107,28 +107,23 @@ class FactorShapeMatrix:
         return ",".join("x".join(str(d) for d in row) for row in self.rows)
 
 
-def unfold_blocks(w, block_shape, n_branches: int = 1) -> np.ndarray:
-    """Rearrange a (branch-leading) tensor into ``(branch, block, element)`` layout.
+def unfold_blocks(w, block_shape) -> np.ndarray:
+    """Rearrange a branch-leading tensor into ``(branch, block, element)`` layout.
 
-    Axis ``n`` of each branch slice must have size ``g_n * block_shape[n]``;
-    blocks enumerate the grid ``(g_1, ..., g_N)`` row-major, elements the
-    within-block offsets row-major, and source index ``i_n = grid_n *
-    block_shape[n] + offset_n``.  Pure permutation, so the Frobenius norm is
-    preserved.  A tensor without a branch axis is accepted when
-    ``n_branches == 1``.
+    ``w`` has shape ``(n_branches, *dims)``, the layout :func:`fold_blocks`
+    returns; axis ``n`` of each branch slice must have size ``g_n *
+    block_shape[n]``.  Blocks enumerate the grid ``(g_1, ..., g_N)``
+    row-major, elements the within-block offsets row-major, and source index
+    ``i_n = grid_n * block_shape[n] + offset_n``.  Pure permutation, so the
+    Frobenius norm is preserved.
     """
     w = as_tensor(w)
     block_shape = tuple(int(b) for b in block_shape)
-    if w.ndim == len(block_shape):
-        if n_branches != 1:
-            raise ShapeError("tensor without a branch axis implies n_branches == 1")
-        w = w[None]
     if w.ndim != len(block_shape) + 1:
         raise ShapeError(
-            f"expected {len(block_shape)} (+1 branch) axes, got {w.ndim}"
+            f"expected a branch axis and {len(block_shape)} block axes, got {w.ndim} axes"
         )
-    if w.shape[0] != n_branches:
-        raise ShapeError(f"branch axis is {w.shape[0]}, expected {n_branches}")
+    n_branches = w.shape[0]
     grid = []
     for n, (size, b) in enumerate(zip(w.shape[1:], block_shape)):
         if b < 1 or size % b:

@@ -95,6 +95,8 @@ CASES = {
     "unparsable-rank": (4, lambda p: decompose_argv(p, "2x2x1x1,2x2x2x2", "a")),
     "budget-unmet": (5, lambda p: tiny_plan(
         p, "--bench-input", "1,2,3,3", "--latency-budget-ms", "0", "--trials", "3")),
+    "latency-budget-nan": (4, lambda p: tiny_plan(
+        p, "--bench-input", "1,2,3,3", "--latency-budget-ms", "nan", "--trials", "3")),
     "target-cr-nan": (4, lambda p: tiny_plan(p, "--target-cr", "nan")),
     "target-cr-inf": (4, lambda p: tiny_plan(p, "--target-cr", "inf")),
     "candidate-cap": (7, lambda p: ["plan", "--shape", "256,256,3,3", "--seq-len", "4",
@@ -117,6 +119,13 @@ def test_exit_code(tmp_path, capsys, case):
 def test_non_finite_target_cr_is_rejected_before_the_sweep(tmp_path, capsys, value):
     assert run_cli(tiny_plan(tmp_path, "--target-cr", value)) == 4
     assert "target compression ratio" in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_nan_latency_budget_is_rejected_before_the_sweep(tmp_path, capsys):
+    argv = tiny_plan(tmp_path, "--bench-input", "1,2,3,3", "--latency-budget-ms", "nan")
+    assert run_cli(argv) == 4
+    assert "latency budget" in capsys.readouterr().err.splitlines()[-1]
     assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -169,7 +169,7 @@ class TestReconstructionError:
         rng = np.random.default_rng(10)
         w = rng.standard_normal((6, 6))
         shapes = FactorShapeMatrix(((2, 3), (3, 2)))
-        m = unfold_blocks(w, (3, 2))[0]
+        m = unfold_blocks(w[None], (3, 2))[0]
         s = np.linalg.svd(m, compute_uv=False)
         for r in range(1, 6):
             seq = sekron_decompose(w, shapes, (r,))

@@ -10,50 +10,75 @@ from sekron import (
     RankError,
     ShapeError,
     SvdConvergenceError,
-    svd,
     truncated_svd,
     unfold_blocks,
 )
 
 
+def loop_signed_svd(m):
+    """Thin SVD with the sign rule applied column by column: each left vector's
+    largest-magnitude entry (the first one, on ties) is made positive."""
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
+    v = vt.T
+    for r in range(s.shape[0]):
+        pivot = np.argmax(np.abs(u[:, r]))
+        if u[pivot, r] < 0:
+            u[:, r] = -u[:, r]
+            v[:, r] = -v[:, r]
+    return u, s, np.ascontiguousarray(v)
+
+
+def full_svd(m):
+    """``truncated_svd`` at full rank, checked bit for bit against the loop;
+    returns the left vectors, the sigma-scaled right vectors and the singular
+    values (the column norms of the scaled right vectors)."""
+    u, scaled_v, tail = truncated_svd(m, min(m.shape))
+    u_ref, s_ref, v_ref = loop_signed_svd(m)
+    assert np.array_equal(u, u_ref)
+    assert np.array_equal(scaled_v, v_ref * s_ref)
+    assert tail == 0.0
+    return u, scaled_v, np.linalg.norm(scaled_v, axis=0)
+
+
 def test_identity_singular_values():
-    res = svd(np.eye(3))
-    assert np.allclose(res.s, np.ones(3), atol=1e-12)
+    _, _, s = full_svd(np.eye(3))
+    assert np.allclose(s, np.ones(3), atol=1e-12)
 
 
 def test_constructed_rank_one():
     u = np.array([3.0, 4.0]) / 5.0
     v = np.array([1.0, 0.0, 0.0])
-    res = svd(5.0 * np.outer(u, v))
-    assert res.s[0] == pytest.approx(5.0, rel=1e-12)
-    assert res.s[1] == pytest.approx(0.0, abs=1e-12)
+    _, _, s = full_svd(5.0 * np.outer(u, v))
+    assert s[0] == pytest.approx(5.0, rel=1e-12)
+    assert s[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_diagonal_example():
-    res = svd(np.array([[3.0, 0.0], [0.0, 4.0]]))
-    assert np.allclose(res.s, [4.0, 3.0], atol=1e-12)
+    _, _, s = full_svd(np.array([[3.0, 0.0], [0.0, 4.0]]))
+    assert np.allclose(s, [4.0, 3.0], atol=1e-12)
 
 
 def test_reconstruction_and_orthonormality_random():
     rng = np.random.default_rng(5)
     for _ in range(10):
         m = rng.standard_normal((6, 9))
-        res = svd(m)
-        assert np.all(np.diff(res.s) <= 1e-12)
-        assert np.allclose(res.u.T @ res.u, np.eye(res.rank), atol=1e-10)
-        assert np.allclose(res.v.T @ res.v, np.eye(res.rank), atol=1e-10)
-        rebuilt = res.u @ np.diag(res.s) @ res.v.T
+        u, scaled_v, s = full_svd(m)
+        assert np.all(np.diff(s) <= 1e-12)
+        assert np.allclose(u.T @ u, np.eye(6), atol=1e-10)
+        v = scaled_v / s
+        assert np.allclose(v.T @ v, np.eye(6), atol=1e-10)
+        rebuilt = u @ scaled_v.T
         assert np.linalg.norm(rebuilt - m) <= 1e-10 * np.linalg.norm(m)
 
 
 def test_sign_convention_is_reproducible():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((5, 5))
-    a, b = svd(m.copy()), svd(m.copy())
-    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-    for r in range(a.rank):
-        pivot = np.argmax(np.abs(a.u[:, r]))
-        assert a.u[pivot, r] > 0
+    (u_a, v_a, _), (u_b, v_b, _) = full_svd(m.copy()), full_svd(m.copy())
+    assert np.array_equal(u_a, u_b) and np.array_equal(v_a, v_b)
+    for r in range(5):
+        pivot = np.argmax(np.abs(u_a[:, r]))
+        assert u_a[pivot, r] > 0
 
 
 def test_truncate_full_rank_is_exact():
@@ -87,7 +112,7 @@ def test_eckart_young_over_all_ranks():
     rng = np.random.default_rng(21)
     for _ in range(5):
         m = rng.standard_normal((8, 8))
-        s = svd(m).s
+        s = loop_signed_svd(m)[1]
         for r in range(1, 9):
             u_r, sv_r, tail = truncated_svd(m, r)
             residual = np.sum((m - u_r @ sv_r.T) ** 2)
@@ -105,21 +130,9 @@ def test_rank_out_of_range():
 
 def test_bad_inputs():
     with pytest.raises(ShapeError):
-        svd(np.ones(3))
+        truncated_svd(np.ones(3), 1)
     with pytest.raises(ValueError):
-        svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def loop_signed_svd(m):
-    """The per-column sign loop ``svd`` used before its vectorized rule."""
-    u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
-    v = vt.T
-    for r in range(s.shape[0]):
-        pivot = np.argmax(np.abs(u[:, r]))
-        if u[pivot, r] < 0:
-            u[:, r] = -u[:, r]
-            v[:, r] = -v[:, r]
-    return u, s, np.ascontiguousarray(v)
+        truncated_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2)
 
 
 def test_vectorized_sign_rule_equals_loop():
@@ -129,11 +142,7 @@ def test_vectorized_sign_rule_equals_loop():
     # equal-magnitude entries: the first maximum decides, as in the loop
     cases += [np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([[1.0, -1.0], [-1.0, 1.0]])]
     for m in cases:
-        res = svd(m)
-        u, s, v = loop_signed_svd(m)
-        assert np.array_equal(res.u, u)
-        assert np.array_equal(res.s, s)
-        assert np.array_equal(res.v, v)
+        full_svd(m)
 
 
 def geometric(rng, rows, cols, decay=0.7):
@@ -165,11 +174,11 @@ class TestTruncatedSvd:
     def test_geometric_spectra_every_rank(self, shape):
         rng = np.random.default_rng(sum(shape))
         m = geometric(rng, *shape)
-        res = svd(m)
+        u, s, v = loop_signed_svd(m)
         for r_hat in range(1, min(shape) + 1):
             u_r, scaled_v_r, _ = assert_truncation_contract(m, r_hat)
             # a well-separated spectrum pins the vectors, signs included
-            u_ref, sv_ref = res.u[:, :r_hat], res.v[:, :r_hat] * res.s[:r_hat]
+            u_ref, sv_ref = u[:, :r_hat], v[:, :r_hat] * s[:r_hat]
             assert np.abs(u_r - u_ref).max() <= 1e-8
             assert np.abs(scaled_v_r - sv_ref).max() <= 1e-8
 
@@ -186,7 +195,7 @@ class TestTruncatedSvd:
         # the nearest-Kronecker unfolding of kron(a, b) has rank one
         rng = np.random.default_rng(41)
         a, b = rng.standard_normal((2, 3)), rng.standard_normal((3, 4))
-        m = unfold_blocks(np.kron(a, b), b.shape)[0]
+        m = unfold_blocks(np.kron(a, b)[None], b.shape)[0]
         assert np.linalg.matrix_rank(m) == 1
         m = m.T if transpose else m
         _, _, tail = assert_truncation_contract(m, 3)
@@ -208,11 +217,30 @@ class TestTruncatedSvd:
     def test_full_rank_is_the_full_svd(self):
         rng = np.random.default_rng(43)
         for shape in [(4, 9), (9, 4), (5, 5)]:
-            m = rng.standard_normal(shape)
-            u_r, scaled_v_r, tail = truncated_svd(m, min(shape))
-            res = svd(m)
-            assert tail == 0.0
-            assert np.array_equal(u_r, res.u) and np.array_equal(scaled_v_r, res.v * res.s)
+            full_svd(rng.standard_normal(shape))
+
+    @pytest.mark.parametrize(
+        "rows, cols, r_hat", [(4, 15, 2), (15, 4, 3), (6, 6, 6), (3, 8, 3), (8, 3, 3)]
+    )
+    def test_stack_equals_per_matrix_calls(self, rows, cols, r_hat):
+        # thin and tall stacks below full rank, then square, thin and tall at it
+        rng = np.random.default_rng(7 * rows + cols)
+        for lead in [(2,), (3,), (4,), (5,), (2, 3)]:
+            stack = rng.standard_normal(lead + (rows, cols))
+            stack[0] = geometric(rng, rows, cols)
+            u_r, scaled_v_r, tails = truncated_svd(stack, r_hat)
+            assert u_r.shape == lead + (rows, r_hat)
+            assert scaled_v_r.shape == lead + (cols, r_hat)
+            assert tails.shape == lead
+            for b in np.ndindex(lead):
+                m = stack[b]
+                u_b, scaled_v_b, tail_b = truncated_svd(m, r_hat)
+                assert np.array_equal(u_r[b], u_b)
+                assert np.array_equal(scaled_v_r[b], scaled_v_b)
+                norm2 = float(np.sum(m * m))
+                assert abs(tails[b] - tail_b) <= 1e-12 * norm2
+                want = float(np.sum(np.linalg.svd(m, compute_uv=False)[r_hat:] ** 2))
+                assert abs(tails[b] - want) <= 1e-12 * norm2
 
     def test_bad_inputs(self):
         with pytest.raises(ShapeError):

@@ -178,6 +178,11 @@ class TestSelectConfig:
         with pytest.raises(NoFeasibleConfigError):
             select_config([], target_cr=4.0)
 
+    @pytest.mark.parametrize("target_cr", [math.nan, math.inf, 0.5])
+    def test_target_outside_finite_and_at_least_one_is_rejected(self, target_cr):
+        with pytest.raises(ValueError, match="target compression ratio"):
+            select_config(self.candidates(), target_cr=target_cr)
+
     def test_budget_requires_latencies(self):
         missing = [synthetic(((2, 2), (8, 8)), (1,), 4.0, 2.0, None)]
         with pytest.raises(ValueError):

@@ -170,26 +170,26 @@ class TestUnfoldFold:
     def test_full_block_is_flattened_tensor(self):
         rng = np.random.default_rng(17)
         w = rng.standard_normal((1, 4, 6))
-        m = unfold_blocks(w, (4, 6), 1)
+        m = unfold_blocks(w, (4, 6))
         assert m.shape == (1, 1, 24)
         assert np.array_equal(m[0, 0], w[0].ravel())
 
     def test_scalar_blocks_enumerate_row_major(self):
         rng = np.random.default_rng(19)
         w = rng.standard_normal((1, 3, 2))
-        m = unfold_blocks(w, (1, 1), 1)
+        m = unfold_blocks(w, (1, 1))
         assert m.shape == (1, 6, 1)
         assert np.array_equal(m[0, :, 0], w[0].ravel())
 
     def test_first_block_of_4x4(self):
         w = np.arange(16.0).reshape(4, 4)
-        m = unfold_blocks(w, (2, 2))
+        m = unfold_blocks(w[None], (2, 2))
         assert np.array_equal(m[0, 0], np.array([w[0, 0], w[0, 1], w[1, 0], w[1, 1]]))
 
     def test_source_index_rule(self):
         rng = np.random.default_rng(23)
         w = rng.standard_normal((2, 4, 6))
-        m = unfold_blocks(w, (2, 3), 2)
+        m = unfold_blocks(w, (2, 3))
         for br in range(2):
             for block in range(4):
                 j = (block // 2, block % 2)
@@ -200,15 +200,16 @@ class TestUnfoldFold:
     def test_isometry(self):
         rng = np.random.default_rng(29)
         w = rng.standard_normal((3, 4, 6, 2))
-        m = unfold_blocks(w, (2, 3, 1), 3)
+        m = unfold_blocks(w, (2, 3, 1))
         assert np.sum(m * m) == pytest.approx(np.sum(w * w), rel=0, abs=0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(31)
-        w = rng.standard_normal((1, 4, 6))
-        m = unfold_blocks(w, (2, 3), 1)
-        back = fold_blocks(m, (2, 2), (2, 3))
-        assert np.array_equal(back, w)
+        for n_branches in (1, 3):
+            w = rng.standard_normal((n_branches, 4, 6))
+            m = unfold_blocks(w, (2, 3))
+            back = fold_blocks(m, (2, 2), (2, 3))
+            assert np.array_equal(back, w)
 
     def test_single_block_fold_is_reshape(self):
         rng = np.random.default_rng(37)
@@ -223,11 +224,14 @@ class TestUnfoldFold:
     def test_trailing_block_unfold_is_reshape(self):
         rng = np.random.default_rng(43)
         w = rng.standard_normal((2, 2, 3, 3))
-        assert np.array_equal(unfold_blocks(w[None], (1, 1, 3, 3), 1)[0], w.reshape(4, 9))
+        assert np.array_equal(unfold_blocks(w[None], (1, 1, 3, 3))[0], w.reshape(4, 9))
 
     def test_non_divisible_axis_rejected(self):
         with pytest.raises(ShapeError):
-            unfold_blocks(np.ones((1, 4, 6)), (3, 3), 1)
+            unfold_blocks(np.ones((1, 4, 6)), (3, 3))
+        # the branch axis is required, even for a single branch
+        with pytest.raises(ShapeError):
+            unfold_blocks(np.ones((4, 6)), (2, 3))
 
     def test_fold_size_mismatch_rejected(self):
         with pytest.raises(ShapeError):
