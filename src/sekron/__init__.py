@@ -7,7 +7,13 @@ into the same representation, and plans shape/rank configurations by
 compression ratio, FLOPs, and measured latency.
 """
 
-from sekron.conv import conv2d_reference, conv_macs, flops_denominator, sekron_conv2d
+from sekron.conv import (
+    conv2d_reference,
+    conv_macs,
+    flops_denominator,
+    sekron_conv2d,
+    stage_macs_per_branch,
+)
 from sekron.decompose import (
     KroneckerSequence,
     random_sequence,
@@ -101,6 +107,7 @@ __all__ = [
     "select_config",
     "sekron_conv2d",
     "sekron_decompose",
+    "stage_macs_per_branch",
     "stored_param_count",
     "truncated_svd",
     "unfold_blocks",

@@ -30,6 +30,7 @@ kept at full rank runs the full SVD and records tails of exactly ``0.0``.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,11 +45,21 @@ from sekron.tensor_core import (
 )
 
 
-def _branch_sizes(shapes: FactorShapeMatrix, ranks: tuple[int, ...]) -> tuple[int, ...]:
+def _branch_sizes(ranks: tuple[int, ...]) -> tuple[int, ...]:
     # factor k keeps one slice per retained rank tuple (r_0..r_k); the last
     # factor shares the branch count of the one before it
-    s = shapes.num_factors
+    s = len(ranks) + 1
     return tuple(math.prod(ranks[: min(k, s - 2) + 1]) for k in range(s))
+
+
+def _branch_total(branch_sizes, per_branch) -> int:
+    # sum_k branch_sizes[k] * per_branch[k]: a per-slice count of each factor
+    # totalled over all of that factor's branches
+    return sum(map(operator.mul, branch_sizes, per_branch))
+
+
+def _factor_volumes(shapes: FactorShapeMatrix) -> tuple[int, ...]:
+    return tuple(shapes.factor_volume(k) for k in range(shapes.num_factors))
 
 
 def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
@@ -64,10 +75,10 @@ def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
 
 
 def stored_param_count(shapes: FactorShapeMatrix, ranks) -> int:
-    """Elements stored by a sequence with these shapes and ranks."""
+    """Elements stored by a sequence with these shapes and ranks:
+    ``sum_k branch_k * volume_k`` over the factors."""
     ranks = _validate_ranks(shapes, ranks)
-    rho = _branch_sizes(shapes, ranks)
-    return sum(r * shapes.factor_volume(k) for k, r in enumerate(rho))
+    return _branch_total(_branch_sizes(ranks), _factor_volumes(shapes))
 
 
 @dataclass
@@ -104,7 +115,7 @@ class KroneckerSequence:
 
     @property
     def branch_sizes(self) -> tuple[int, ...]:
-        return _branch_sizes(self.shapes, self.ranks)
+        return _branch_sizes(self.ranks)
 
     @property
     def target_shape(self) -> tuple[int, ...]:
@@ -126,7 +137,7 @@ def random_sequence(shapes: FactorShapeMatrix, ranks, rng=None) -> KroneckerSequ
     rng = np.random.default_rng(rng)
     factors = [
         rng.standard_normal((rho,) + shapes.rows[k])
-        for k, rho in enumerate(_branch_sizes(shapes, ranks))
+        for k, rho in enumerate(_branch_sizes(ranks))
     ]
     return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)
 

@@ -155,7 +155,7 @@ def read_sequence(path) -> KroneckerSequence:
     values = _payload_floats(payload, stored_param_count(shapes, ranks), path)
     factors = []
     offset = 0
-    for k, r in enumerate(_branch_sizes(shapes, ranks)):
+    for k, r in enumerate(_branch_sizes(ranks)):
         size = r * shapes.factor_volume(k)
         factors.append(values[offset : offset + size].reshape((r,) + shapes.rows[k]))
         offset += size

@@ -5,13 +5,20 @@ latency measurement, and configuration selection for factorized conv layers.
 import csv
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from sekron.conv import flops_denominator, sekron_conv2d
-from sekron.decompose import random_sequence, stored_param_count
+from sekron.conv import flops_denominator, sekron_conv2d, stage_macs_per_branch
+from sekron.decompose import (
+    _branch_sizes,
+    _branch_total,
+    _factor_volumes,
+    random_sequence,
+    stored_param_count,
+)
 from sekron.errors import (
     CandidateLimitError,
     NoFeasibleConfigError,
@@ -44,6 +51,20 @@ def _check_target_cr(target_cr: float) -> None:
         )
 
 
+def _count(value, what: str) -> int:
+    """``value`` as a Python int >= 1, read through ``operator.index``; a bool,
+    a float or a string raises ``ValueError``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not a bool, got {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1")
+    return value
+
+
 @dataclass(frozen=True)
 class PlanRequest:
     """What to enumerate: a conv weight shape, a sequence length, and a
@@ -60,13 +81,13 @@ class PlanRequest:
         object.__setattr__(self, "target_shape", shape)
         if len(shape) != 4 or any(d < 1 for d in shape):
             raise ShapeError("target shape must be four positive dims (F, C, KH, KW)")
-        if self.sequence_length < 1:
-            raise ValueError("sequence length must be >= 1")
+        object.__setattr__(
+            self, "sequence_length", _count(self.sequence_length, "sequence length")
+        )
+        object.__setattr__(self, "max_rank", _count(self.max_rank, "max rank"))
         _check_target_cr(self.target_cr)
         if self.latency_budget_ms is not None and math.isnan(self.latency_budget_ms):
             raise ValueError("latency budget must be a number of milliseconds, got nan")
-        if self.max_rank < 1:
-            raise ValueError("max rank must be >= 1")
 
 
 def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:
@@ -113,6 +134,16 @@ def enumerate_configs(
     Rank tuples exceeding a level's full-rank ceiling are dropped.  Raises
     :class:`CandidateLimitError` (never truncates silently) if the raw
     product of choices exceeds ``max_candidates``.
+
+    Both ratios are a dense count over ``sum_k branch_k * term_k``, where
+    the branch sizes depend only on the rank tuple and the terms (factor
+    volumes for CR, :func:`stage_macs_per_branch` for FR) only on the shape
+    matrix.  So the branch sizes are worked out once per rank tuple, the
+    shape matrix, its rank caps and its terms once per shape combination,
+    and each candidate costs two integer dot products: the same integers,
+    hence the same floats, as :func:`compression_ratio` and
+    :func:`flops_ratio`.  Candidates come out in the order of the shape
+    combinations, then of the rank tuples, both lexicographic.
     """
     s = req.sequence_length
     per_axis = [enumerate_factorizations(dim, s) for dim in req.target_shape]
@@ -122,20 +153,25 @@ def enumerate_configs(
             f"{raw} raw candidates exceed the cap of {max_candidates}; "
             "raise max_candidates or reduce max_rank / sequence length"
         )
+    dense = math.prod(req.target_shape)
+    branches = {
+        ranks: _branch_sizes(ranks)
+        for ranks in itertools.product(range(1, req.max_rank + 1), repeat=s - 1)
+    }
     configs = []
     for combo in itertools.product(*per_axis):
-        rows = tuple(zip(*combo))
-        shapes = FactorShapeMatrix(rows)
-        caps = shapes.max_ranks()
-        for ranks in itertools.product(range(1, req.max_rank + 1), repeat=s - 1):
-            if any(r > cap for r, cap in zip(ranks, caps)):
-                continue
+        shapes = FactorShapeMatrix(tuple(zip(*combo)))
+        volumes = _factor_volumes(shapes)
+        stages = stage_macs_per_branch(shapes)
+        capped = [range(1, min(req.max_rank, cap) + 1) for cap in shapes.max_ranks()]
+        for ranks in itertools.product(*capped):
+            rho = branches[ranks]
             configs.append(
                 CandidateConfig(
-                    shapes=shapes,
-                    ranks=ranks,
-                    cr=compression_ratio(shapes, ranks),
-                    fr=flops_ratio(shapes, ranks),
+                    shapes,
+                    ranks,
+                    dense / _branch_total(rho, volumes),
+                    dense / _branch_total(rho, stages),
                 )
             )
     return configs
@@ -220,10 +256,15 @@ def write_candidates_csv(candidates, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["shapes", "ranks", "cr", "fr", "latency_ms"])
+        # a sweep shares one shape matrix between all of its rank tuples
+        shape_text = {}
         for c in candidates:
+            text = shape_text.get(c.shapes)
+            if text is None:
+                text = shape_text[c.shapes] = c.shapes.to_string()
             writer.writerow(
                 [
-                    c.shapes.to_string(),
+                    text,
                     ",".join(str(r) for r in c.ranks),
                     repr(c.cr),
                     repr(c.fr),

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,9 +59,12 @@ class FactorShapeMatrix:
     def num_axes(self) -> int:
         return len(self.rows[0])
 
-    @property
+    @cached_property
     def target_shape(self) -> tuple[int, ...]:
-        """Elementwise product of all rows: the shape this matrix composes to."""
+        """Elementwise product of all rows: the shape this matrix composes to.
+
+        Computed once per instance; the rows of a frozen matrix cannot change.
+        """
         return tuple(math.prod(row[n] for row in self.rows) for n in range(self.num_axes))
 
     def block_shape(self, k: int) -> tuple[int, ...]:

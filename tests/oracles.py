@@ -2,10 +2,11 @@
 
 No program path calls them, so they live with the tests rather than in the
 package.  The index bijection and the native reconstructions are built from
-scalar formulas, and the Kronecker sum from ``np.kron``, independent of the
-level-by-level machinery they check.
+scalar formulas, the Kronecker sum from ``np.kron``, and the conv stage MACs
+by counting one multiply at a time, independent of the machinery they check.
 """
 
+import csv
 import itertools
 import math
 from functools import reduce
@@ -140,3 +141,44 @@ def reconstruction_error(w, seq) -> float:
         )
     diff = w - reconstruct(seq)
     return float(np.sum(diff * diff))
+
+
+def stage_mac_count(shapes: FactorShapeMatrix) -> list[int]:
+    """Per-branch, per-output-position MACs of each factorized conv stage,
+    counted one multiply at a time.
+
+    The stage that contracts factor ``i`` writes one output for every ``f``
+    digit of factors ``i .. S-1`` and every ``c`` digit of factors ``0 ..
+    i-1`` (the channel groups not yet summed), and each output adds one
+    product per ``(c, h, w)`` digit of factor ``i``.
+    """
+    rows = shapes.rows
+    counts = []
+    for i, (_, c, h, w) in enumerate(rows):
+        outputs = itertools.product(
+            *(range(row[0]) for row in rows[i:]), *(range(row[1]) for row in rows[:i])
+        )
+        count = 0
+        for _ in outputs:
+            for _ in itertools.product(range(c), range(h), range(w)):
+                count += 1
+        counts.append(count)
+    return counts
+
+
+def write_candidates_csv_per_row(candidates, path) -> None:
+    """The sweep CSV written with every field, the shape string included,
+    built afresh for each row."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["shapes", "ranks", "cr", "fr", "latency_ms"])
+        for c in candidates:
+            writer.writerow(
+                [
+                    c.shapes.to_string(),
+                    ",".join(str(r) for r in c.ranks),
+                    repr(c.cr),
+                    repr(c.fr),
+                    "" if c.latency_ms is None else repr(c.latency_ms),
+                ]
+            )

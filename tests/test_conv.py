@@ -1,5 +1,6 @@
 """Reference convolution and the equivalence of the factorized path."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,9 @@ from sekron import (
     reconstruct,
     sekron_conv2d,
     sekron_decompose,
+    stage_macs_per_branch,
 )
+from oracles import stage_mac_count
 
 
 def per_tap_conv(x, w, padding=0):
@@ -215,6 +218,46 @@ class TestConvMacs:
             w = kw + int(rng.integers(0, 4))
             positions = (h - kh + 1) * (w - kw + 1)
             assert conv_macs(seq, (h, w)) == flops_denominator(shapes, ranks) * positions
+
+    def test_stage_terms_match_counted_macs(self):
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            s = int(rng.integers(1, 5))
+            rows = tuple(
+                tuple(int(d) for d in rng.integers(1, 4, size=4)) for _ in range(s)
+            )
+            shapes = FactorShapeMatrix(rows)
+            stages = stage_mac_count(shapes)
+            assert list(stage_macs_per_branch(shapes)) == stages
+            ranks = tuple(int(r) for r in rng.integers(1, 4, size=s - 1))
+            # factor k has one branch per rank tuple (r_0..r_k); the last
+            # factor shares the branch count of the one before it
+            branches = [math.prod(ranks[: min(k, s - 2) + 1]) for k in range(s)]
+            assert flops_denominator(shapes, ranks) == sum(
+                b * t for b, t in zip(branches, stages)
+            )
+
+
+@pytest.mark.parametrize("padding", [1.0, 1.5, "1", True])
+def test_non_integer_padding_is_a_shape_error(padding):
+    seq = random_sequence(FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3))), (1,), rng=21)
+    x = np.ones((1, 4, 5, 5))
+    with pytest.raises(ShapeError, match="padding"):
+        sekron_conv2d(x, seq, padding=padding)
+    with pytest.raises(ShapeError, match="padding"):
+        conv2d_reference(x, reconstruct(seq), padding=padding)
+    with pytest.raises(ShapeError, match="padding"):
+        conv_macs(seq, (5, 5), padding)
+
+
+def test_numpy_integer_padding_is_accepted():
+    seq = random_sequence(FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3))), (1,), rng=22)
+    x = np.random.default_rng(23).standard_normal((1, 4, 5, 5))
+    one = np.int64(1)
+    assert np.array_equal(sekron_conv2d(x, seq, padding=one), sekron_conv2d(x, seq, padding=1))
+    dense = reconstruct(seq)
+    assert np.array_equal(conv2d_reference(x, dense, padding=one), conv2d_reference(x, dense, 1))
+    assert conv_macs(seq, (5, 5), one) == conv_macs(seq, (5, 5), 1)
 
 
 def sweep_cases():

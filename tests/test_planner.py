@@ -26,6 +26,7 @@ from sekron import (
     stored_param_count,
     write_candidates_csv,
 )
+from oracles import write_candidates_csv_per_row
 
 
 class TestRatios:
@@ -119,11 +120,47 @@ class TestEnumerateConfigs:
             enumerate_configs(req, max_candidates=100)
 
     def test_annotations_match_formulas(self):
-        req = PlanRequest((8, 8, 3, 3), 2, target_cr=4.0, max_rank=2)
-        for config in enumerate_configs(req):
-            assert config.cr == compression_ratio(config.shapes, config.ranks)
-            assert config.fr == flops_ratio(config.shapes, config.ranks)
-            assert config.latency_ms is None
+        sweeps = [
+            ((8, 8, 3, 3), 1, 3),
+            ((8, 8, 3, 3), 2, 2),
+            ((4, 4, 1, 1), 2, 20),  # caps of 1..4 below max_rank
+            ((8, 4, 3, 1), 3, 3),
+            ((16, 8, 3, 3), 4, 2),  # many unit-volume factors cap a rank at 1
+        ]
+        for shape, s, max_rank in sweeps:
+            req = PlanRequest(shape, s, target_cr=4.0, max_rank=max_rank)
+            configs = enumerate_configs(req)
+            # the unfiltered product of shape combinations and rank tuples,
+            # filtered by each shape matrix's rank caps
+            expected = []
+            per_axis = [enumerate_factorizations(d, s) for d in shape]
+            for combo in itertools.product(*per_axis):
+                shapes = FactorShapeMatrix(tuple(zip(*combo)))
+                caps = shapes.max_ranks()
+                for ranks in itertools.product(range(1, max_rank + 1), repeat=s - 1):
+                    if all(r <= cap for r, cap in zip(ranks, caps)):
+                        expected.append((shapes.rows, ranks))
+            assert [(c.shapes.rows, c.ranks) for c in configs] == expected
+            for config in configs:
+                assert config.cr == compression_ratio(config.shapes, config.ranks)
+                assert config.fr == flops_ratio(config.shapes, config.ranks)
+                assert config.latency_ms is None
+
+
+class TestPlanRequest:
+    @pytest.mark.parametrize("field", ["sequence_length", "max_rank"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
+    def test_non_integer_count_is_rejected(self, field, value):
+        kwargs = {"sequence_length": 2, "max_rank": 2, field: value}
+        with pytest.raises(ValueError, match=field.replace("_", " ")):
+            PlanRequest((4, 4, 1, 1), target_cr=2.0, **kwargs)
+
+    def test_numpy_integer_counts_become_ints(self):
+        req = PlanRequest((4, 4, 1, 1), np.int64(2), 2.0, max_rank=np.int64(3))
+        assert type(req.sequence_length) is int and type(req.max_rank) is int
+        assert enumerate_configs(req) == enumerate_configs(
+            PlanRequest((4, 4, 1, 1), 2, 2.0, max_rank=3)
+        )
 
 
 def synthetic(rows, ranks, cr, fr, latency):
@@ -245,6 +282,16 @@ class TestCsv:
             assert float(row["fr"]) == config.fr
         assert float(rows[0]["latency_ms"]) == 1.25
         assert rows[1]["latency_ms"] == ""
+
+    def test_bytes_match_per_row_writer(self, tmp_path):
+        configs = enumerate_configs(PlanRequest((8, 8, 3, 3), 2, 4.0, max_rank=2))
+        configs = [
+            c.with_latency(0.5 + i / 7) if i % 3 else c for i, c in enumerate(configs)
+        ]
+        random.Random(5).shuffle(configs)  # rows of one shape matrix not adjacent
+        write_candidates_csv(configs, tmp_path / "fast.csv")
+        write_candidates_csv_per_row(configs, tmp_path / "oracle.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_cr_identity_on_enumerated_configs_with_decomposition():
