@@ -7,6 +7,7 @@ non-convergence, 7 candidate cap exceeded.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -187,6 +188,7 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for all subcommands on every call."""
     parser = argparse.ArgumentParser(
         prog="sekron",
         description="Kronecker-sequence tensor decomposition and factorized convolution",
@@ -272,11 +274,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    """Parse and run one command; returns the process exit code."""
-    parser = build_parser()
+    """Parse and run one command; returns the process exit code.
+
+    All calls in a process parse with one parser, built on the first call;
+    argparse keeps the parsed values in a fresh namespace per call and does
+    not change the parser, so no call sees another's arguments.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -9,7 +9,6 @@ not depend on the rest of its batch.
 """
 
 import math
-import operator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,7 +20,7 @@ from sekron.decompose import (
     _validate_ranks,
 )
 from sekron.errors import ShapeError
-from sekron.tensor_core import FactorShapeMatrix, as_tensor
+from sekron.tensor_core import FactorShapeMatrix, _as_int, as_tensor
 
 
 def _check_conv_geometry(h, w, kh, kw, padding):
@@ -31,12 +30,7 @@ def _check_conv_geometry(h, w, kh, kw, padding):
     raises :class:`ShapeError` instead of being truncated or failing deep in
     numpy; a bool is refused as well, since ``True`` would read as 1.
     """
-    if isinstance(padding, bool):
-        raise ShapeError(f"padding must be an integer, not a bool, got {padding!r}")
-    try:
-        padding = operator.index(padding)
-    except TypeError:
-        raise ShapeError(f"padding must be an integer, got {padding!r}") from None
+    padding = _as_int(padding, "padding")
     if padding < 0:
         raise ShapeError("padding must be >= 0")
     out_h = h + 2 * padding - kh + 1

@@ -39,6 +39,7 @@ from sekron.errors import RankError, ShapeError
 from sekron.linalg import truncated_svd
 from sekron.tensor_core import (
     FactorShapeMatrix,
+    _as_int,
     as_tensor,
     fold_blocks,
     unfold_blocks,
@@ -63,7 +64,7 @@ def _factor_volumes(shapes: FactorShapeMatrix) -> tuple[int, ...]:
 
 
 def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(_as_int(r, "rank", RankError) for r in ranks)
     if len(ranks) != shapes.num_factors - 1:
         raise RankError(
             f"need {shapes.num_factors - 1} ranks for {shapes.num_factors} factors, "

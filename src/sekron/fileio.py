@@ -4,10 +4,21 @@ Both formats are magic + version byte + u32-LE header length + UTF-8 JSON
 header + row-major little-endian float64 payload.  Round trips are
 byte-exact; every way a file can be malformed maps to a distinct error type,
 including a payload that holds NaN or an infinity (``NonFinitePayloadError``).
+
+A reader opens the file once and reads the prefix and the header with small
+reads.  Once the header says how many floats the payload holds, it compares
+that with the bytes left in the file *before* allocating anything, so a
+header that claims a huge shape over a short payload raises
+``TruncatedPayloadError``, as does a payload that is too long.  The payload
+is then read straight into the array that is returned, with no intermediate
+``bytes``; a writer passes each array's own buffer to the file.  The size
+check reads the file size from ``os.fstat``, so inputs must be regular
+files: a pipe or FIFO reports no size and reads as truncated.
 """
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -31,41 +42,44 @@ def _encode_header(header: dict) -> bytes:
     return json.dumps(header, separators=(",", ":")).encode("utf-8")
 
 
-def _write_file(path, magic: bytes, header: dict, payload: bytes) -> None:
+def _write_file(path, magic: bytes, header: dict, arrays) -> None:
     blob = _encode_header(header)
     with open(path, "wb") as handle:
-        handle.write(magic)
-        handle.write(bytes([FORMAT_VERSION]))
-        handle.write(struct.pack("<I", len(blob)))
-        handle.write(blob)
-        handle.write(payload)
+        handle.write(magic + bytes([FORMAT_VERSION]) + struct.pack("<I", len(blob)) + blob)
+        for array in arrays:
+            # a no-op for the C-contiguous float64 arrays as_tensor gives
+            handle.write(memoryview(np.ascontiguousarray(array, dtype="<f8")))
 
 
-def _read_file(path, magic: bytes) -> tuple[dict, bytes]:
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if data[:4] != magic:
+def _remaining(handle) -> int:
+    return os.fstat(handle.fileno()).st_size - handle.tell()
+
+
+def _read_header(handle, magic: bytes, path) -> dict:
+    prefix = handle.read(9)
+    if prefix[:4] != magic:
         raise BadMagicError(
-            f"{path}: expected magic {magic!r}, found {data[:4]!r}"
+            f"{path}: expected magic {magic!r}, found {prefix[:4]!r}"
         )
-    if len(data) < 5:
+    if len(prefix) < 5:
         raise TruncatedPayloadError(f"{path}: file ends before the version byte")
-    if data[4] != FORMAT_VERSION:
+    if prefix[4] != FORMAT_VERSION:
         raise VersionMismatchError(
-            f"{path}: format version {data[4]}, this reader handles {FORMAT_VERSION}"
+            f"{path}: format version {prefix[4]}, this reader handles {FORMAT_VERSION}"
         )
-    if len(data) < 9:
+    if len(prefix) < 9:
         raise TruncatedPayloadError(f"{path}: file ends inside the header length")
-    (header_len,) = struct.unpack("<I", data[5:9])
-    if len(data) < 9 + header_len:
+    (header_len,) = struct.unpack("<I", prefix[5:9])
+    # checked before reading: a damaged length may claim up to 4 GB
+    if _remaining(handle) < header_len:
         raise TruncatedPayloadError(f"{path}: file ends inside the header")
     try:
-        header = json.loads(data[9 : 9 + header_len].decode("utf-8"))
+        header = json.loads(handle.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedHeaderError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise MalformedHeaderError(f"{path}: header must be a JSON object")
-    return header, data[9 + header_len :]
+    return header
 
 
 def _positive_ints(value, path, what, allow_empty=False) -> tuple[int, ...]:
@@ -79,13 +93,19 @@ def _positive_ints(value, path, what, allow_empty=False) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _payload_floats(payload: bytes, count: int, path) -> np.ndarray:
+def _read_payload(handle, count: int, path) -> np.ndarray:
     expected = 8 * count
-    if len(payload) != expected:
+    size = _remaining(handle)
+    if size != expected:
         raise TruncatedPayloadError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
+            f"{path}: payload is {size} bytes, expected {expected}"
         )
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    values = np.empty(count, dtype="<f8")
+    got = handle.readinto(values)
+    if got != expected:
+        raise TruncatedPayloadError(
+            f"{path}: read {got} payload bytes, expected {expected}"
+        )
     if not np.isfinite(values).all():
         raise NonFinitePayloadError(f"{path}: payload holds NaN or infinite values")
     return values
@@ -95,19 +115,19 @@ def write_tensor(path, t) -> None:
     """Write a dense tensor as a ``.skt`` file."""
     t = as_tensor(t)
     header = {"dtype": "f64", "shape": list(t.shape)}
-    _write_file(path, TENSOR_MAGIC, header, t.astype("<f8").tobytes())
+    _write_file(path, TENSOR_MAGIC, header, [t])
 
 
 def read_tensor(path) -> np.ndarray:
     """Read a ``.skt`` file back into a float64 array."""
-    header, payload = _read_file(path, TENSOR_MAGIC)
-    if header.get("dtype") != "f64":
-        raise MalformedHeaderError(
-            f"{path}: unsupported dtype {header.get('dtype')!r}, expected 'f64'"
-        )
-    shape = _positive_ints(header.get("shape"), path, "'shape'")
-    values = _payload_floats(payload, math.prod(shape), path)
-    return values.reshape(shape)
+    with open(path, "rb") as handle:
+        header = _read_header(handle, TENSOR_MAGIC, path)
+        if header.get("dtype") != "f64":
+            raise MalformedHeaderError(
+                f"{path}: unsupported dtype {header.get('dtype')!r}, expected 'f64'"
+            )
+        shape = _positive_ints(header.get("shape"), path, "'shape'")
+        return _read_payload(handle, math.prod(shape), path).reshape(shape)
 
 
 def write_sequence(path, seq: KroneckerSequence) -> None:
@@ -123,13 +143,10 @@ def write_sequence(path, seq: KroneckerSequence) -> None:
         "factor_shapes": [list(row) for row in seq.shapes.rows],
         "layout": "branch-major",
     }
-    payload = b"".join(f.astype("<f8").tobytes() for f in seq.factors)
-    _write_file(path, SEQUENCE_MAGIC, header, payload)
+    _write_file(path, SEQUENCE_MAGIC, header, seq.factors)
 
 
-def read_sequence(path) -> KroneckerSequence:
-    """Read a ``.sks`` file back into a :class:`KroneckerSequence`."""
-    header, payload = _read_file(path, SEQUENCE_MAGIC)
+def _sequence_layout(header: dict, path) -> tuple[FactorShapeMatrix, tuple[int, ...]]:
     if header.get("layout") != "branch-major":
         raise MalformedHeaderError(
             f"{path}: unsupported layout {header.get('layout')!r}"
@@ -152,7 +169,17 @@ def read_sequence(path) -> KroneckerSequence:
         raise MalformedHeaderError(
             f"{path}: {len(ranks)} ranks for {shapes.num_factors} factors"
         )
-    values = _payload_floats(payload, stored_param_count(shapes, ranks), path)
+    return shapes, ranks
+
+
+def read_sequence(path) -> KroneckerSequence:
+    """Read a ``.sks`` file back into a :class:`KroneckerSequence`.
+
+    The factors are views into the one array the payload is read into.
+    """
+    with open(path, "rb") as handle:
+        shapes, ranks = _sequence_layout(_read_header(handle, SEQUENCE_MAGIC, path), path)
+        values = _read_payload(handle, stored_param_count(shapes, ranks), path)
     factors = []
     offset = 0
     for k, r in enumerate(_branch_sizes(ranks)):

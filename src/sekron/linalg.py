@@ -18,6 +18,9 @@ import numpy as np
 
 from sekron.errors import RankError, ShapeError, SvdConvergenceError
 
+# elements per matrix in one row block of the residual: 2**17 float64, 1 MB
+_RESIDUAL_BLOCK = 2**17
+
 
 def _normalize_signs(u: np.ndarray, v: np.ndarray | None = None):
     """Flip every column of ``u`` whose largest-magnitude entry (the first
@@ -46,9 +49,13 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Below full rank (``r_hat < min(rows, cols)``) the left vectors come from
     the Gram matrix, as described in the module docstring: exact to rounding
     for singular values above about ``1e-8 * sigma_1``, and an orthonormal
-    basis, with ``tails`` the true residual, for any input.  At full rank the
-    full SVD runs and every tail is exactly ``0.0``.  Non-convergence of the
-    underlying LAPACK driver is reported as :class:`SvdConvergenceError`.
+    basis, with ``tails`` the true residual, for any input.  The residual is
+    never built whole: it is formed one block of rows at a time, about
+    ``2**17`` elements (1 MB) of each matrix, and each block's squared norm
+    (one BLAS dot per matrix) is added into ``tails``, so the extra memory is
+    one block per matrix of the stack.  At full rank the full SVD runs and
+    every tail is exactly ``0.0``.  Non-convergence of the underlying LAPACK
+    driver is reported as :class:`SvdConvergenceError`.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2:
@@ -75,8 +82,13 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
     u_r, _ = _normalize_signs(u_r)
     scaled_v_r = m_t @ u_r
-    residual = u_r @ np.swapaxes(scaled_v_r, -1, -2)
-    residual -= m
-    # per matrix a (1, n) @ (n, 1) product: the BLAS dot, without a squared copy
-    flat = residual.reshape(residual.shape[:-2] + (1, -1))
-    return u_r, scaled_v_r, (flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
+    v_t = np.swapaxes(scaled_v_r, -1, -2)
+    tails = np.zeros(m.shape[:-2])
+    step = max(1, _RESIDUAL_BLOCK // cols)
+    for start in range(0, rows, step):
+        block = u_r[..., start : start + step, :] @ v_t
+        block -= m[..., start : start + step, :]
+        # per matrix a (1, n) @ (n, 1) product: the BLAS dot, without a squared copy
+        flat = block.reshape(block.shape[:-2] + (1, -1))
+        tails += (flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
+    return u_r, scaled_v_r, tails

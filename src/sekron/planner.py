@@ -5,7 +5,6 @@ latency measurement, and configuration selection for factorized conv layers.
 import csv
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from sekron.errors import (
     NoFeasibleConfigError,
     ShapeError,
 )
-from sekron.tensor_core import FactorShapeMatrix
+from sekron.tensor_core import FactorShapeMatrix, _as_int, _dim
 
 # CR gaps within this fraction of the target CR count as equal in select_config.
 CR_TIE_RTOL = 1e-9
@@ -54,12 +53,7 @@ def _check_target_cr(target_cr: float) -> None:
 def _count(value, what: str) -> int:
     """``value`` as a Python int >= 1, read through ``operator.index``; a bool,
     a float or a string raises ``ValueError``."""
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, not a bool, got {value!r}")
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    value = _as_int(value, what, ValueError)
     if value < 1:
         raise ValueError(f"{what} must be >= 1")
     return value
@@ -77,7 +71,7 @@ class PlanRequest:
     max_rank: int = 4
 
     def __post_init__(self):
-        shape = tuple(int(d) for d in self.target_shape)
+        shape = tuple(map(_dim, self.target_shape))
         object.__setattr__(self, "target_shape", shape)
         if len(shape) != 4 or any(d < 1 for d in shape):
             raise ShapeError("target shape must be four positive dims (F, C, KH, KW)")

@@ -9,12 +9,31 @@ Conventions used throughout the package:
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from sekron.errors import ShapeError
+
+
+def _as_int(value, what: str, error=ShapeError) -> int:
+    """``value`` as a Python int, read through ``operator.index``.
+
+    A float or a string raises ``error`` instead of being truncated, and so
+    does a bool, which would read as 0 or 1; numpy ints are accepted.
+    """
+    if isinstance(value, bool):
+        raise error(f"{what} must be an integer, not a bool, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def _dim(value) -> int:
+    return _as_int(value, "dimension")
 
 
 def as_tensor(data) -> np.ndarray:
@@ -38,7 +57,7 @@ class FactorShapeMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(d) for d in row) for row in self.rows)
+        rows = tuple(tuple(map(_dim, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ShapeError("factor shape matrix needs at least one row")
@@ -86,7 +105,7 @@ class FactorShapeMatrix:
         return tuple(self.full_rank(k) for k in range(self.num_factors - 1))
 
     def validate_target(self, shape) -> None:
-        shape = tuple(int(d) for d in shape)
+        shape = tuple(map(_dim, shape))
         if len(shape) != self.num_axes:
             raise ShapeError(
                 f"target has {len(shape)} axes, factor shapes have {self.num_axes}"

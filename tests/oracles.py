@@ -2,13 +2,16 @@
 
 No program path calls them, so they live with the tests rather than in the
 package.  The index bijection and the native reconstructions are built from
-scalar formulas, the Kronecker sum from ``np.kron``, and the conv stage MACs
-by counting one multiply at a time, independent of the machinery they check.
+scalar formulas, the Kronecker sum from ``np.kron``, the conv stage MACs by
+counting one multiply at a time, and the file writers by copying each payload
+into ``bytes``, independent of the machinery they check.
 """
 
 import csv
 import itertools
+import json
 import math
+import struct
 from functools import reduce
 
 import numpy as np
@@ -182,3 +185,28 @@ def write_candidates_csv_per_row(candidates, path) -> None:
                     "" if c.latency_ms is None else repr(c.latency_ms),
                 ]
             )
+
+
+def _write_joined(path, magic: bytes, header: dict, arrays) -> None:
+    blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    payload = b"".join(np.asarray(a).astype("<f8").tobytes() for a in arrays)
+    with open(path, "wb") as handle:
+        handle.write(magic + bytes([1]) + struct.pack("<I", len(blob)) + blob + payload)
+
+
+def write_tensor_joined(path, t) -> None:
+    """A ``.skt`` writer that copies the payload into ``bytes`` first."""
+    t = np.asarray(t)
+    _write_joined(path, b"SKTN", {"dtype": "f64", "shape": list(t.shape)}, [t])
+
+
+def write_sequence_joined(path, seq) -> None:
+    """A ``.sks`` writer that copies each factor into ``bytes`` and joins them."""
+    header = {
+        "S": seq.shapes.num_factors,
+        "N": seq.shapes.num_axes,
+        "ranks": list(seq.ranks),
+        "factor_shapes": [list(row) for row in seq.shapes.rows],
+        "layout": "branch-major",
+    }
+    _write_joined(path, b"SKSQ", header, seq.factors)

@@ -13,7 +13,7 @@ from sekron import (
     write_sequence,
     write_tensor,
 )
-from sekron.cli import run_cli
+from sekron.cli import build_parser, run_cli
 from oracles import reconstruction_error
 
 
@@ -144,3 +144,20 @@ def test_report_reads_exact_error_off_the_tails(tmp_path, capsys):
     w = np.random.default_rng(0).standard_normal((4, 4, 2, 2))
     exact = reconstruction_error(w, read_sequence(out))
     assert report["frobenius_error"] == pytest.approx(exact, rel=1e-9, abs=0)
+
+
+class TestSharedParser:
+    def test_report_flag_does_not_carry_over(self, tmp_path, capsys):
+        argv = decompose_argv(tmp_path, "2x2x1x1,2x2x2x2", "2")
+        assert run_cli(argv + ["--report"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        assert run_cli(["decompose", "--input", "w.skt"]) == 2
+        assert run_cli(decompose_argv(tmp_path, "2x2x1x1,2x2x2x2", "2")) == 0
+        capsys.readouterr()
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()

@@ -17,6 +17,7 @@ from sekron import (
     reconstruct,
     read_sequence,
     sekron_decompose,
+    stored_param_count,
     unfold_blocks,
     write_sequence,
 )
@@ -299,6 +300,28 @@ class TestSequenceValidation:
                 ranks=(2,),
                 factors=[np.ones((2, 2, 2)), np.ones((1, 2, 2))],
             )
+
+    # a float, a bool or a string would otherwise be truncated or read as 1
+    @pytest.mark.parametrize("rank", [1.9, 2.0, True, "1"])
+    def test_non_integer_rank_is_a_rank_error(self, rank):
+        shapes = FactorShapeMatrix(((2, 2), (2, 2)))
+        w = np.random.default_rng(5).standard_normal((4, 4))
+        calls = [
+            lambda: random_sequence(shapes, (rank,), rng=0),
+            lambda: stored_param_count(shapes, (rank,)),
+            lambda: sekron_decompose(w, shapes, (rank,)),
+            lambda: KroneckerSequence(shapes, (rank,), [np.ones((1, 2, 2))] * 2),
+        ]
+        for call in calls:
+            with pytest.raises(RankError, match="rank"):
+                call()
+
+    def test_numpy_integer_ranks_become_ints(self):
+        shapes = FactorShapeMatrix(((2, 2), (2, 2)))
+        w = np.random.default_rng(6).standard_normal((4, 4))
+        seq = sekron_decompose(w, shapes, (np.int64(2),))
+        assert seq.ranks == (2,) and type(seq.ranks[0]) is int
+        assert stored_param_count(shapes, (np.int64(2),)) == stored_param_count(shapes, (2,))
 
     def test_embedding_ranks_may_exceed_decomposition_caps(self):
         # hand-built sequences (format embeddings) are not rank-capped

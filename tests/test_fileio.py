@@ -1,4 +1,5 @@
-"""Header validation of the ``.skt``/``.sks`` readers."""
+"""Header validation of the ``.skt``/``.sks`` readers, the payload size check,
+and the writers' bytes against a writer that joins copied payloads."""
 
 import json
 import struct
@@ -14,12 +15,14 @@ from sekron import (
     KroneckerSequence,
     MalformedHeaderError,
     NonFinitePayloadError,
+    TruncatedPayloadError,
     random_sequence,
     read_sequence,
     read_tensor,
     write_sequence,
     write_tensor,
 )
+from oracles import write_sequence_joined, write_tensor_joined
 
 
 def write_raw(path, magic: bytes, header: dict, n_floats: int) -> None:
@@ -142,3 +145,78 @@ class TestCorruptedFiles:
         probe.write_bytes(blob[:at] + bits + blob[at + 8 :])
         with pytest.raises(NonFinitePayloadError):
             reader(probe)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_one_appended_byte_is_truncated_payload(self, valid_files, which):
+        files, probe = valid_files
+        reader, blob, _ = files[which]
+        probe.write_bytes(blob + b"\x00")
+        with pytest.raises(TruncatedPayloadError):
+            reader(probe)
+
+
+class TestPayloadSizeCheck:
+    """A header that claims far more floats than the file holds is refused
+    before anything is allocated: TruncatedPayloadError, never MemoryError."""
+
+    def test_huge_tensor_shape(self, tmp_path):
+        path = tmp_path / "t.skt"
+        write_raw(path, b"SKTN", {"dtype": "f64", "shape": [2**31, 2**31]}, 1)
+        with pytest.raises(TruncatedPayloadError):
+            read_tensor(path)
+
+    def test_huge_sequence_rows(self, tmp_path):
+        # 2 factors of 2**31 elements, 2**30 branches each: 2**62 floats
+        path = tmp_path / "s.sks"
+        rows = [[2**15, 2**16], [2**16, 2**15]]
+        write_raw(path, b"SKSQ", sequence_header(rows, [2**30]), 1)
+        with pytest.raises(TruncatedPayloadError):
+            read_sequence(path)
+
+
+LAYOUTS = {
+    "c-order": np.ascontiguousarray,
+    "fortran-order": np.asfortranarray,
+    "float32": lambda a: a.astype(np.float32),
+    "int64": lambda a: np.rint(8 * a).astype(np.int64),
+}
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_tensor_matches_joined_writer(self, tmp_path, layout):
+        t = LAYOUTS[layout](np.random.default_rng(1).standard_normal((3, 4, 2)))
+        write_tensor(tmp_path / "a.skt", t)
+        write_tensor_joined(tmp_path / "b.skt", t)
+        assert (tmp_path / "a.skt").read_bytes() == (tmp_path / "b.skt").read_bytes()
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_sequence_matches_joined_writer(self, tmp_path, layout):
+        shapes = FactorShapeMatrix(((2, 1, 3), (1, 2, 2), (2, 3, 1)))
+        seq = random_sequence(shapes, (2, 3), rng=2)
+        # the factors list is open to callers, so it may hold any layout or dtype
+        seq.factors = [LAYOUTS[layout](f) for f in seq.factors]
+        write_sequence(tmp_path / "a.sks", seq)
+        write_sequence_joined(tmp_path / "b.sks", seq)
+        assert (tmp_path / "a.sks").read_bytes() == (tmp_path / "b.sks").read_bytes()
+
+
+class TestReadArrays:
+    def test_tensor_is_an_owned_writeable_c_float64_array(self, tmp_path):
+        path = tmp_path / "t.skt"
+        write_tensor(path, np.arange(24.0).reshape(2, 3, 4))
+        t = read_tensor(path)
+        assert t.dtype == np.float64
+        assert t.flags.c_contiguous and t.flags.writeable
+        assert t.base is None or isinstance(t.base, np.ndarray)
+        assert t.base is None or t.base.base is None  # no bytes object underneath
+
+    def test_sequence_factors_are_views_into_one_payload(self, tmp_path):
+        path = tmp_path / "s.sks"
+        shapes = FactorShapeMatrix(((2, 1), (1, 2), (2, 2)))
+        write_sequence(path, random_sequence(shapes, (2, 2), rng=3))
+        seq = read_sequence(path)
+        payload = seq.factors[0].base
+        assert isinstance(payload, np.ndarray) and payload.base is None
+        assert all(f.base is payload and f.flags.writeable for f in seq.factors)
+        assert payload.size == seq.param_count

@@ -242,6 +242,20 @@ class TestTruncatedSvd:
                 want = float(np.sum(np.linalg.svd(m, compute_uv=False)[r_hat:] ** 2))
                 assert abs(tails[b] - want) <= 1e-12 * norm2
 
+    # each matrix spans several 2**17-element row blocks of the residual; the
+    # last shape has more columns than a block, so a block is one row
+    @pytest.mark.parametrize("rows, cols, r_hat", [(300, 600, 5), (700, 200, 4), (2, 140_000, 1)])
+    def test_row_blocked_tails_equal_whole_residual(self, rows, cols, r_hat):
+        rng = np.random.default_rng(rows + cols)
+        stack = rng.standard_normal((2, rows, cols))
+        u_r, scaled_v_r, tails = truncated_svd(stack, r_hat)
+        for b in range(2):
+            m = stack[b]
+            whole = m - u_r[b] @ scaled_v_r[b].T
+            want = float(np.sum(whole * whole))
+            assert abs(tails[b] - want) <= 1e-12 * float(np.sum(m * m))
+            assert tails[b] == truncated_svd(m, r_hat)[2]
+
     def test_bad_inputs(self):
         with pytest.raises(ShapeError):
             truncated_svd(np.ones(3), 1)

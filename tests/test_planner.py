@@ -14,6 +14,7 @@ from sekron import (
     FactorShapeMatrix,
     NoFeasibleConfigError,
     PlanRequest,
+    ShapeError,
     compression_ratio,
     enumerate_configs,
     enumerate_factorizations,
@@ -154,6 +155,16 @@ class TestPlanRequest:
         kwargs = {"sequence_length": 2, "max_rank": 2, field: value}
         with pytest.raises(ValueError, match=field.replace("_", " ")):
             PlanRequest((4, 4, 1, 1), target_cr=2.0, **kwargs)
+
+    @pytest.mark.parametrize("dim", [4.5, 4.0, True, "4"])
+    def test_non_integer_target_dimension_is_a_shape_error(self, dim):
+        with pytest.raises(ShapeError, match="dimension"):
+            PlanRequest((dim, 4, 1, 1), 2, 2.0)
+
+    def test_numpy_integer_target_dimensions_become_ints(self):
+        req = PlanRequest(tuple(np.int64(d) for d in (4, 4, 1, 1)), 2, 2.0)
+        assert req.target_shape == (4, 4, 1, 1)
+        assert all(type(d) is int for d in req.target_shape)
 
     def test_numpy_integer_counts_become_ints(self):
         req = PlanRequest((4, 4, 1, 1), np.int64(2), 2.0, max_rank=np.int64(3))

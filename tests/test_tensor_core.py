@@ -265,6 +265,20 @@ class TestFactorShapeMatrix:
         with pytest.raises(ShapeError):
             FactorShapeMatrix(((0, 3), (3, 2)))
 
+    # a float, a bool or a string would otherwise be truncated or read as 1
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2"])
+    def test_non_integer_dimension_is_a_shape_error(self, dim):
+        with pytest.raises(ShapeError, match="dimension"):
+            FactorShapeMatrix(((dim, 2), (2, 2)))
+        with pytest.raises(ShapeError, match="dimension"):
+            FactorShapeMatrix(((2, 2), (2, 2))).validate_target((4, dim))
+
+    def test_numpy_integer_dimensions_become_ints(self):
+        shapes = FactorShapeMatrix(((np.int64(2), 3), (3, np.int32(2))))
+        assert shapes.rows == ((2, 3), (3, 2))
+        assert all(type(d) is int for row in shapes.rows for d in row)
+        shapes.validate_target((np.int64(6), 6))
+
 
 @settings(max_examples=60, deadline=None)
 @given(shape_matrices())
