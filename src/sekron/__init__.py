@@ -1,7 +1,7 @@
 """Kronecker-sequence tensor decomposition and factorized convolution.
 
 Decomposes N-way tensors into sequences of Kronecker factors by recursive
-SVD of block unfoldings, convolves with the factors directly (never
+SVD of their unfoldings, convolves with the factors directly (never
 materializing the composed weight), embeds CP/Tucker/TT/TR factorizations
 into the same representation, and plans shape/rank configurations by
 compression ratio, FLOPs, and measured latency.
@@ -58,11 +58,7 @@ from sekron.planner import (
     select_config,
     write_candidates_csv,
 )
-from sekron.tensor_core import (
-    FactorShapeMatrix,
-    fold_blocks,
-    unfold_blocks,
-)
+from sekron.tensor_core import FactorShapeMatrix
 
 __version__ = "0.1.0"
 
@@ -93,7 +89,6 @@ __all__ = [
     "enumerate_factorizations",
     "flops_denominator",
     "flops_ratio",
-    "fold_blocks",
     "from_cp",
     "from_tr",
     "from_tt",
@@ -110,7 +105,6 @@ __all__ = [
     "stage_macs_per_branch",
     "stored_param_count",
     "truncated_svd",
-    "unfold_blocks",
     "write_candidates_csv",
     "write_sequence",
     "write_tensor",

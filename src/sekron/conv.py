@@ -20,7 +20,7 @@ from sekron.decompose import (
     _validate_ranks,
 )
 from sekron.errors import ShapeError
-from sekron.tensor_core import FactorShapeMatrix, _as_int, as_tensor
+from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims, as_tensor
 
 
 def _check_conv_geometry(h, w, kh, kw, padding):
@@ -189,10 +189,11 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     """Multiply-accumulate count of the staged evaluation.
 
     :func:`flops_denominator` per output position, times the number of
-    output positions for the given spatial input size.
+    output positions for the given spatial input size ``(H, W)``, two
+    positive integers; anything else raises :class:`ShapeError`.
     """
     per_position = flops_denominator(seq.shapes, seq.ranks)
-    h, w = (int(v) for v in input_hw)
+    h, w = _dims(input_hw, 2, "input size")
     kh, kw = seq.target_shape[2], seq.target_shape[3]
     _, out_h, out_w = _check_conv_geometry(h, w, kh, kw, padding)
     return per_position * out_h * out_w

@@ -1,11 +1,16 @@
 """Recursive Kronecker-sequence decomposition and its inverse.
 
-The decomposition repeatedly rearranges the working tensor so that Kronecker
-structure becomes low-rank matrix structure (one ``(branch, block, element)``
-unfolding per level), truncates its SVD, and carries the sigma-scaled right
-factors into the next level.  At full ranks the procedure is exact.
+The decomposition copies the tensor once into digit-major order (each axis
+cut into one mixed-radix digit per factor, the digits then listed factor by
+factor).  In that order every level is a reshape: level ``k`` reads each
+branch of the working array as a matrix with one row per factor-``k`` digit
+tuple and one column per tuple of later digits, so Kronecker structure
+becomes low-rank matrix structure.  It truncates that matrix's SVD, and the
+sigma-scaled right factors, already in digit-major order, are the next
+level's working array.  At full ranks the procedure is exact.
 :func:`reconstruct` runs the same levels backwards: per branch it multiplies
-the kept left vectors by the carried blocks and folds the unfolding back.
+the kept left vectors by the carried rows, and one inverse transpose at the
+end restores the tensor's own axis order.
 
 Each level's truncation is the nearest-Kronecker-product step of Van Loan &
 Pitsianis (1993) applied per branch.  Its discarded tail (the sum of squared
@@ -18,10 +23,10 @@ left vectors are orthonormal and the tail lies in their orthogonal
 complement, so these terms are mutually orthogonal and their squared norms
 add; by induction over levels the squared error is the sum of all tails.
 
-Each level passes the stack of all its branch unfoldings, branch axis
+Each level passes the stack of all its branch matrices, branch axis
 leading, to one :func:`sekron.linalg.truncated_svd` call, so a level is the
 mirror of a :func:`reconstruct` level.  A level kept below its full rank
-takes its left vectors from the eigenvectors of each unfolding's smaller
+takes its left vectors from the eigenvectors of each matrix's smaller
 Gram matrix, which never builds the discarded triplets; the price is a
 squared condition number, so singular values below about ``1e-8 * sigma_1``
 are lost to rounding.  Its tails are measured as residuals of the kept
@@ -37,13 +42,7 @@ import numpy as np
 
 from sekron.errors import RankError, ShapeError
 from sekron.linalg import truncated_svd
-from sekron.tensor_core import (
-    FactorShapeMatrix,
-    _as_int,
-    as_tensor,
-    fold_blocks,
-    unfold_blocks,
-)
+from sekron.tensor_core import FactorShapeMatrix, _as_int, as_tensor
 
 
 def _branch_sizes(ranks: tuple[int, ...]) -> tuple[int, ...]:
@@ -63,6 +62,20 @@ def _factor_volumes(shapes: FactorShapeMatrix) -> tuple[int, ...]:
     return tuple(shapes.factor_volume(k) for k in range(shapes.num_factors))
 
 
+def _digit_major(shapes: FactorShapeMatrix):
+    """``(split, order)`` taking a tensor of the target shape to digit-major
+    order: ``t.reshape(split).transpose(order)``.
+
+    ``split`` cuts axis ``n`` into its mixed-radix digits ``(rows[0][n], ...,
+    rows[S-1][n])``, most significant first; ``order`` lists the digits
+    factor by factor, so the result has shape ``rows[0] + ... + rows[S-1]``.
+    """
+    s = shapes.num_factors
+    split = tuple(row[n] for n in range(shapes.num_axes) for row in shapes.rows)
+    order = tuple(n * s + k for k in range(s) for n in range(shapes.num_axes))
+    return split, order
+
+
 def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
     ranks = tuple(_as_int(r, "rank", RankError) for r in ranks)
     if len(ranks) != shapes.num_factors - 1:
@@ -73,6 +86,17 @@ def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
     if any(r < 1 for r in ranks):
         raise RankError("ranks must be >= 1")
     return ranks
+
+
+def _check_factor_shapes(shapes: FactorShapeMatrix, ranks, factors) -> None:
+    """Raise :class:`ShapeError` unless ``factors`` holds one array of shape
+    ``(branch_sizes[k], *shapes.rows[k])`` per factor ``k``."""
+    if len(factors) != shapes.num_factors:
+        raise ShapeError(f"expected {shapes.num_factors} factors, got {len(factors)}")
+    for k, (factor, rho) in enumerate(zip(factors, _branch_sizes(ranks))):
+        want = (rho,) + shapes.rows[k]
+        if np.shape(factor) != want:
+            raise ShapeError(f"factor {k} has shape {np.shape(factor)}, expected {want}")
 
 
 def stored_param_count(shapes: FactorShapeMatrix, ranks) -> int:
@@ -102,17 +126,8 @@ class KroneckerSequence:
 
     def __post_init__(self):
         self.ranks = _validate_ranks(self.shapes, self.ranks)
-        if len(self.factors) != self.shapes.num_factors:
-            raise ShapeError(
-                f"expected {self.shapes.num_factors} factors, got {len(self.factors)}"
-            )
+        _check_factor_shapes(self.shapes, self.ranks, self.factors)
         self.factors = [as_tensor(f) for f in self.factors]
-        for k, (factor, rho) in enumerate(zip(self.factors, self.branch_sizes)):
-            want = (rho,) + self.shapes.rows[k]
-            if factor.shape != want:
-                raise ShapeError(
-                    f"factor {k} has shape {factor.shape}, expected {want}"
-                )
 
     @property
     def branch_sizes(self) -> tuple[int, ...]:
@@ -146,11 +161,12 @@ def random_sequence(shapes: FactorShapeMatrix, ranks, rng=None) -> KroneckerSequ
 def sekron_decompose(w, shapes: FactorShapeMatrix, ranks) -> KroneckerSequence:
     """Decompose ``w`` into a Kronecker sequence with the given factor shapes.
 
-    Level ``k`` unfolds every branch of the working tensor into blocks of
-    shape ``shapes.block_shape(k)``, keeps the top ``ranks[k]`` singular
-    triplets per branch in one stacked truncated SVD (left vectors become
-    factor ``k``, sigma-scaled right vectors the next working tensor), and
-    the final working tensor becomes the last factor.  Each level's
+    ``w`` is copied once into digit-major order (see :func:`_digit_major`).
+    Level ``k`` reads every branch of the working array as a ``(factor-k
+    digits, later digits)`` matrix, a reshape, keeps the top ``ranks[k]``
+    singular triplets per branch in one stacked truncated SVD (left vectors
+    become factor ``k``, sigma-scaled right vectors the next working array),
+    and the final working array becomes the last factor.  Each level's
     truncation is the Frobenius-optimal low-rank approximation of its
     unfolding.  The discarded tails are kept as ``level_tails``; their sum is
     the exact squared reconstruction error.
@@ -158,18 +174,20 @@ def sekron_decompose(w, shapes: FactorShapeMatrix, ranks) -> KroneckerSequence:
     w = as_tensor(w)
     shapes.validate_target(w.shape)
     ranks = _validate_ranks(shapes, ranks)
-    work = w[None]  # leading branch axis, initially a single branch
+    split, order = _digit_major(shapes)
+    # leading branch axis, initially a single branch
+    work = w.reshape(split).transpose(order).copy().reshape(1, -1)
     factors, level_tails = [], []
     for k, r in enumerate(ranks):
         cap = shapes.full_rank(k)
         if r > cap:
             raise RankError(f"rank {r} exceeds full rank {cap} of the level-{k} unfolding")
-        block = shapes.block_shape(k)
-        u, scaled_v, tails = truncated_svd(unfold_blocks(work, block), r)
+        stack = work.reshape(work.shape[0], shapes.factor_volume(k), -1)
+        u, scaled_v, tails = truncated_svd(stack, r)
         factors.append(np.swapaxes(u, 1, 2).reshape((-1,) + shapes.rows[k]))
-        work = np.swapaxes(scaled_v, 1, 2).reshape((-1,) + block)
+        work = np.swapaxes(scaled_v, 1, 2).reshape(work.shape[0] * r, -1)
         level_tails.append(tails.tolist())
-    factors.append(work)
+    factors.append(work.reshape((-1,) + shapes.rows[-1]))
     return KroneckerSequence(
         shapes=shapes, ranks=ranks, factors=factors, level_tails=level_tails
     )
@@ -179,11 +197,13 @@ def reconstruct(seq: KroneckerSequence) -> np.ndarray:
     """Compose the factors back into a dense tensor: the inverse of the
     decomposition's level loop.
 
-    Runs the levels last to first.  At level ``k`` each branch's unfolding is
-    the product of its factor-``k`` slices (as columns) and the carried
-    blocks of the level below (as rows), and ``fold_blocks`` turns the
-    unfoldings back into the working tensor one level up.  A single factor
-    has no level and is returned as a copy.
+    Runs the levels last to first on digit-major arrays.  At level ``k``
+    each branch's ``(factor-k digits, later digits)`` matrix is the product
+    of its factor-``k`` slices (as columns) and the carried rows of the
+    level below, and its flattening is that branch's slice of the working
+    array one level up.  One inverse transpose of the last product then
+    gives the dense tensor.  The result is always a new array, also for a
+    single factor, which has no level.
     """
     shapes, ranks, factors = seq.shapes, seq.ranks, seq.factors
     work = factors[-1]
@@ -191,6 +211,7 @@ def reconstruct(seq: KroneckerSequence) -> np.ndarray:
         r = ranks[k]
         n_branches = factors[k].shape[0] // r
         u = factors[k].reshape(n_branches, r, -1).transpose(0, 2, 1)
-        v = work.reshape(n_branches, r, -1)
-        work = fold_blocks(u @ v, shapes.rows[k], shapes.block_shape(k))
-    return work[0].copy() if shapes.num_factors == 1 else work[0]
+        work = u @ work.reshape(n_branches, r, -1)
+    split, order = _digit_major(shapes)
+    digits = work.reshape([split[i] for i in order]).transpose(np.argsort(order))
+    return digits.copy().reshape(shapes.target_shape)

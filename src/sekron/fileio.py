@@ -23,7 +23,12 @@ import struct
 
 import numpy as np
 
-from sekron.decompose import KroneckerSequence, _branch_sizes, stored_param_count
+from sekron.decompose import (
+    KroneckerSequence,
+    _branch_sizes,
+    _check_factor_shapes,
+    stored_param_count,
+)
 from sekron.errors import (
     BadMagicError,
     MalformedHeaderError,
@@ -134,8 +139,12 @@ def write_sequence(path, seq: KroneckerSequence) -> None:
     """Write a Kronecker sequence as a ``.sks`` file.
 
     Factors are concatenated in order, each row-major with its branch axis
-    leading; branch sizes are reconstructed from the ranks on read.
+    leading; branch sizes are reconstructed from the ranks on read.  The
+    factors are checked against the shapes and ranks first, since a caller
+    may have replaced them after construction: a mismatch raises
+    :class:`ShapeError` and creates no file.
     """
+    _check_factor_shapes(seq.shapes, seq.ranks, seq.factors)
     header = {
         "S": seq.shapes.num_factors,
         "N": seq.shapes.num_axes,

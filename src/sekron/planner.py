@@ -18,15 +18,14 @@ from sekron.decompose import (
     random_sequence,
     stored_param_count,
 )
-from sekron.errors import (
-    CandidateLimitError,
-    NoFeasibleConfigError,
-    ShapeError,
-)
-from sekron.tensor_core import FactorShapeMatrix, _as_int, _dim
+from sekron.errors import CandidateLimitError, NoFeasibleConfigError
+from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims
 
 # CR gaps within this fraction of the target CR count as equal in select_config.
 CR_TIE_RTOL = 1e-9
+
+# enumerate_configs refuses a request whose raw product of choices exceeds this.
+MAX_CANDIDATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,8 @@ class PlanRequest:
     max_rank: int = 4
 
     def __post_init__(self):
-        shape = tuple(map(_dim, self.target_shape))
+        shape = _dims(self.target_shape, 4, "target shape")
         object.__setattr__(self, "target_shape", shape)
-        if len(shape) != 4 or any(d < 1 for d in shape):
-            raise ShapeError("target shape must be four positive dims (F, C, KH, KW)")
         object.__setattr__(
             self, "sequence_length", _count(self.sequence_length, "sequence length")
         )
@@ -120,14 +117,12 @@ def enumerate_factorizations(n: int, s: int) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_configs(
-    req: PlanRequest, max_candidates: int = 1_000_000
-) -> list[CandidateConfig]:
+def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
     """Cross per-axis factorizations with rank tuples up to ``max_rank``.
 
     Rank tuples exceeding a level's full-rank ceiling are dropped.  Raises
     :class:`CandidateLimitError` (never truncates silently) if the raw
-    product of choices exceeds ``max_candidates``.
+    product of choices exceeds :data:`MAX_CANDIDATES`.
 
     Both ratios are a dense count over ``sum_k branch_k * term_k``, where
     the branch sizes depend only on the rank tuple and the terms (factor
@@ -142,10 +137,10 @@ def enumerate_configs(
     s = req.sequence_length
     per_axis = [enumerate_factorizations(dim, s) for dim in req.target_shape]
     raw = math.prod(len(p) for p in per_axis) * req.max_rank ** (s - 1)
-    if raw > max_candidates:
+    if raw > MAX_CANDIDATES:
         raise CandidateLimitError(
-            f"{raw} raw candidates exceed the cap of {max_candidates}; "
-            "raise max_candidates or reduce max_rank / sequence length"
+            f"{raw} raw candidates exceed the cap of {MAX_CANDIDATES}; "
+            "reduce max_rank / sequence length"
         )
     dense = math.prod(req.target_shape)
     branches = {
@@ -193,18 +188,17 @@ def measure_sequence_latency(
     Runs one warm-up call first.  Benchmarks should not run concurrently
     with other work; numbers are only comparable within one process.
     """
-    rng = np.random.default_rng(rng)
-    x = rng.standard_normal(tuple(int(d) for d in input_shape))
+    shape = _dims(input_shape, 4, "input shape")
+    x = np.random.default_rng(rng).standard_normal(shape)
     return _median_ms(lambda: sekron_conv2d(x, seq, padding=padding), trials)
 
 
-def measure_latency(
-    config: CandidateConfig, input_shape, trials: int = 5, padding: int = 0, rng=0
-) -> float:
+def measure_latency(config: CandidateConfig, input_shape, trials: int = 5) -> float:
     """Latency of a candidate configuration, using synthetic factor values
-    (latency depends on shapes and ranks, not on the numbers)."""
-    seq = random_sequence(config.shapes, config.ranks, rng=rng)
-    return measure_sequence_latency(seq, input_shape, trials, padding=padding, rng=rng)
+    (latency depends on shapes and ranks, not on the numbers), seed 0 for
+    both the factors and the input, and no padding."""
+    seq = random_sequence(config.shapes, config.ranks, rng=0)
+    return measure_sequence_latency(seq, input_shape, trials, rng=0)
 
 
 def select_config(

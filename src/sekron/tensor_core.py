@@ -1,11 +1,13 @@
-"""Dense N-way tensors, the factor shape matrix of a Kronecker sequence, and
-the block unfolding that turns Kronecker structure into matrix rank.
+"""Dense N-way tensors and the factor shape matrix of a Kronecker sequence.
 
 Conventions used throughout the package:
 
 * tensors are ``float64`` numpy arrays, row-major (last axis fastest);
 * a "branch" axis, when present, is always the leading axis;
-* block grids and within-block offsets are enumerated row-major.
+* axis ``n`` of a composed tensor splits into the mixed-radix digits
+  ``(rows[0][n], ..., rows[S-1][n])``, most significant first, one digit per
+  factor; "digit-major" order lists those digits factor by factor, which
+  turns Kronecker structure into matrix rank (see :mod:`sekron.decompose`).
 """
 
 import math
@@ -34,6 +36,16 @@ def _as_int(value, what: str, error=ShapeError) -> int:
 
 def _dim(value) -> int:
     return _as_int(value, "dimension")
+
+
+def _dims(values, ndim: int, what: str) -> tuple[int, ...]:
+    """``values`` as ``ndim`` Python ints >= 1, each read through
+    :func:`_as_int`; a float, a bool, a value below 1 or the wrong count
+    raises :class:`ShapeError` naming ``what``."""
+    dims = tuple(_as_int(v, f"{what} dimension") for v in values)
+    if len(dims) != ndim or any(d < 1 for d in dims):
+        raise ShapeError(f"{what} needs {ndim} positive dimensions, got {dims}")
+    return dims
 
 
 def as_tensor(data) -> np.ndarray:
@@ -128,63 +140,3 @@ class FactorShapeMatrix:
 
     def to_string(self) -> str:
         return ",".join("x".join(str(d) for d in row) for row in self.rows)
-
-
-def unfold_blocks(w, block_shape) -> np.ndarray:
-    """Rearrange a branch-leading tensor into ``(branch, block, element)`` layout.
-
-    ``w`` has shape ``(n_branches, *dims)``, the layout :func:`fold_blocks`
-    returns; axis ``n`` of each branch slice must have size ``g_n *
-    block_shape[n]``.  Blocks enumerate the grid ``(g_1, ..., g_N)``
-    row-major, elements the within-block offsets row-major, and source index
-    ``i_n = grid_n * block_shape[n] + offset_n``.  Pure permutation, so the
-    Frobenius norm is preserved.
-    """
-    w = as_tensor(w)
-    block_shape = tuple(int(b) for b in block_shape)
-    if w.ndim != len(block_shape) + 1:
-        raise ShapeError(
-            f"expected a branch axis and {len(block_shape)} block axes, got {w.ndim} axes"
-        )
-    n_branches = w.shape[0]
-    grid = []
-    for n, (size, b) in enumerate(zip(w.shape[1:], block_shape)):
-        if b < 1 or size % b:
-            raise ShapeError(f"axis {n} of size {size} not divisible by block {b}")
-        grid.append(size // b)
-    split = [n_branches]
-    for g, b in zip(grid, block_shape):
-        split += [g, b]
-    m = w.reshape(split)
-    ndim = len(block_shape)
-    order = [0] + [1 + 2 * n for n in range(ndim)] + [2 + 2 * n for n in range(ndim)]
-    m = m.transpose(order)
-    return np.ascontiguousarray(
-        m.reshape(n_branches, math.prod(grid), math.prod(block_shape))
-    )
-
-
-def fold_blocks(m, grid_shape, block_shape) -> np.ndarray:
-    """Inverse of :func:`unfold_blocks`; returns the branch-leading tensor."""
-    m = as_tensor(m)
-    grid_shape = tuple(int(g) for g in grid_shape)
-    block_shape = tuple(int(b) for b in block_shape)
-    if len(grid_shape) != len(block_shape):
-        raise ShapeError("grid and block shapes must have the same axis count")
-    if m.ndim != 3:
-        raise ShapeError("expected a (branch, block, element) array")
-    n_branches = m.shape[0]
-    if m.shape[1] != math.prod(grid_shape) or m.shape[2] != math.prod(block_shape):
-        raise ShapeError(
-            f"array of shape {m.shape} inconsistent with grid {grid_shape} "
-            f"and block {block_shape}"
-        )
-    ndim = len(grid_shape)
-    t = m.reshape((n_branches,) + grid_shape + block_shape)
-    order = [0]
-    for n in range(ndim):
-        order += [1 + n, 1 + ndim + n]
-    t = t.transpose(order)
-    final = tuple(g * b for g, b in zip(grid_shape, block_shape))
-    return np.ascontiguousarray(t.reshape((n_branches,) + final))
-

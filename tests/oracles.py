@@ -1,10 +1,11 @@
 """Reference implementations the tests check the package against.
 
 No program path calls them, so they live with the tests rather than in the
-package.  The index bijection and the native reconstructions are built from
-scalar formulas, the Kronecker sum from ``np.kron``, the conv stage MACs by
-counting one multiply at a time, and the file writers by copying each payload
-into ``bytes``, independent of the machinery they check.
+package.  The index bijection, the Kronecker unfolding and the native
+reconstructions are built from scalar formulas, the Kronecker sum from
+``np.kron``, the conv stage MACs by counting one multiply at a time, and the
+file writers by copying each payload into ``bytes``, independent of the
+machinery they check.
 """
 
 import csv
@@ -69,6 +70,26 @@ def seq_index_compose(sub_indices, shapes: FactorShapeMatrix) -> tuple[int, ...]
                 )
             out[n] += j * math.prod(row[n] for row in shapes.rows[k + 1 :])
     return tuple(out)
+
+
+def kron_unfolding(w, shapes: FactorShapeMatrix) -> np.ndarray:
+    """The level-0 nearest-Kronecker unfolding of ``w``, filled one entry at a
+    time through :func:`seq_index_decompose`.
+
+    Row ``j`` is the row-major position of the factor-0 sub-index, column the
+    row-major position of the later sub-indices, factor by factor.  For two
+    factors, ``kron(a, b)`` unfolds to the rank-one ``outer(a.ravel(),
+    b.ravel())``.
+    """
+    w = np.asarray(w)
+    rest = tuple(d for row in shapes.rows[1:] for d in row)
+    out = np.zeros((math.prod(shapes.rows[0]), math.prod(rest)))
+    for index in np.ndindex(w.shape):
+        js = seq_index_decompose(index, shapes)
+        row = np.ravel_multi_index(js[0], shapes.rows[0])
+        col = np.ravel_multi_index(sum(js[1:], ()), rest)
+        out[row, col] = w[index]
+    return out
 
 
 def _cp_reconstruct(f: CpFactors) -> np.ndarray:

@@ -13,6 +13,7 @@ from sekron import (
     conv2d_reference,
     conv_macs,
     flops_denominator,
+    measure_sequence_latency,
     random_sequence,
     reconstruct,
     sekron_conv2d,
@@ -250,6 +251,19 @@ def test_non_integer_padding_is_a_shape_error(padding):
         conv_macs(seq, (5, 5), padding)
 
 
+@pytest.mark.parametrize(
+    "hw",
+    [(5.9, 5), (5.0, 5), (5, True), (5,), (5, 5, 5), (0, 5)],
+    ids=["float", "integral-float", "bool", "short", "long", "zero"],
+)
+def test_non_integer_input_size_is_a_shape_error(hw):
+    seq = random_sequence(FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3))), (1,), rng=24)
+    with pytest.raises(ShapeError, match="input size"):
+        conv_macs(seq, hw, 1)
+    with pytest.raises(ShapeError, match="input shape"):
+        measure_sequence_latency(seq, (1, 4) + hw, trials=3, padding=1)
+
+
 def test_numpy_integer_padding_is_accepted():
     seq = random_sequence(FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3))), (1,), rng=22)
     x = np.random.default_rng(23).standard_normal((1, 4, 5, 5))
@@ -258,6 +272,7 @@ def test_numpy_integer_padding_is_accepted():
     dense = reconstruct(seq)
     assert np.array_equal(conv2d_reference(x, dense, padding=one), conv2d_reference(x, dense, 1))
     assert conv_macs(seq, (5, 5), one) == conv_macs(seq, (5, 5), 1)
+    assert conv_macs(seq, (np.int64(5), np.int32(5)), 1) == conv_macs(seq, (5, 5), 1)
 
 
 def sweep_cases():

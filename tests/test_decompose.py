@@ -18,10 +18,9 @@ from sekron import (
     read_sequence,
     sekron_decompose,
     stored_param_count,
-    unfold_blocks,
     write_sequence,
 )
-from oracles import kron_sum, reconstruction_error
+from oracles import kron_sum, kron_unfolding, reconstruction_error
 
 
 def rel_error(w, seq):
@@ -170,7 +169,7 @@ class TestReconstructionError:
         rng = np.random.default_rng(10)
         w = rng.standard_normal((6, 6))
         shapes = FactorShapeMatrix(((2, 3), (3, 2)))
-        m = unfold_blocks(w[None], (3, 2))[0]
+        m = kron_unfolding(w, shapes)
         s = np.linalg.svd(m, compute_uv=False)
         for r in range(1, 6):
             seq = sekron_decompose(w, shapes, (r,))

@@ -15,6 +15,7 @@ from sekron import (
     KroneckerSequence,
     MalformedHeaderError,
     NonFinitePayloadError,
+    ShapeError,
     TruncatedPayloadError,
     random_sequence,
     read_sequence,
@@ -98,6 +99,21 @@ class TestSequenceHeader:
         write_sequence(first, seq)
         write_sequence(second, read_sequence(first))
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "factor_shapes",
+        [[(1, 2, 2), (2, 2, 2)], [(2, 2, 2)], [(2, 2, 2), (2, 2, 2), (2, 2, 2)]],
+    )
+    def test_replaced_factors_are_checked_before_writing(self, tmp_path, factor_shapes):
+        # the factors list is open to callers; a rank-2 2x2,2x2 sequence needs
+        # (2, 2, 2) twice, and a file written from anything else would not
+        # read back (96 payload bytes against 128 for the first case)
+        seq = random_sequence(FactorShapeMatrix(((2, 2), (2, 2))), (2,), rng=0)
+        seq.factors = [np.ones(shape) for shape in factor_shapes]
+        path = tmp_path / "s.sks"
+        with pytest.raises(ShapeError, match="factor"):
+            write_sequence(path, seq)
+        assert not path.exists()
 
 
 @pytest.fixture(scope="module")

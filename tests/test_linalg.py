@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from sekron import (
+    FactorShapeMatrix,
     RankError,
     ShapeError,
     SvdConvergenceError,
     truncated_svd,
-    unfold_blocks,
 )
+from oracles import kron_unfolding
 
 
 def loop_signed_svd(m):
@@ -195,7 +196,7 @@ class TestTruncatedSvd:
         # the nearest-Kronecker unfolding of kron(a, b) has rank one
         rng = np.random.default_rng(41)
         a, b = rng.standard_normal((2, 3)), rng.standard_normal((3, 4))
-        m = unfold_blocks(np.kron(a, b)[None], b.shape)[0]
+        m = kron_unfolding(np.kron(a, b), FactorShapeMatrix((a.shape, b.shape)))
         assert np.linalg.matrix_rank(m) == 1
         m = m.T if transpose else m
         _, _, tail = assert_truncation_contract(m, 3)

@@ -116,9 +116,11 @@ class TestEnumerateConfigs:
                 assert r <= cap
 
     def test_cap_exceeded_is_loud(self):
-        req = PlanRequest((16, 16, 3, 3), 3, target_cr=4.0, max_rank=4)
-        with pytest.raises(CandidateLimitError):
-            enumerate_configs(req, max_candidates=100)
+        # 165 * 165 * 4 * 4 shape combinations times 4**3 rank tuples, about
+        # 2.8e7 raw candidates: refused before any of them is built
+        req = PlanRequest((256, 256, 3, 3), 4, target_cr=4.0, max_rank=4)
+        with pytest.raises(CandidateLimitError, match="cap"):
+            enumerate_configs(req)
 
     def test_annotations_match_formulas(self):
         sweeps = [

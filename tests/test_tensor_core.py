@@ -1,5 +1,5 @@
 """Kronecker products as composed by ``reconstruct``, index bijections, and
-block (un)folding."""
+the digit-major layout the decomposition levels read."""
 
 import itertools
 import math
@@ -13,10 +13,9 @@ from sekron import (
     FactorShapeMatrix,
     KroneckerSequence,
     ShapeError,
-    fold_blocks,
     reconstruct,
-    unfold_blocks,
 )
+from sekron.decompose import _digit_major
 from oracles import seq_index_compose, seq_index_decompose
 
 
@@ -111,9 +110,9 @@ class TestKronSequence:
 
 
 @st.composite
-def shape_matrices(draw):
+def shape_matrices(draw, max_factors=3):
     n = draw(st.integers(1, 3))
-    s = draw(st.integers(1, 3))
+    s = draw(st.integers(1, max_factors))
     rows = tuple(
         tuple(draw(st.integers(1, 3)) for _ in range(n)) for _ in range(s)
     )
@@ -158,84 +157,26 @@ class TestIndexBijection:
             tuple(j) for j in js2
         ]
 
+    @settings(max_examples=150, deadline=None)
+    @given(shape_matrices(max_factors=4), st.data())
+    def test_digit_major_entry_is_sub_index_entry(self, shapes, data):
+        # the layout every decompose and reconstruct level reshapes: its entry
+        # at the concatenated per-factor sub-indices is the tensor's entry
+        w = np.arange(math.prod(shapes.target_shape), dtype=float).reshape(
+            shapes.target_shape
+        )
+        split, order = _digit_major(shapes)
+        digits = w.reshape(split).transpose(order)
+        assert digits.shape == sum(shapes.rows, ())
+        idx = tuple(data.draw(st.integers(0, d - 1)) for d in shapes.target_shape)
+        assert digits[sum(seq_index_decompose(idx, shapes), ())] == w[idx]
+
     def test_out_of_range_rejected(self):
         shapes = FactorShapeMatrix(((2, 3), (3, 2)))
         with pytest.raises(ShapeError):
             seq_index_decompose((6, 0), shapes)
         with pytest.raises(ShapeError):
             seq_index_compose([(2, 0), (0, 0)], shapes)
-
-
-class TestUnfoldFold:
-    def test_full_block_is_flattened_tensor(self):
-        rng = np.random.default_rng(17)
-        w = rng.standard_normal((1, 4, 6))
-        m = unfold_blocks(w, (4, 6))
-        assert m.shape == (1, 1, 24)
-        assert np.array_equal(m[0, 0], w[0].ravel())
-
-    def test_scalar_blocks_enumerate_row_major(self):
-        rng = np.random.default_rng(19)
-        w = rng.standard_normal((1, 3, 2))
-        m = unfold_blocks(w, (1, 1))
-        assert m.shape == (1, 6, 1)
-        assert np.array_equal(m[0, :, 0], w[0].ravel())
-
-    def test_first_block_of_4x4(self):
-        w = np.arange(16.0).reshape(4, 4)
-        m = unfold_blocks(w[None], (2, 2))
-        assert np.array_equal(m[0, 0], np.array([w[0, 0], w[0, 1], w[1, 0], w[1, 1]]))
-
-    def test_source_index_rule(self):
-        rng = np.random.default_rng(23)
-        w = rng.standard_normal((2, 4, 6))
-        m = unfold_blocks(w, (2, 3))
-        for br in range(2):
-            for block in range(4):
-                j = (block // 2, block % 2)
-                for elem in range(6):
-                    k = (elem // 3, elem % 3)
-                    assert m[br, block, elem] == w[br, 2 * j[0] + k[0], 3 * j[1] + k[1]]
-
-    def test_isometry(self):
-        rng = np.random.default_rng(29)
-        w = rng.standard_normal((3, 4, 6, 2))
-        m = unfold_blocks(w, (2, 3, 1))
-        assert np.sum(m * m) == pytest.approx(np.sum(w * w), rel=0, abs=0)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(31)
-        for n_branches in (1, 3):
-            w = rng.standard_normal((n_branches, 4, 6))
-            m = unfold_blocks(w, (2, 3))
-            back = fold_blocks(m, (2, 2), (2, 3))
-            assert np.array_equal(back, w)
-
-    def test_single_block_fold_is_reshape(self):
-        rng = np.random.default_rng(37)
-        m = rng.standard_normal((1, 1, 12))
-        assert np.array_equal(fold_blocks(m, (1, 1), (3, 4)), m.reshape(1, 3, 4))
-
-    def test_scalar_block_fold_is_reshape(self):
-        rng = np.random.default_rng(41)
-        m = rng.standard_normal((1, 12, 1))
-        assert np.array_equal(fold_blocks(m, (3, 4), (1, 1)), m.reshape(1, 3, 4))
-
-    def test_trailing_block_unfold_is_reshape(self):
-        rng = np.random.default_rng(43)
-        w = rng.standard_normal((2, 2, 3, 3))
-        assert np.array_equal(unfold_blocks(w[None], (1, 1, 3, 3))[0], w.reshape(4, 9))
-
-    def test_non_divisible_axis_rejected(self):
-        with pytest.raises(ShapeError):
-            unfold_blocks(np.ones((1, 4, 6)), (3, 3))
-        # the branch axis is required, even for a single branch
-        with pytest.raises(ShapeError):
-            unfold_blocks(np.ones((4, 6)), (2, 3))
-
-    def test_fold_size_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            fold_blocks(np.ones((1, 4, 5)), (2, 2), (2, 3))
 
 
 class TestFactorShapeMatrix:
