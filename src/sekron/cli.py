@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Machine-readable results go to stdout as JSON lines; all diagnostics go to
-stderr.  Exit codes: 0 success, 1 unexpected error, 2 usage, 3 file format
-error, 4 shape/rank error, 5 no feasible configuration, 6 SVD
+stderr.  ``plan --bench-input`` reports its progress on stderr as one JSON
+object per measured candidate, with keys ``i``, ``n``, ``shapes``, ``ranks``
+and ``latency_ms``.  Exit codes: 0 success, 1 unexpected error, 2 usage, 3
+file format error, 4 shape/rank error, 5 no feasible configuration, 6 SVD
 non-convergence, 7 candidate cap exceeded.
 """
 
@@ -35,6 +37,7 @@ from sekron.errors import (
 )
 from sekron.fileio import read_sequence, read_tensor, write_sequence, write_tensor
 from sekron.planner import (
+    MIN_TRIALS,
     PlanRequest,
     compression_ratio,
     enumerate_configs,
@@ -155,20 +158,28 @@ def _cmd_plan(args) -> int:
         latency_budget_ms=args.latency_budget_ms,
         max_rank=args.max_rank,
     )
-    if request.latency_budget_ms is not None and args.bench_input is None:
-        raise ShapeError("--latency-budget-ms requires --bench-input to measure latencies")
+    if args.bench_input is None:
+        if request.latency_budget_ms is not None:
+            raise ShapeError("--latency-budget-ms requires --bench-input to measure latencies")
+    else:
+        # checked before the sweep, which can take seconds to enumerate
+        input_shape = _parse_int_tuple(args.bench_input, 4, "--bench-input")
+        if args.trials < MIN_TRIALS:
+            raise ValueError(f"--trials must be at least {MIN_TRIALS}, got {args.trials}")
     candidates = enumerate_configs(request)
     if args.bench_input is not None:
-        input_shape = _parse_int_tuple(args.bench_input, 4, "--bench-input")
         measured = []
         for i, candidate in enumerate(candidates):
             latency = measure_latency(candidate, input_shape, trials=args.trials)
             measured.append(candidate.with_latency(latency))
-            print(
-                f"benchmarked {i + 1}/{len(candidates)}: "
-                f"{candidate.shapes.to_string()} -> {latency:.3f} ms",
-                file=sys.stderr,
-            )
+            progress = {
+                "i": i + 1,
+                "n": len(candidates),
+                "shapes": candidate.shapes.to_string(),
+                "ranks": list(candidate.ranks),
+                "latency_ms": latency,
+            }
+            print(json.dumps(progress), file=sys.stderr)
         candidates = measured
     write_candidates_csv(candidates, args.out)
     print(f"wrote {len(candidates)} candidates to {args.out}", file=sys.stderr)
@@ -261,14 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark each candidate on this input shape N,C,H,W",
     )
     p.add_argument("--max-rank", type=int, default=4, help="rank grid upper bound")
-    p.add_argument("--trials", type=int, default=5, help="timing trials per candidate")
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=5,
+        help=f"timing trials per candidate, at least {MIN_TRIALS}",
+    )
     p.add_argument("--out", required=True, help="CSV file for the full sweep")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("bench", help="measure conv latency of a stored sequence")
     p.add_argument("--weights", required=True, help="weights as a .sks sequence")
     p.add_argument("--input-shape", required=True, help="input shape N,C,H,W")
-    p.add_argument("--trials", type=int, default=11, help="timing trials")
+    p.add_argument(
+        "--trials", type=int, default=11, help=f"timing trials, at least {MIN_TRIALS}"
+    )
     p.add_argument("--padding", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -5,13 +5,15 @@ Both operate on activations of shape ``(batch, channels, height, width)``
 with symmetric zero padding and stride 1, and both lower convolution to GEMM
 over an im2col window view (Chellapilla et al. 2006): one matrix product per
 image, per stage on the factorized path.  An image's result therefore does
-not depend on the rest of its batch.
+not depend on the rest of its batch.  The factorized path sets up its
+stages once per call: each stage's factor matrix and the shape and strides
+of its window view depend only on the sequence and the padded input size,
+so the loop over images only takes strided views and runs GEMMs.
 """
 
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from sekron.decompose import (
     KroneckerSequence,
@@ -72,9 +74,11 @@ def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
     kh, kw = weights.shape[2], weights.shape[3]
     padding, out_h, out_w = _check_conv_geometry(x.shape[2], x.shape[3], kh, kw, padding)
     xp = _zero_pad(x, padding)
-    # im2col: columns (c, i, j) by output position (u, v)
-    cols = sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
-    cols = cols.reshape(x.shape[0], -1, out_h * out_w)
+    # im2col: columns (c, i, j) by output position (u, v); a tap and an
+    # output position step through the padded image alike
+    win_shape = (x.shape[0], x.shape[1], kh, kw, out_h, out_w)
+    win = np.ndarray(win_shape, buffer=xp, strides=xp.strides + xp.strides[2:])
+    cols = win.reshape(x.shape[0], -1, out_h * out_w)
     out = weights.reshape(weights.shape[0], -1) @ cols
     return out.reshape(x.shape[0], weights.shape[0], out_h, out_w)
 
@@ -88,6 +92,49 @@ def _check_sequence_for_conv(seq: KroneckerSequence, in_channels: int):
         raise ShapeError(
             f"channel mismatch: input has {in_channels}, factors compose to {seq.target_shape[1]}"
         )
+
+
+def _stage_plans(seq: KroneckerSequence, channels: int, in_h: int, in_w: int):
+    """What each stage of :func:`sekron_conv2d` needs, in execution order
+    (last factor first), for one ``(channels, in_h, in_w)`` padded image.
+
+    Every stage input is C-contiguous: an image of the padded copy, or the
+    previous stage's GEMM output reshaped.  So the strides of its window
+    view follow from its shape, and one record per stage serves every image
+    of a call: ``(factor matrix, window shape, window strides, column
+    matrix shape, stage output shape)``.  The window view has axes ``(q,
+    r, c, i, j, F, g, u, v)``: surviving branch, rank, channel digit, the two
+    dilated taps, accumulated ``f``, channel group and output position, so
+    its row-major reshape is the column matrix.
+    """
+    item = np.dtype(np.float64).itemsize
+    branch, f_acc = 1, 1
+    dil_h = dil_w = 1
+    plans = []
+    for (f_k, c_k, h_k, w_k), r_k, factor in reversed(
+        list(zip(seq.shapes.rows, seq.ranks + (1,), seq.factors))
+    ):
+        p, q = factor.shape[0] // r_k, branch // r_k
+        groups = channels // c_k
+        out_h, out_w = in_h - (h_k - 1) * dil_h, in_w - (w_k - 1) * dil_w
+        # strides of the input read as (q, r_k, f_acc, groups, c_k, in_h, in_w)
+        s_w = item
+        s_h = in_w * s_w
+        s_c = in_h * s_h
+        s_g = c_k * s_c
+        s_f = groups * s_g
+        s_r = f_acc * s_f
+        win_shape = (q, r_k, c_k, h_k, w_k, f_acc, groups, out_h, out_w)
+        win_strides = (r_k * s_r, s_r, s_c, dil_h * s_h, dil_w * s_w, s_f, s_g, s_h, s_w)
+        fmat = factor.reshape(p, r_k, f_k, -1).transpose(0, 2, 1, 3)
+        fmat = np.ascontiguousarray(fmat).reshape(q, p // q * f_k, -1)
+        cols_shape = (q, r_k * c_k * h_k * w_k, -1)
+        t_shape = (p, f_k * f_acc, groups, out_h, out_w)
+        plans.append((fmat, win_shape, win_strides, cols_shape, t_shape))
+        branch, f_acc, channels, in_h, in_w = p, f_k * f_acc, groups, out_h, out_w
+        dil_h *= h_k
+        dil_w *= w_k
+    return plans
 
 
 def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
@@ -104,10 +151,14 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     digit ``c_k`` and the taps are summed in one product.  The last factor
     is the same stage with ``r = 1``: the input has a single branch, so all
     ``prod(ranks)`` branches of the factor fold into the GEMM rows and the
-    stage fans out.  A stage whose factor has a 1x1 kernel (dilated span
-    ``(1, 1)``) takes no window view: its columns are the input positions
-    themselves.  ``padding`` must be a non-negative integer (a Python or
-    numpy int, not a bool); anything else raises :class:`ShapeError`.
+    stage fans out.
+
+    Stage setup runs once per call, not once per image: each stage's factor
+    matrix and the shape and strides of its window view depend only on the
+    sequence and the padded input size.  The loop over images then takes
+    each window as a strided view, copies it into columns and runs the
+    GEMM.  ``padding`` must be a non-negative integer (a Python or numpy
+    int, not a bool); anything else raises :class:`ShapeError`.
     Numerically equivalent to
     ``conv2d_reference(x, reconstruct(seq), padding)``.
     """
@@ -119,30 +170,13 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     padding, out_h, out_w = _check_conv_geometry(x.shape[2], x.shape[3], kh, kw, padding)
 
     xp = _zero_pad(x, padding)
-    stages = list(zip(seq.shapes.rows, seq.ranks + (1,), seq.factors))[::-1]
+    plans = _stage_plans(seq, *xp.shape[1:])
     out = np.empty((x.shape[0], seq.target_shape[0], out_h, out_w))
     for b in range(x.shape[0]):
-        # (branch, accumulated-f, channel group, H, W)
-        t = xp[b, None, None]
-        dil_h = dil_w = 1
-        for (f_k, c_k, h_k, w_k), r_k, factor in stages:
-            branch, f_acc, channels, in_h, in_w = t.shape
-            p, q = factor.shape[0] // r_k, branch // r_k
-            tin = t.reshape(q, r_k, f_acc, channels // c_k, c_k, in_h, in_w)
-            if h_k == w_k == 1:
-                # span (1, 1): the window view would be tin with two unit axes
-                win = tin[..., None, None]
-            else:
-                span = ((h_k - 1) * dil_h + 1, (w_k - 1) * dil_w + 1)
-                win = sliding_window_view(tin, span, axis=(5, 6))[..., ::dil_h, ::dil_w]
-            # columns (r, c, i, j) by (F, g, u, v) per surviving branch
-            cols = win.transpose(0, 1, 4, 7, 8, 2, 3, 5, 6)
-            cols = cols.reshape(q, r_k * c_k * h_k * w_k, -1)
-            fmat = factor.reshape(p, r_k, f_k, -1).transpose(0, 2, 1, 3)
-            t = np.matmul(fmat.reshape(q, p // q * f_k, -1), cols)
-            t = t.reshape(p, f_k * f_acc, channels // c_k, *win.shape[5:7])
-            dil_h *= h_k
-            dil_w *= w_k
+        t = xp[b]
+        for fmat, win_shape, win_strides, cols_shape, t_shape in plans:
+            win = np.ndarray(win_shape, buffer=t, strides=win_strides)
+            t = np.matmul(fmat, win.reshape(cols_shape)).reshape(t_shape)
         out[b] = t.reshape(out.shape[1:])
     return out
 

@@ -146,8 +146,8 @@ class KroneckerSequence:
 def random_sequence(shapes: FactorShapeMatrix, ranks, rng=None) -> KroneckerSequence:
     """Standard-normal factors with the layout a decomposition would produce.
 
-    Handy for synthetic weights in equivalence tests and latency probes; the
-    ranks are not required to respect the decomposition rank ceilings.
+    Handy for synthetic weights in equivalence tests; the ranks are not
+    required to respect the decomposition rank ceilings.
     """
     ranks = _validate_ranks(shapes, ranks)
     rng = np.random.default_rng(rng)

@@ -4,6 +4,8 @@ Both formats are magic + version byte + u32-LE header length + UTF-8 JSON
 header + row-major little-endian float64 payload.  Round trips are
 byte-exact; every way a file can be malformed maps to a distinct error type,
 including a payload that holds NaN or an infinity (``NonFinitePayloadError``).
+The writers raise that error too, before they open the file, so they never
+write a file their readers reject.
 
 A reader opens the file once and reads the prefix and the header with small
 reads.  Once the header says how many floats the payload holds, it compares
@@ -47,7 +49,14 @@ def _encode_header(header: dict) -> bytes:
     return json.dumps(header, separators=(",", ":")).encode("utf-8")
 
 
+def _check_finite(arrays, path) -> None:
+    if not all(np.isfinite(array).all() for array in arrays):
+        raise NonFinitePayloadError(f"{path}: payload holds NaN or infinite values")
+
+
 def _write_file(path, magic: bytes, header: dict, arrays) -> None:
+    # refused before the file is opened, as the readers would refuse it
+    _check_finite(arrays, path)
     blob = _encode_header(header)
     with open(path, "wb") as handle:
         handle.write(magic + bytes([FORMAT_VERSION]) + struct.pack("<I", len(blob)) + blob)
@@ -111,13 +120,16 @@ def _read_payload(handle, count: int, path) -> np.ndarray:
         raise TruncatedPayloadError(
             f"{path}: read {got} payload bytes, expected {expected}"
         )
-    if not np.isfinite(values).all():
-        raise NonFinitePayloadError(f"{path}: payload holds NaN or infinite values")
+    _check_finite([values], path)
     return values
 
 
 def write_tensor(path, t) -> None:
-    """Write a dense tensor as a ``.skt`` file."""
+    """Write a dense tensor as a ``.skt`` file.
+
+    A NaN or infinite value raises :class:`NonFinitePayloadError` and
+    creates no file.
+    """
     t = as_tensor(t)
     header = {"dtype": "f64", "shape": list(t.shape)}
     _write_file(path, TENSOR_MAGIC, header, [t])
@@ -142,7 +154,8 @@ def write_sequence(path, seq: KroneckerSequence) -> None:
     leading; branch sizes are reconstructed from the ranks on read.  The
     factors are checked against the shapes and ranks first, since a caller
     may have replaced them after construction: a mismatch raises
-    :class:`ShapeError` and creates no file.
+    :class:`ShapeError` and creates no file.  So does a NaN or infinite
+    value, with :class:`NonFinitePayloadError`.
     """
     _check_factor_shapes(seq.shapes, seq.ranks, seq.factors)
     header = {

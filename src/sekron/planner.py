@@ -2,9 +2,9 @@
 latency measurement, and configuration selection for factorized conv layers.
 """
 
-import csv
 import itertools
 import math
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -12,10 +12,10 @@ import numpy as np
 
 from sekron.conv import flops_denominator, sekron_conv2d, stage_macs_per_branch
 from sekron.decompose import (
+    KroneckerSequence,
     _branch_sizes,
     _branch_total,
     _factor_volumes,
-    random_sequence,
     stored_param_count,
 )
 from sekron.errors import CandidateLimitError, NoFeasibleConfigError
@@ -26,6 +26,9 @@ CR_TIE_RTOL = 1e-9
 
 # enumerate_configs refuses a request whose raw product of choices exceeds this.
 MAX_CANDIDATES = 1_000_000
+
+# Fewest timed calls a latency median is taken over.
+MIN_TRIALS = 3
 
 
 @dataclass(frozen=True)
@@ -169,15 +172,15 @@ def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
 def _median_ms(run, trials: int) -> float:
     """Median wall-clock milliseconds of ``run()`` over ``trials`` calls,
     after one warm-up call."""
-    if trials < 3:
-        raise ValueError("need at least 3 trials for a stable median")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials for a stable median")
     run()
     times = []
     for _ in range(trials):
         start = time.perf_counter()
         run()
         times.append(time.perf_counter() - start)
-    return float(np.median(times) * 1000.0)
+    return statistics.median(times) * 1000.0
 
 
 def measure_sequence_latency(
@@ -194,11 +197,21 @@ def measure_sequence_latency(
 
 
 def measure_latency(config: CandidateConfig, input_shape, trials: int = 5) -> float:
-    """Latency of a candidate configuration, using synthetic factor values
-    (latency depends on shapes and ranks, not on the numbers), seed 0 for
-    both the factors and the input, and no padding."""
-    seq = random_sequence(config.shapes, config.ranks, rng=0)
-    return measure_sequence_latency(seq, input_shape, trials, rng=0)
+    """Latency of a candidate configuration: the median of ``trials`` calls of
+    :func:`sekron_conv2d`, without padding, after one warm-up call.
+
+    Latency depends on the shapes and ranks, not on the numbers: a float64
+    GEMM runs at the same speed for any finite values.  So every probe
+    factor entry and every input entry is 1.0, and nothing is drawn from a
+    random generator.
+    """
+    factors = [
+        np.ones((rho,) + row)
+        for rho, row in zip(_branch_sizes(config.ranks), config.shapes.rows)
+    ]
+    seq = KroneckerSequence(config.shapes, config.ranks, factors)
+    x = np.ones(_dims(input_shape, 4, "input shape"))
+    return _median_ms(lambda: sekron_conv2d(x, seq), trials)
 
 
 def select_config(
@@ -239,23 +252,34 @@ def select_config(
     return min(tied, key=order)
 
 
+def _csv_field(text: str) -> str:
+    # csv.writer's default (excel) dialect quotes a field holding a comma, a
+    # double quote or a line break and doubles its double quotes; an empty
+    # field within a row is written as nothing
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_candidates_csv(candidates, path) -> None:
-    """Dump a sweep as CSV with columns shapes, ranks, cr, fr, latency_ms."""
+    """Dump a sweep as CSV with columns shapes, ranks, cr, fr, latency_ms.
+
+    The bytes are those of :func:`csv.writer` with its default dialect
+    (``\\r\\n`` line ends, minimal quoting).  A sweep shares one shape matrix
+    between all of its rank tuples and one rank tuple between many shape
+    matrices, so each distinct shapes and ranks field is quoted once; the
+    rows are then joined and written in one call.
+    """
+    shape_fields, rank_fields = {}, {}
+    lines = ["shapes,ranks,cr,fr,latency_ms\r\n"]
+    for c in candidates:
+        shapes = shape_fields.get(c.shapes)
+        if shapes is None:
+            shapes = shape_fields[c.shapes] = _csv_field(c.shapes.to_string())
+        ranks = rank_fields.get(c.ranks)
+        if ranks is None:
+            ranks = rank_fields[c.ranks] = _csv_field(",".join(map(str, c.ranks)))
+        latency = "" if c.latency_ms is None else repr(c.latency_ms)
+        lines.append(f"{shapes},{ranks},{c.cr!r},{c.fr!r},{latency}\r\n")
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["shapes", "ranks", "cr", "fr", "latency_ms"])
-        # a sweep shares one shape matrix between all of its rank tuples
-        shape_text = {}
-        for c in candidates:
-            text = shape_text.get(c.shapes)
-            if text is None:
-                text = shape_text[c.shapes] = c.shapes.to_string()
-            writer.writerow(
-                [
-                    text,
-                    ",".join(str(r) for r in c.ranks),
-                    repr(c.cr),
-                    repr(c.fr),
-                    "" if c.latency_ms is None else repr(c.latency_ms),
-                ]
-            )
+        handle.write("".join(lines))

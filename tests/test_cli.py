@@ -1,5 +1,7 @@
-"""Exit codes and the ``decompose --report`` output of the command line."""
+"""Exit codes, the ``decompose --report`` output and the ``plan`` progress
+lines of the command line."""
 
+import csv
 import json
 import struct
 
@@ -56,10 +58,19 @@ def sequence_file(tmp_path, factor_shapes, ranks):
     return ["reconstruct", "--input", str(path), "--output", str(tmp_path / "out.skt")]
 
 
+def write_tensor_first_value(path, t, value) -> None:
+    """``t`` as a ``.skt`` file whose first payload value is then set to
+    ``value``; the writer itself refuses NaN and infinities."""
+    write_tensor(path, t)
+    data = bytearray(path.read_bytes())
+    start = len(data) - 8 * t.size
+    data[start : start + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(data))
+
+
 def nan_weight(tmp_path):
     w = np.random.default_rng(0).standard_normal((4, 4, 2, 2))
-    w[0, 0, 0, 0] = np.nan
-    write_tensor(tmp_path / "w.skt", w)
+    write_tensor_first_value(tmp_path / "w.skt", w, np.nan)
     return ["decompose", "--input", str(tmp_path / "w.skt"), "--shapes", "2x2x1x1,2x2x2x2",
             "--ranks", "2", "--output", str(tmp_path / "w.sks")]
 
@@ -68,8 +79,7 @@ def inf_activation(tmp_path):
     shapes = FactorShapeMatrix.from_string("2x2x1x1,2x2x3x3")
     write_sequence(tmp_path / "w.sks", random_sequence(shapes, (2,), rng=0))
     x = np.random.default_rng(0).standard_normal((1, 4, 5, 5))
-    x[0, 0, 0, 0] = np.inf
-    write_tensor(tmp_path / "x.skt", x)
+    write_tensor_first_value(tmp_path / "x.skt", x, np.inf)
     return ["conv", "--weights", str(tmp_path / "w.sks"), "--input", str(tmp_path / "x.skt"),
             "--output", str(tmp_path / "y.skt"), "--padding", "1"]
 
@@ -127,6 +137,47 @@ def test_nan_latency_budget_is_rejected_before_the_sweep(tmp_path, capsys):
     assert run_cli(argv) == 4
     assert "latency budget" in capsys.readouterr().err.splitlines()[-1]
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_too_few_trials_are_rejected_before_the_sweep(tmp_path, capsys):
+    # enumerating this request would exceed the candidate cap (exit 7), so
+    # exit 4 shows that the trial count is checked first
+    argv = ["plan", "--shape", "256,256,3,3", "--seq-len", "4", "--target-cr", "4",
+            "--bench-input", "1,256,3,3", "--trials", "2", "--out", str(tmp_path / "sweep.csv")]
+    assert run_cli(argv) == 4
+    assert "--trials must be at least 3" in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_plan_progress_is_one_json_object_per_candidate(tmp_path, capsys):
+    # max rank 2 gives two candidates for some shape matrices, told apart
+    # only by their ranks
+    argv = tiny_plan(tmp_path, "--max-rank", "2", "--bench-input", "1,2,3,3", "--trials", "3")
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    *progress, wrote = captured.err.splitlines()
+    assert wrote == f"wrote {len(progress)} candidates to {tmp_path / 'sweep.csv'}"
+    records = [json.loads(line) for line in progress]
+    with open(tmp_path / "sweep.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert records == [
+        {
+            "i": i + 1,
+            "n": len(rows),
+            "shapes": row["shapes"],
+            "ranks": [int(r) for r in row["ranks"].split(",")],
+            "latency_ms": float(row["latency_ms"]),
+        }
+        for i, row in enumerate(rows)
+    ]
+    assert len({r["shapes"] for r in records}) < len(records)
+    # stdout is the chosen config alone, one line as json.dumps writes it
+    chosen = json.loads(captured.out)
+    assert captured.out == json.dumps(chosen) + "\n"
+    assert list(chosen) == ["shapes", "ranks", "cr", "fr", "latency_ms"]
+    key = (chosen["shapes"], chosen["ranks"])
+    picked = [r["latency_ms"] for r in records if (r["shapes"], r["ranks"]) == key]
+    assert picked == [chosen["latency_ms"]]
 
 
 def test_report_reads_exact_error_off_the_tails(tmp_path, capsys):

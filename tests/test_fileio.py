@@ -116,6 +116,23 @@ class TestSequenceHeader:
         assert not path.exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["tensor", "sequence"])
+def test_writers_refuse_non_finite_values_before_opening(tmp_path, which, value):
+    # the readers reject such a payload, so writing it would leave a file
+    # that cannot be read back
+    path = tmp_path / "out"
+    if which == "tensor":
+        with pytest.raises(NonFinitePayloadError):
+            write_tensor(path, [1.0, value])
+    else:
+        seq = random_sequence(FactorShapeMatrix(((2, 2), (2, 2))), (2,), rng=0)
+        seq.factors[1][1, 0, 1] = value
+        with pytest.raises(NonFinitePayloadError):
+            write_sequence(path, seq)
+    assert not path.exists()
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     """A valid ``.skt`` and ``.sks``, each as (reader, bytes, payload offset),

@@ -4,6 +4,7 @@ import csv
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,10 @@ from sekron import (
     stored_param_count,
     write_candidates_csv,
 )
+from sekron.cli import run_cli
 from oracles import write_candidates_csv_per_row
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestRatios:
@@ -305,6 +309,23 @@ class TestCsv:
         write_candidates_csv(configs, tmp_path / "fast.csv")
         write_candidates_csv_per_row(configs, tmp_path / "oracle.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("plan_s3.csv", ["--shape", "4,2,1,1", "--seq-len", "3", "--target-cr", "2",
+                             "--max-rank", "2"]),
+            # one factor: the ranks field is empty, which csv.writer writes
+            # within a row as nothing (8x4x3x3,,1.0,1.0,), not as ""
+            ("plan_s1.csv", ["--shape", "8,4,3,3", "--seq-len", "1", "--target-cr", "1"]),
+        ],
+    )
+    def test_plan_sweep_matches_golden_file(self, tmp_path, capsys, name, args):
+        # golden/ holds sweeps written with csv.writer, one writerow per row
+        out = tmp_path / name
+        assert run_cli(["plan", *args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_cr_identity_on_enumerated_configs_with_decomposition():
