@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from sekron.conv import conv2d_reference, sekron_conv2d
+from sekron.conv import _check_conv_geometry, conv2d_reference, sekron_conv2d
 from sekron.decompose import (
     reconstruct,
     sekron_decompose,
@@ -47,7 +47,7 @@ from sekron.planner import (
     select_config,
     write_candidates_csv,
 )
-from sekron.tensor_core import FactorShapeMatrix
+from sekron.tensor_core import FactorShapeMatrix, _dims
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -162,8 +162,16 @@ def _cmd_plan(args) -> int:
         if request.latency_budget_ms is not None:
             raise ShapeError("--latency-budget-ms requires --bench-input to measure latencies")
     else:
-        # checked before the sweep, which can take seconds to enumerate
+        # checked before the sweep, which can take seconds to enumerate; the
+        # probes run without padding
         input_shape = _parse_int_tuple(args.bench_input, 4, "--bench-input")
+        _, channels, h, w = _dims(input_shape, 4, "--bench-input")
+        if channels != request.target_shape[1]:
+            raise ShapeError(
+                f"channel mismatch: --bench-input has {channels} channels, "
+                f"--shape has {request.target_shape[1]}"
+            )
+        _check_conv_geometry(h, w, *request.target_shape[2:], 0)
         if args.trials < MIN_TRIALS:
             raise ValueError(f"--trials must be at least {MIN_TRIALS}, got {args.trials}")
     candidates = enumerate_configs(request)

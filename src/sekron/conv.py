@@ -9,6 +9,15 @@ not depend on the rest of its batch.  The factorized path sets up its
 stages once per call: each stage's factor matrix and the shape and strides
 of its window view depend only on the sequence and the padded input size,
 so the loop over images only takes strided views and runs GEMMs.
+
+One stage schedule, :func:`_schedule`, fixes the stage order and each
+stage's accumulated ``f`` digits, open channel groups, tap dilation and
+output size; the factorized conv, its per-position MAC terms and its exact
+MAC count all read it.  The flops ratio (FR) of the planner is per output
+position: a stage that runs before a stage with taps also computes the
+border that the later taps consume, and FR leaves that border out.
+:func:`conv_macs` counts it, so it is the exact number of MACs the GEMMs
+run.
 """
 
 import math
@@ -94,9 +103,31 @@ def _check_sequence_for_conv(seq: KroneckerSequence, in_channels: int):
         )
 
 
-def _stage_plans(seq: KroneckerSequence, channels: int, in_h: int, in_w: int):
-    """What each stage of :func:`sekron_conv2d` needs, in execution order
-    (last factor first), for one ``(channels, in_h, in_w)`` padded image.
+def _schedule(shapes: FactorShapeMatrix, in_h: int, in_w: int):
+    """The stages of :func:`sekron_conv2d` in execution order, last factor
+    first, for a padded ``in_h x in_w`` input.
+
+    Yields ``(k, f_acc, groups, dil_h, dil_w, out_h, out_w)`` per stage: the
+    factor ``k`` it contracts; ``f_acc``, the ``f`` digits of the factors
+    after ``k``, already produced; ``groups``, the ``c`` digits of the
+    factors before ``k``, not yet summed; the dilation of its taps, the
+    kernel extent of the factors after ``k``; and its output size.  A stage
+    whose factor has taps shrinks the image, so every stage before it
+    writes the border that those taps read.
+    """
+    groups = math.prod(row[1] for row in shapes.rows)
+    f_acc = dil_h = dil_w = 1
+    for k in reversed(range(shapes.num_factors)):
+        f_k, c_k, h_k, w_k = shapes.rows[k]
+        groups //= c_k
+        in_h, in_w = in_h - (h_k - 1) * dil_h, in_w - (w_k - 1) * dil_w
+        yield k, f_acc, groups, dil_h, dil_w, in_h, in_w
+        f_acc, dil_h, dil_w = f_acc * f_k, dil_h * h_k, dil_w * w_k
+
+
+def _stage_plans(seq: KroneckerSequence, in_h: int, in_w: int):
+    """What each stage of :func:`sekron_conv2d` needs, in the order of
+    :func:`_schedule`, for one padded ``in_h x in_w`` image.
 
     Every stage input is C-contiguous: an image of the padded copy, or the
     previous stage's GEMM output reshaped.  So the strides of its window
@@ -108,15 +139,12 @@ def _stage_plans(seq: KroneckerSequence, channels: int, in_h: int, in_w: int):
     its row-major reshape is the column matrix.
     """
     item = np.dtype(np.float64).itemsize
-    branch, f_acc = 1, 1
-    dil_h = dil_w = 1
+    ranks = seq.ranks + (1,)
+    branch = 1
     plans = []
-    for (f_k, c_k, h_k, w_k), r_k, factor in reversed(
-        list(zip(seq.shapes.rows, seq.ranks + (1,), seq.factors))
-    ):
+    for k, f_acc, groups, dil_h, dil_w, out_h, out_w in _schedule(seq.shapes, in_h, in_w):
+        (f_k, c_k, h_k, w_k), r_k, factor = seq.shapes.rows[k], ranks[k], seq.factors[k]
         p, q = factor.shape[0] // r_k, branch // r_k
-        groups = channels // c_k
-        out_h, out_w = in_h - (h_k - 1) * dil_h, in_w - (w_k - 1) * dil_w
         # strides of the input read as (q, r_k, f_acc, groups, c_k, in_h, in_w)
         s_w = item
         s_h = in_w * s_w
@@ -131,9 +159,7 @@ def _stage_plans(seq: KroneckerSequence, channels: int, in_h: int, in_w: int):
         cols_shape = (q, r_k * c_k * h_k * w_k, -1)
         t_shape = (p, f_k * f_acc, groups, out_h, out_w)
         plans.append((fmat, win_shape, win_strides, cols_shape, t_shape))
-        branch, f_acc, channels, in_h, in_w = p, f_k * f_acc, groups, out_h, out_w
-        dil_h *= h_k
-        dil_w *= w_k
+        branch, in_h, in_w = p, out_h, out_w
     return plans
 
 
@@ -170,7 +196,7 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     padding, out_h, out_w = _check_conv_geometry(x.shape[2], x.shape[3], kh, kw, padding)
 
     xp = _zero_pad(x, padding)
-    plans = _stage_plans(seq, *xp.shape[1:])
+    plans = _stage_plans(seq, *xp.shape[2:])
     out = np.empty((x.shape[0], seq.target_shape[0], out_h, out_w))
     for b in range(x.shape[0]):
         t = xp[b]
@@ -183,36 +209,35 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
 
 def stage_macs_per_branch(shapes: FactorShapeMatrix) -> tuple[int, ...]:
     """Per-output-position MACs of each stage of :func:`sekron_conv2d`, for
-    one branch of its factor.
+    one branch of its factor, in factor order.
 
-    Term ``i`` is ``(prod_{k>=i} f_k) (prod_{k<=i} c_k) h_i w_i``: the stage
-    that contracts factor ``i`` produces the ``f`` digits of factors ``i ..
-    S-1`` for each channel group still open (the ``c`` digits of factors
-    before ``i``), and each output sums over ``c_i h_i w_i`` inputs.  The
-    terms depend only on the shapes, so a sweep over rank tuples computes
-    them once per shape matrix.
+    Term ``k`` is ``f_k f_acc c_k groups h_k w_k`` for the stage of
+    :func:`_schedule` that contracts factor ``k``, i.e. ``(prod_{j>=k} f_j)
+    (prod_{j<=k} c_j) h_k w_k``: the stage writes the ``f`` digits of
+    factors ``k .. S-1`` for each open channel group, and each output sums
+    over ``c_k h_k w_k`` inputs.  The terms depend only on the shapes, so a
+    sweep over rank tuples computes them once per shape matrix.
     """
     if shapes.num_axes != 4:
         raise ShapeError("FLOP accounting needs factor axes (f, c, h, w)")
-    f_suffix = math.prod(row[0] for row in shapes.rows)
-    c_prefix = 1
-    terms = []
-    for f, c, h, w in shapes.rows:
-        c_prefix *= c
-        terms.append(f_suffix * c_prefix * h * w)
-        f_suffix //= f
-    return tuple(terms)
+    # per-position terms do not depend on the input size, nor read the
+    # output sizes it sets
+    stages = _schedule(shapes, 0, 0)
+    terms = [math.prod(shapes.rows[k]) * f_acc * groups for k, f_acc, groups, *_ in stages]
+    return tuple(reversed(terms))
 
 
 def flops_denominator(shapes: FactorShapeMatrix, ranks) -> int:
-    """Per-output-position MACs of the factorized convolution.
+    """Per-output-position MACs of the factorized convolution, the
+    denominator of the planner's flops ratio (FR).
 
-    ``sum_i branch_i * stage_i``: the branch count of factor ``i``
-    (``prod_{k<=i} rank_k``, the last factor sharing the one before it)
-    times its term from :func:`stage_macs_per_branch`, i.e.
-    ``sum_i (prod_{k>=i} f_k) (prod_{k<=i} rank_k) (prod_{k<=i} c_k) h_i w_i``.
-    Term ``i`` is the stage of :func:`sekron_conv2d` that contracts factor
-    ``i``.
+    ``sum_k branch_k * term_k``: the branch count of factor ``k``
+    (``prod_{j<=k} rank_j``, the last factor sharing the one before it)
+    times its term from :func:`stage_macs_per_branch`.  Each term counts the
+    outputs of its stage at the final output positions only; the border that
+    a stage before a tapped stage also computes is left out, so this times
+    the output size is at most :func:`conv_macs`, and equal to it when no
+    factor but the last (factor ``S-1``, the first stage) has taps.
     """
     stages = stage_macs_per_branch(shapes)
     ranks = _validate_ranks(shapes, ranks)
@@ -220,14 +245,17 @@ def flops_denominator(shapes: FactorShapeMatrix, ranks) -> int:
 
 
 def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
-    """Multiply-accumulate count of the staged evaluation.
+    """Exact multiply-accumulate count of :func:`sekron_conv2d`.
 
-    :func:`flops_denominator` per output position, times the number of
-    output positions for the given spatial input size ``(H, W)``, two
-    positive integers; anything else raises :class:`ShapeError`.
+    ``sum_k branch_k * term_k * out_h_k * out_w_k`` over the stages of
+    :func:`_schedule`, with ``term_k`` from :func:`stage_macs_per_branch`
+    and each stage's own output size, border included, for the given
+    spatial input size ``(H, W)``, two positive integers; anything else
+    raises :class:`ShapeError`.  These are the MACs the GEMMs run.
     """
-    per_position = flops_denominator(seq.shapes, seq.ranks)
+    terms = stage_macs_per_branch(seq.shapes)
+    branches = _branch_sizes(_validate_ranks(seq.shapes, seq.ranks))
     h, w = _dims(input_hw, 2, "input size")
-    kh, kw = seq.target_shape[2], seq.target_shape[3]
-    _, out_h, out_w = _check_conv_geometry(h, w, kh, kw, padding)
-    return per_position * out_h * out_w
+    padding, _, _ = _check_conv_geometry(h, w, *seq.target_shape[2:], padding)
+    stages = _schedule(seq.shapes, h + 2 * padding, w + 2 * padding)
+    return sum(branches[k] * terms[k] * out_h * out_w for k, *_, out_h, out_w in stages)

@@ -4,6 +4,7 @@ latency measurement, and configuration selection for factorized conv layers.
 
 import itertools
 import math
+import numbers
 import statistics
 import time
 from dataclasses import dataclass
@@ -45,11 +46,24 @@ class CandidateConfig:
         return CandidateConfig(self.shapes, self.ranks, self.cr, self.fr, latency_ms)
 
 
-def _check_target_cr(target_cr: float) -> None:
+def _real(value, what: str) -> float:
+    """``value`` as a Python float; a bool, a string, any other value that is
+    not a real number, or one beyond the float range raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is beyond the float range") from None
+
+
+def _check_target_cr(target_cr) -> float:
+    target_cr = _real(target_cr, "target compression ratio")
     if not 1 <= target_cr < math.inf:
         raise ValueError(
             f"target compression ratio must be finite and >= 1, got {target_cr}"
         )
+    return target_cr
 
 
 def _count(value, what: str) -> int:
@@ -64,7 +78,10 @@ def _count(value, what: str) -> int:
 @dataclass(frozen=True)
 class PlanRequest:
     """What to enumerate: a conv weight shape, a sequence length, and a
-    compression target."""
+    compression target.
+
+    ``target_cr`` and ``latency_budget_ms`` are stored as floats; a bool, a
+    string or another non-real value raises ``ValueError``."""
 
     target_shape: tuple[int, int, int, int]
     sequence_length: int
@@ -79,9 +96,12 @@ class PlanRequest:
             self, "sequence_length", _count(self.sequence_length, "sequence length")
         )
         object.__setattr__(self, "max_rank", _count(self.max_rank, "max rank"))
-        _check_target_cr(self.target_cr)
-        if self.latency_budget_ms is not None and math.isnan(self.latency_budget_ms):
-            raise ValueError("latency budget must be a number of milliseconds, got nan")
+        object.__setattr__(self, "target_cr", _check_target_cr(self.target_cr))
+        if self.latency_budget_ms is not None:
+            budget = _real(self.latency_budget_ms, "latency budget")
+            if math.isnan(budget):
+                raise ValueError("latency budget must be a number of milliseconds, got nan")
+            object.__setattr__(self, "latency_budget_ms", budget)
 
 
 def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:
@@ -91,7 +111,13 @@ def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:
 
 
 def flops_ratio(shapes: FactorShapeMatrix, ranks) -> float:
-    """Dense per-position MACs divided by factorized per-position MACs."""
+    """Dense per-position MACs divided by factorized per-position MACs
+    (:func:`sekron.conv.flops_denominator`).
+
+    Per output position, FR leaves out the border that a stage before a
+    tapped stage also computes; :func:`sekron.conv.conv_macs` is the exact
+    count a conv on a given input size runs.
+    """
     dense = math.prod(shapes.target_shape)
     return dense / flops_denominator(shapes, ranks)
 
@@ -183,35 +209,31 @@ def _median_ms(run, trials: int) -> float:
     return statistics.median(times) * 1000.0
 
 
-def measure_sequence_latency(
-    seq, input_shape, trials: int = 5, padding: int = 0, rng=None
-) -> float:
-    """Median wall-clock milliseconds of ``sekron_conv2d`` on random input.
+def measure_sequence_latency(seq, input_shape, trials: int = 5, padding: int = 0) -> float:
+    """Median wall-clock milliseconds of ``trials`` calls of
+    :func:`sekron_conv2d` on ``seq``, after one warm-up call.
 
-    Runs one warm-up call first.  Benchmarks should not run concurrently
-    with other work; numbers are only comparable within one process.
+    Latency depends on the shapes, not on the numbers: a float64 GEMM runs
+    at the same speed for any finite values.  So every input entry is 1.0,
+    and nothing is drawn from a random generator.  Benchmarks should not
+    run concurrently with other work; numbers are only comparable within
+    one process.
     """
-    shape = _dims(input_shape, 4, "input shape")
-    x = np.random.default_rng(rng).standard_normal(shape)
+    x = np.ones(_dims(input_shape, 4, "input shape"))
     return _median_ms(lambda: sekron_conv2d(x, seq, padding=padding), trials)
 
 
 def measure_latency(config: CandidateConfig, input_shape, trials: int = 5) -> float:
-    """Latency of a candidate configuration: the median of ``trials`` calls of
-    :func:`sekron_conv2d`, without padding, after one warm-up call.
-
-    Latency depends on the shapes and ranks, not on the numbers: a float64
-    GEMM runs at the same speed for any finite values.  So every probe
-    factor entry and every input entry is 1.0, and nothing is drawn from a
-    random generator.
+    """Latency of a candidate configuration: :func:`measure_sequence_latency`
+    without padding, on a sequence whose every factor entry is 1.0, for the
+    same reason the input is all ones.
     """
     factors = [
         np.ones((rho,) + row)
         for rho, row in zip(_branch_sizes(config.ranks), config.shapes.rows)
     ]
     seq = KroneckerSequence(config.shapes, config.ranks, factors)
-    x = np.ones(_dims(input_shape, 4, "input shape"))
-    return _median_ms(lambda: sekron_conv2d(x, seq), trials)
+    return measure_sequence_latency(seq, input_shape, trials)
 
 
 def select_config(
@@ -226,14 +248,16 @@ def select_config(
     ``latency_ms=None`` after every measured latency, then toward
     lexicographically smaller shapes (``shapes.rows``), then smaller ranks.
     The choice does not depend on candidate order.  ``target_cr`` must be
-    finite and ``>= 1``, as in :class:`PlanRequest`.
+    finite and ``>= 1``, as in :class:`PlanRequest`, and a budget a real
+    number; anything else raises ``ValueError``.
     """
-    _check_target_cr(target_cr)
+    target_cr = _check_target_cr(target_cr)
     candidates = list(candidates)
     if not candidates:
         raise NoFeasibleConfigError("no candidates to select from")
     pool = candidates
     if latency_budget_ms is not None:
+        latency_budget_ms = _real(latency_budget_ms, "latency budget")
         if any(c.latency_ms is None for c in candidates):
             raise ValueError("a latency budget requires measured latencies")
         pool = [c for c in candidates if c.latency_ms <= latency_budget_ms]

@@ -3,7 +3,8 @@
 No program path calls them, so they live with the tests rather than in the
 package.  The index bijection, the Kronecker unfolding and the native
 reconstructions are built from scalar formulas, the Kronecker sum from
-``np.kron``, the conv stage MACs by counting one multiply at a time, and the
+``np.kron``, the conv stage MACs by counting one multiply at a time (and a
+conv's executed MACs from those counts and each stage's output size), and the
 file writers by copying each payload into ``bytes``, independent of the
 machinery they check.
 """
@@ -188,6 +189,28 @@ def stage_mac_count(shapes: FactorShapeMatrix) -> list[int]:
                 count += 1
         counts.append(count)
     return counts
+
+
+def executed_conv_macs(seq, input_hw, padding: int = 0) -> int:
+    """MACs the staged conv runs on an ``(H, W)`` input, each stage at its own
+    output size.
+
+    The stage that contracts factor ``k`` reads an image already shrunk by
+    the taps of factors ``k+1 .. S-1`` and shrinks it by its own, so it
+    writes ``(H_p - prod_{j>=k} h_j + 1) (W_p - prod_{j>=k} w_j + 1)``
+    positions, for each branch of factor ``k`` and each of the per-branch
+    outputs :func:`stage_mac_count` counts.
+    """
+    rows = seq.shapes.rows
+    s = len(rows)
+    h, w = (d + 2 * padding for d in input_hw)
+    total = 0
+    for k, per_position in enumerate(stage_mac_count(seq.shapes)):
+        branches = math.prod(seq.ranks[: min(k, s - 2) + 1])
+        out_h = h - math.prod(row[2] for row in rows[k:]) + 1
+        out_w = w - math.prod(row[3] for row in rows[k:]) + 1
+        total += branches * per_position * out_h * out_w
+    return total
 
 
 def write_candidates_csv_per_row(candidates, path) -> None:

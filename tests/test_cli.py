@@ -149,6 +149,24 @@ def test_too_few_trials_are_rejected_before_the_sweep(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "bench_input", ["1,4,5,5", "1,8,2,5", "1,8,5,2", "0,8,5,5"],
+    ids=["channels", "height", "width", "empty-batch"],
+)
+def test_bench_input_is_checked_against_shape_before_the_sweep(
+    tmp_path, capsys, monkeypatch, bench_input
+):
+    def no_sweep(request):
+        raise AssertionError("enumerated before --bench-input was checked")
+
+    monkeypatch.setattr("sekron.cli.enumerate_configs", no_sweep)
+    argv = ["plan", "--shape", "8,8,3,3", "--seq-len", "2", "--target-cr", "2",
+            "--bench-input", bench_input, "--out", str(tmp_path / "sweep.csv")]
+    assert run_cli(argv) == 4
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_plan_progress_is_one_json_object_per_candidate(tmp_path, capsys):
     # max rank 2 gives two candidates for some shape matrices, told apart
     # only by their ranks

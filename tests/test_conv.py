@@ -20,7 +20,7 @@ from sekron import (
     sekron_decompose,
     stage_macs_per_branch,
 )
-from oracles import stage_mac_count
+from oracles import executed_conv_macs, stage_mac_count
 
 
 def per_tap_conv(x, w, padding=0):
@@ -205,20 +205,21 @@ class TestConvMacs:
             seq = random_sequence(shapes, ranks, rng=12)
             assert conv_macs(seq, (6, 6)) == flops_denominator(shapes, ranks) * 16
 
-    def test_agrees_with_formula_across_random_configs(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            rows = tuple(
-                tuple(int(d) for d in rng.choice([1, 2], size=4)) for _ in range(3)
-            )
-            shapes = FactorShapeMatrix(rows)
-            ranks = tuple(int(r) for r in rng.integers(1, 3, size=2))
-            seq = random_sequence(shapes, ranks, rng=rng)
-            kh, kw = shapes.target_shape[2], shapes.target_shape[3]
-            h = kh + int(rng.integers(0, 4))
-            w = kw + int(rng.integers(0, 4))
-            positions = (h - kh + 1) * (w - kw + 1)
-            assert conv_macs(seq, (h, w)) == flops_denominator(shapes, ranks) * positions
+    def test_counts_executed_macs_across_sweep_cases(self):
+        # S = 1..4 with taps split across factors: a stage that runs before
+        # a tapped stage also writes the border that the taps read
+        for seq, x, padding in sweep_cases():
+            hw = x.shape[2:]
+            assert conv_macs(seq, hw, padding) == executed_conv_macs(seq, hw, padding)
+
+    def test_border_of_early_stages_is_counted(self):
+        # stages run factor 2, 1, 0 at 9x5, 7x5 and 3x3 positions with 64,
+        # 32 and 32 MACs per position over all branches; the per-position
+        # count times the 3x3 output gives (64 + 32 + 32) * 9 = 1,152
+        shapes = FactorShapeMatrix.from_string("2x2x2x2,1x2x2x1,1x1x2x2")
+        seq = random_sequence(shapes, (2, 2), rng=25)
+        assert conv_macs(seq, (10, 6)) == 64 * 45 + 32 * 35 + 32 * 9 == 4288
+        assert flops_denominator(shapes, (2, 2)) * 9 == 1152
 
     def test_stage_terms_match_counted_macs(self):
         rng = np.random.default_rng(20)

@@ -22,6 +22,7 @@ from sekron import (
     flops_denominator,
     flops_ratio,
     measure_latency,
+    measure_sequence_latency,
     random_sequence,
     sekron_decompose,
     select_config,
@@ -154,6 +155,10 @@ class TestEnumerateConfigs:
                 assert config.latency_ms is None
 
 
+# what the error message names for each real-valued field
+REAL_FIELDS = {"target_cr": "target compression ratio", "latency_budget_ms": "latency budget"}
+
+
 class TestPlanRequest:
     @pytest.mark.parametrize("field", ["sequence_length", "max_rank"])
     @pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
@@ -171,6 +176,22 @@ class TestPlanRequest:
         req = PlanRequest(tuple(np.int64(d) for d in (4, 4, 1, 1)), 2, 2.0)
         assert req.target_shape == (4, 4, 1, 1)
         assert all(type(d) is int for d in req.target_shape)
+
+    @pytest.mark.parametrize("field", ["target_cr", "latency_budget_ms"])
+    @pytest.mark.parametrize(
+        "value",
+        [True, "4", 4j, np.bool_(True), 10**400],
+        ids=["bool", "str", "complex", "np-bool", "huge-int"],
+    )
+    def test_non_real_target_or_budget_is_rejected(self, field, value):
+        kwargs = {"target_cr": 2.0, field: value}
+        with pytest.raises(ValueError, match=REAL_FIELDS[field]):
+            PlanRequest((4, 4, 1, 1), 2, **kwargs)
+
+    def test_real_target_and_budget_become_floats(self):
+        req = PlanRequest((4, 4, 1, 1), 2, np.float32(2.5), latency_budget_ms=np.int64(5))
+        assert (req.target_cr, req.latency_budget_ms) == (2.5, 5.0)
+        assert type(req.target_cr) is float and type(req.latency_budget_ms) is float
 
     def test_numpy_integer_counts_become_ints(self):
         req = PlanRequest((4, 4, 1, 1), np.int64(2), 2.0, max_rank=np.int64(3))
@@ -237,6 +258,13 @@ class TestSelectConfig:
         with pytest.raises(ValueError, match="target compression ratio"):
             select_config(self.candidates(), target_cr=target_cr)
 
+    @pytest.mark.parametrize("field", ["target_cr", "latency_budget_ms"])
+    @pytest.mark.parametrize("value", [True, "4", 4j], ids=["bool", "str", "complex"])
+    def test_non_real_target_or_budget_is_rejected(self, field, value):
+        kwargs = {"target_cr": 4.0, "latency_budget_ms": 10.0, field: value}
+        with pytest.raises(ValueError, match=REAL_FIELDS[field]):
+            select_config(self.candidates(), **kwargs)
+
     def test_budget_requires_latencies(self):
         missing = [synthetic(((2, 2), (8, 8)), (1,), 4.0, 2.0, None)]
         with pytest.raises(ValueError):
@@ -279,6 +307,24 @@ class TestLatency:
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
             measure_latency(self.config(), (1, 4, 8, 8), trials=2)
+
+    def test_probes_are_all_ones_through_the_planners_conv(self, monkeypatch):
+        # the probe calls sekron_conv2d by its name in sekron.planner, where
+        # a tracer can wrap it, with factors and input of all ones
+        calls = []
+
+        def recorder(x, seq, padding=0):
+            calls.append((x, seq, padding))
+
+        monkeypatch.setattr("sekron.planner.sekron_conv2d", recorder)
+        measure_latency(self.config(), (2, 4, 8, 8), trials=3)
+        measure_sequence_latency(random_sequence(self.config().shapes, (2,), rng=0),
+                                 (1, 4, 6, 6), trials=3, padding=1)
+        assert len(calls) == 2 * (1 + 3)
+        assert all(np.all(x == 1.0) for x, _, _ in calls)
+        assert [x.shape for x, _, _ in calls] == [(2, 4, 8, 8)] * 4 + [(1, 4, 6, 6)] * 4
+        assert [padding for _, _, padding in calls] == [0] * 4 + [1] * 4
+        assert all(np.all(f == 1.0) for _, seq, _ in calls[:4] for f in seq.factors)
 
 
 class TestCsv:
