@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from sekron.conv import _check_conv_geometry, conv2d_reference, sekron_conv2d
+from sekron.conv import _conv_shape, conv2d_reference, sekron_conv2d
 from sekron.decompose import (
     reconstruct,
     sekron_decompose,
@@ -47,7 +47,7 @@ from sekron.planner import (
     select_config,
     write_candidates_csv,
 )
-from sekron.tensor_core import FactorShapeMatrix, _dims
+from sekron.tensor_core import FactorShapeMatrix
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,23 +59,16 @@ EXIT_SVD = 6
 EXIT_CANDIDATE_CAP = 7
 
 
-def _parse_ranks(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str, error) -> tuple[int, ...]:
+    """Comma-separated ints, ``()`` for the empty string; anything else that
+    ``int`` cannot read raises ``error``.  The count is left to the library
+    call the values go to."""
     if not text:
         return ()
     try:
-        return tuple(int(r) for r in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise RankError(f"cannot parse ranks {text!r}") from exc
-
-
-def _parse_int_tuple(text: str, expect: int, what: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(d) for d in text.split(","))
-    except ValueError as exc:
-        raise ShapeError(f"cannot parse {what} {text!r}") from exc
-    if len(dims) != expect:
-        raise ShapeError(f"{what} needs {expect} comma-separated ints, got {text!r}")
-    return dims
+        raise error(f"cannot parse {what} {text!r}") from exc
 
 
 def _emit(obj) -> None:
@@ -85,7 +78,7 @@ def _emit(obj) -> None:
 def _cmd_decompose(args) -> int:
     w = read_tensor(args.input)
     shapes = FactorShapeMatrix.from_string(args.shapes)
-    ranks = _parse_ranks(args.ranks)
+    ranks = _parse_ints(args.ranks, "ranks", RankError)
     seq = sekron_decompose(w, shapes, ranks)
     write_sequence(args.output, seq)
     print(f"wrote {args.output}", file=sys.stderr)
@@ -150,9 +143,8 @@ def _config_json(config) -> dict:
 
 
 def _cmd_plan(args) -> int:
-    shape = _parse_int_tuple(args.shape, 4, "--shape")
     request = PlanRequest(
-        target_shape=shape,
+        target_shape=_parse_ints(args.shape, "--shape", ShapeError),
         sequence_length=args.seq_len,
         target_cr=args.target_cr,
         latency_budget_ms=args.latency_budget_ms,
@@ -164,14 +156,8 @@ def _cmd_plan(args) -> int:
     else:
         # checked before the sweep, which can take seconds to enumerate; the
         # probes run without padding
-        input_shape = _parse_int_tuple(args.bench_input, 4, "--bench-input")
-        _, channels, h, w = _dims(input_shape, 4, "--bench-input")
-        if channels != request.target_shape[1]:
-            raise ShapeError(
-                f"channel mismatch: --bench-input has {channels} channels, "
-                f"--shape has {request.target_shape[1]}"
-            )
-        _check_conv_geometry(h, w, *request.target_shape[2:], 0)
+        input_shape = _parse_ints(args.bench_input, "--bench-input", ShapeError)
+        _conv_shape(input_shape, request.target_shape, 0, "--bench-input")
         if args.trials < MIN_TRIALS:
             raise ValueError(f"--trials must be at least {MIN_TRIALS}, got {args.trials}")
     candidates = enumerate_configs(request)
@@ -198,7 +184,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_bench(args) -> int:
     seq = read_sequence(args.weights)
-    input_shape = _parse_int_tuple(args.input_shape, 4, "--input-shape")
+    input_shape = _parse_ints(args.input_shape, "--input-shape", ShapeError)
     latency = measure_sequence_latency(
         seq, input_shape, trials=args.trials, padding=args.padding
     )

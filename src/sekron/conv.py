@@ -34,12 +34,14 @@ from sekron.errors import ShapeError
 from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims, as_tensor
 
 
-def _check_conv_geometry(h, w, kh, kw, padding):
+def _check_conv_geometry(h, w, kh, kw, padding, what: str = "input"):
     """Output size of a stride-1 convolution, and ``padding`` as a Python int.
 
     ``padding`` is read through ``operator.index``, so a float or a string
     raises :class:`ShapeError` instead of being truncated or failing deep in
-    numpy; a bool is refused as well, since ``True`` would read as 1.
+    numpy; a bool is refused as well, since ``True`` would read as 1.  A
+    kernel larger than the padded input is refused with a message that
+    names the input ``what``.
     """
     padding = _as_int(padding, "padding")
     if padding < 0:
@@ -48,7 +50,7 @@ def _check_conv_geometry(h, w, kh, kw, padding):
     out_w = w + 2 * padding - kw + 1
     if out_h < 1 or out_w < 1:
         raise ShapeError(
-            f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
+            f"kernel {kh}x{kw} larger than padded {what} {h + 2 * padding}x{w + 2 * padding}"
         )
     return padding, out_h, out_w
 
@@ -62,6 +64,27 @@ def _zero_pad(x, padding: int) -> np.ndarray:
     return xp
 
 
+def _conv_shape(x_shape, w_shape, padding, what: str = "input"):
+    """``(padding, out_h, out_w)`` of a stride-1 convolution of an input of
+    shape ``x_shape`` with a weight of shape ``w_shape``: the one check that
+    an input fits a weight, for both convolutions and for callers that
+    have only the shapes.
+
+    Raises :class:`ShapeError` unless ``x_shape`` is four positive ints
+    ``(batch, C, H, W)`` and ``w_shape`` has four axes ``(F, C, K_h, K_w)``
+    with the same ``C``, and otherwise as :func:`_check_conv_geometry`
+    does.  Messages about the input name it ``what``.
+    """
+    _, channels, h, w = _dims(x_shape, 4, what)
+    if len(w_shape) != 4:
+        raise ShapeError(f"weights must be (F, C, K_h, K_w), got {len(w_shape)} axes")
+    if channels != w_shape[1]:
+        raise ShapeError(
+            f"channel mismatch: {what} has {channels} channels, weights expect {w_shape[1]}"
+        )
+    return _check_conv_geometry(h, w, w_shape[2], w_shape[3], padding, what)
+
+
 def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
     """Cross-correlation of ``x`` (batch, C, H, W) with a dense
     ``(F, C, K_h, K_w)`` weight tensor, stride 1, as one im2col GEMM.
@@ -69,19 +92,16 @@ def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
     ``out[b,f,x,y] = sum_{c,i,j} weights[f,c,i,j] * padded[b,c,i+x,j+y]``,
     computed as ``weights.reshape(F, -1) @ cols`` with the window columns in
     ``(c, i, j)`` order.
+
+    Raises :class:`ShapeError` when ``x`` is not 4-D, ``weights`` is not
+    4-D, their channel counts differ, ``padding`` is not a non-negative
+    integer (a Python or numpy int, not a bool), or the kernel is larger
+    than the padded input.
     """
     x = as_tensor(x)
     weights = as_tensor(weights)
-    if x.ndim != 4:
-        raise ShapeError(f"input must be (batch, C, H, W), got {x.ndim} axes")
-    if weights.ndim != 4:
-        raise ShapeError(f"weights must be (F, C, K_h, K_w), got {weights.ndim} axes")
-    if x.shape[1] != weights.shape[1]:
-        raise ShapeError(
-            f"channel mismatch: input has {x.shape[1]}, weights expect {weights.shape[1]}"
-        )
+    padding, out_h, out_w = _conv_shape(x.shape, weights.shape, padding)
     kh, kw = weights.shape[2], weights.shape[3]
-    padding, out_h, out_w = _check_conv_geometry(x.shape[2], x.shape[3], kh, kw, padding)
     xp = _zero_pad(x, padding)
     # im2col: columns (c, i, j) by output position (u, v); a tap and an
     # output position step through the padded image alike
@@ -90,17 +110,6 @@ def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
     cols = win.reshape(x.shape[0], -1, out_h * out_w)
     out = weights.reshape(weights.shape[0], -1) @ cols
     return out.reshape(x.shape[0], weights.shape[0], out_h, out_w)
-
-
-def _check_sequence_for_conv(seq: KroneckerSequence, in_channels: int):
-    if seq.shapes.num_axes != 4:
-        raise ShapeError(
-            f"convolution needs factors with axes (f, c, h, w); got {seq.shapes.num_axes} axes"
-        )
-    if seq.target_shape[1] != in_channels:
-        raise ShapeError(
-            f"channel mismatch: input has {in_channels}, factors compose to {seq.target_shape[1]}"
-        )
 
 
 def _schedule(shapes: FactorShapeMatrix, in_h: int, in_w: int):
@@ -183,17 +192,13 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     matrix and the shape and strides of its window view depend only on the
     sequence and the padded input size.  The loop over images then takes
     each window as a strided view, copies it into columns and runs the
-    GEMM.  ``padding`` must be a non-negative integer (a Python or numpy
-    int, not a bool); anything else raises :class:`ShapeError`.
-    Numerically equivalent to
-    ``conv2d_reference(x, reconstruct(seq), padding)``.
+    GEMM.  Numerically equivalent to
+    ``conv2d_reference(x, reconstruct(seq), padding)``, and raises
+    :class:`ShapeError` in the same cases, with ``seq.target_shape`` as the
+    weight shape.
     """
     x = as_tensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"input must be (batch, C, H, W), got {x.ndim} axes")
-    _check_sequence_for_conv(seq, x.shape[1])
-    kh, kw = seq.target_shape[2], seq.target_shape[3]
-    padding, out_h, out_w = _check_conv_geometry(x.shape[2], x.shape[3], kh, kw, padding)
+    padding, out_h, out_w = _conv_shape(x.shape, seq.target_shape, padding)
 
     xp = _zero_pad(x, padding)
     plans = _stage_plans(seq, *xp.shape[2:])
@@ -254,7 +259,7 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     raises :class:`ShapeError`.  These are the MACs the GEMMs run.
     """
     terms = stage_macs_per_branch(seq.shapes)
-    branches = _branch_sizes(_validate_ranks(seq.shapes, seq.ranks))
+    branches = seq.branch_sizes
     h, w = _dims(input_hw, 2, "input size")
     padding, _, _ = _check_conv_geometry(h, w, *seq.target_shape[2:], padding)
     stages = _schedule(seq.shapes, h + 2 * padding, w + 2 * padding)

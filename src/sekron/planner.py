@@ -132,17 +132,36 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _count_factorizations(n: int, s: int) -> int:
+    """``len(enumerate_factorizations(n, s))`` without building the tuples.
+
+    Each prime power ``p**a`` of ``n`` spreads its ``a`` factors of ``p``
+    over the ``s`` slots independently of the other primes, in
+    ``comb(a + s - 1, s - 1)`` ways.
+    """
+    count, p = 1, 2
+    while p * p <= n:
+        a = 0
+        while n % p == 0:
+            n, a = n // p, a + 1
+        count *= math.comb(a + s - 1, s - 1)
+        p += 1
+    return count * (s if n > 1 else 1)
+
+
 def enumerate_factorizations(n: int, s: int) -> list[tuple[int, ...]]:
     """All ordered ``s``-tuples of positive integers with product ``n``,
-    in lexicographic order."""
+    in lexicographic order.
+
+    Starts from ``(n,)`` and splits the last entry of every tuple by each
+    of its divisors, ``s - 1`` times, so ``s`` is not bounded by the
+    recursion limit.
+    """
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
-    if s == 1:
-        return [(n,)]
-    out = []
-    for d in _divisors(n):
-        for rest in enumerate_factorizations(n // d, s - 1):
-            out.append((d, *rest))
+    out = [(n,)]
+    for _ in range(s - 1):
+        out = [(*t[:-1], d, t[-1] // d) for t in out for d in _divisors(t[-1])]
     return out
 
 
@@ -151,7 +170,8 @@ def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
 
     Rank tuples exceeding a level's full-rank ceiling are dropped.  Raises
     :class:`CandidateLimitError` (never truncates silently) if the raw
-    product of choices exceeds :data:`MAX_CANDIDATES`.
+    product of choices exceeds :data:`MAX_CANDIDATES`; the choices are
+    counted before any factorization is built.
 
     Both ratios are a dense count over ``sum_k branch_k * term_k``, where
     the branch sizes depend only on the rank tuple and the terms (factor
@@ -164,13 +184,14 @@ def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
     combinations, then of the rank tuples, both lexicographic.
     """
     s = req.sequence_length
-    per_axis = [enumerate_factorizations(dim, s) for dim in req.target_shape]
-    raw = math.prod(len(p) for p in per_axis) * req.max_rank ** (s - 1)
+    axes = math.prod(_count_factorizations(dim, s) for dim in req.target_shape)
+    raw = axes * req.max_rank ** (s - 1)
     if raw > MAX_CANDIDATES:
         raise CandidateLimitError(
             f"{raw} raw candidates exceed the cap of {MAX_CANDIDATES}; "
             "reduce max_rank / sequence length"
         )
+    per_axis = [enumerate_factorizations(dim, s) for dim in req.target_shape]
     dense = math.prod(req.target_shape)
     branches = {
         ranks: _branch_sizes(ranks)

@@ -9,14 +9,19 @@ import numpy as np
 import pytest
 
 from sekron import (
+    CpFactors,
     FactorShapeMatrix,
+    TrCores,
+    TuckerFactors,
     random_sequence,
     read_sequence,
+    read_tensor,
+    reconstruct,
     write_sequence,
     write_tensor,
 )
 from sekron.cli import build_parser, run_cli
-from oracles import reconstruction_error
+from oracles import native_reconstruct, reconstruction_error
 
 
 def write_raw(path, magic: bytes, header: dict, n_floats: int) -> None:
@@ -75,13 +80,38 @@ def nan_weight(tmp_path):
             "--ranks", "2", "--output", str(tmp_path / "w.sks")]
 
 
-def inf_activation(tmp_path):
+def write_weights(tmp_path) -> str:
+    """A two-factor sequence composing to 4x4x3x3, as ``w.sks``."""
     shapes = FactorShapeMatrix.from_string("2x2x1x1,2x2x3x3")
     write_sequence(tmp_path / "w.sks", random_sequence(shapes, (2,), rng=0))
+    return str(tmp_path / "w.sks")
+
+
+def conv_argv(tmp_path):
+    return ["conv", "--weights", write_weights(tmp_path), "--input", str(tmp_path / "x.skt"),
+            "--output", str(tmp_path / "y.skt"), "--padding", "1"]
+
+
+def inf_activation(tmp_path):
     x = np.random.default_rng(0).standard_normal((1, 4, 5, 5))
     write_tensor_first_value(tmp_path / "x.skt", x, np.inf)
-    return ["conv", "--weights", str(tmp_path / "w.sks"), "--input", str(tmp_path / "x.skt"),
-            "--output", str(tmp_path / "y.skt"), "--padding", "1"]
+    return conv_argv(tmp_path)
+
+
+def random_activation(tmp_path, shape=(2, 4, 5, 6)):
+    write_tensor(tmp_path / "x.skt", np.random.default_rng(1).standard_normal(shape))
+    return conv_argv(tmp_path)
+
+
+def bench_argv(tmp_path, input_shape, *extra):
+    return ["bench", "--weights", write_weights(tmp_path), "--input-shape", input_shape,
+            *extra]
+
+
+def tucker_core_only(tmp_path):
+    write_tensor(tmp_path / "core.skt", np.ones((2, 2)))
+    return ["convert", "--from", "tucker", "--input", str(tmp_path / "core.skt"),
+            "--output", str(tmp_path / "w.sks")]
 
 
 def tiny_plan(tmp_path, *extra):
@@ -109,6 +139,12 @@ CASES = {
         p, "--bench-input", "1,2,3,3", "--latency-budget-ms", "nan", "--trials", "3")),
     "target-cr-nan": (4, lambda p: tiny_plan(p, "--target-cr", "nan")),
     "target-cr-inf": (4, lambda p: tiny_plan(p, "--target-cr", "inf")),
+    "shape-arity": (4, lambda p: ["plan", "--shape", "8,8,3", "--seq-len", "2",
+                                  "--target-cr", "2", "--out", str(p / "sweep.csv")]),
+    "input-shape-arity": (4, lambda p: bench_argv(p, "1,4,5", "--trials", "3")),
+    "bench-too-few-trials": (4, lambda p: bench_argv(p, "1,4,5,5", "--trials", "2")),
+    "conv-3d-input": (4, lambda p: random_activation(p, (4, 5, 6))),
+    "tucker-core-only": (4, tucker_core_only),
     "candidate-cap": (7, lambda p: ["plan", "--shape", "256,256,3,3", "--seq-len", "4",
                                     "--target-cr", "4", "--out", str(p / "sweep.csv")]),
 }
@@ -150,8 +186,8 @@ def test_too_few_trials_are_rejected_before_the_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bench_input", ["1,4,5,5", "1,8,2,5", "1,8,5,2", "0,8,5,5"],
-    ids=["channels", "height", "width", "empty-batch"],
+    "bench_input", ["1,4,5,5", "1,8,2,5", "1,8,5,2", "0,8,5,5", "1,8,5"],
+    ids=["channels", "height", "width", "empty-batch", "arity"],
 )
 def test_bench_input_is_checked_against_shape_before_the_sweep(
     tmp_path, capsys, monkeypatch, bench_input
@@ -163,7 +199,8 @@ def test_bench_input_is_checked_against_shape_before_the_sweep(
     argv = ["plan", "--shape", "8,8,3,3", "--seq-len", "2", "--target-cr", "2",
             "--bench-input", bench_input, "--out", str(tmp_path / "sweep.csv")]
     assert run_cli(argv) == 4
-    assert capsys.readouterr().err.splitlines()[-1].startswith("error")
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error") and "--bench-input" in last
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -213,6 +250,58 @@ def test_report_reads_exact_error_off_the_tails(tmp_path, capsys):
     w = np.random.default_rng(0).standard_normal((4, 4, 2, 2))
     exact = reconstruction_error(w, read_sequence(out))
     assert report["frobenius_error"] == pytest.approx(exact, rel=1e-9, abs=0)
+
+
+def random_factors(fmt):
+    """Small factors of each format with their ``.skt`` payloads in the order
+    ``convert --input`` takes them."""
+    rng = np.random.default_rng(2)
+    dims = (3, 4, 2, 2)
+    if fmt == "cp":
+        arrays = [rng.standard_normal((3, d)) for d in dims]
+        return CpFactors(tuple(arrays)), arrays
+    if fmt == "tucker":
+        arrays = [rng.standard_normal((2, 3, 2, 1))]
+        arrays += [rng.standard_normal((d, r)) for d, r in zip(dims, (2, 3, 2, 1))]
+        return TuckerFactors(arrays[0], tuple(arrays[1:])), arrays
+    ranks = (1, 2, 3, 2, 1) if fmt == "tt" else (2, 3, 2, 2, 2)
+    arrays = [rng.standard_normal((d, ranks[n], ranks[n + 1])) for n, d in enumerate(dims)]
+    return TrCores(tuple(arrays)), arrays
+
+
+@pytest.mark.parametrize("fmt", ["cp", "tucker", "tt", "tr"])
+def test_convert_matches_the_native_formula(tmp_path, capsys, fmt):
+    factors, arrays = random_factors(fmt)
+    paths = []
+    for i, array in enumerate(arrays):
+        paths.append(str(tmp_path / f"f{i}.skt"))
+        write_tensor(paths[-1], array)
+    out = tmp_path / "w.sks"
+    assert run_cli(["convert", "--from", fmt, "--input", *paths, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    native = native_reconstruct(fmt, factors)
+    got = reconstruct(read_sequence(out))
+    assert np.linalg.norm(got - native) <= 1e-12 * np.linalg.norm(native)
+
+
+def test_conv_reference_matches_factorized_conv(tmp_path):
+    argv = random_activation(tmp_path)
+    assert run_cli(argv) == 0
+    factorized = read_tensor(tmp_path / "y.skt")
+    assert run_cli(argv + ["--reference"]) == 0
+    dense = read_tensor(tmp_path / "y.skt")
+    assert factorized.shape == (2, 4, 5, 6)
+    assert np.linalg.norm(dense - factorized) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_bench_prints_one_json_line(tmp_path, capsys):
+    assert run_cli(bench_argv(tmp_path, "2,4,5,5", "--trials", "3", "--padding", "1")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    assert set(result) == {"latency_ms", "trials"}
+    assert result["latency_ms"] > 0
+    assert result["trials"] == 3
 
 
 class TestSharedParser:

@@ -30,6 +30,7 @@ from sekron import (
     write_candidates_csv,
 )
 from sekron.cli import run_cli
+from sekron.planner import _count_factorizations
 from oracles import write_candidates_csv_per_row
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,6 +94,14 @@ class TestEnumerateFactorizations:
                 assert got == expected
                 assert len(set(got)) == len(got)
 
+    def test_sequence_length_is_not_bounded_by_the_recursion_limit(self):
+        assert enumerate_factorizations(1, 3000) == [(1,) * 3000]
+
+    def test_count_matches_enumeration(self):
+        for n in (1, 2, 12, 64, 72, 97, 256, 360, 512, 720):
+            for s in range(1, 6):
+                assert _count_factorizations(n, s) == len(enumerate_factorizations(n, s))
+
 
 class TestEnumerateConfigs:
     def test_small_grid_count(self):
@@ -124,6 +133,17 @@ class TestEnumerateConfigs:
         # 165 * 165 * 4 * 4 shape combinations times 4**3 rank tuples, about
         # 2.8e7 raw candidates: refused before any of them is built
         req = PlanRequest((256, 256, 3, 3), 4, target_cr=4.0, max_rank=4)
+        with pytest.raises(CandidateLimitError, match="cap"):
+            enumerate_configs(req)
+
+    def test_cap_is_checked_before_any_factorization_is_built(self, monkeypatch):
+        # building the per-axis lists of this request alone takes seconds
+        # and about a gigabyte
+        def no_lists(n, s):
+            raise AssertionError("factorizations built before the cap check")
+
+        monkeypatch.setattr("sekron.planner.enumerate_factorizations", no_lists)
+        req = PlanRequest((512, 512, 3, 3), 18, target_cr=1.0, max_rank=1)
         with pytest.raises(CandidateLimitError, match="cap"):
             enumerate_configs(req)
 
