@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("plan", help="enumerate configurations and pick one")
-    p.add_argument("--shape", required=True, help="weight shape F,C,KH,KW")
+    p.add_argument("--shape", required=True, help="weight shape F,C,KH,KW, each at most 2**20")
     p.add_argument("--seq-len", type=int, required=True, help="number of factors")
     p.add_argument("--target-cr", type=float, required=True, help="desired compression ratio")
     p.add_argument("--latency-budget-ms", type=float, default=None)

@@ -33,6 +33,20 @@ def _normalize_signs(u: np.ndarray, v: np.ndarray | None = None):
     return u * sign, None if v is None else v * sign
 
 
+def _rescaled(m: np.ndarray, r_hat: int, finite: np.ndarray):
+    """:func:`truncated_svd` of a stack in which the Gram matrix of some
+    matrices overflows: each such matrix is divided by its largest
+    magnitude, the stack is truncated again, and the right factors and
+    tails are scaled back.  Matrices whose Gram matrix is finite are divided
+    by 1.0, so they keep their bits.  A tail too large for a float64, the
+    square of entries near ``1e154`` or more, reads ``inf``.
+    """
+    scale = np.where(finite, 1.0, np.abs(m).max(axis=(-2, -1)))
+    u_r, scaled_v_r, tails = truncated_svd(m / scale[..., None, None], r_hat)
+    with np.errstate(over="ignore"):
+        return u_r, scaled_v_r * scale[..., None, None], tails * scale * scale
+
+
 def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-``r_hat`` truncation of each matrix of a stack ``(..., rows,
     cols)`` and its squared residual.
@@ -54,7 +68,10 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``2**17`` elements (1 MB) of each matrix, and each block's squared norm
     (one BLAS dot per matrix) is added into ``tails``, so the extra memory is
     one block per matrix of the stack.  At full rank the full SVD runs and
-    every tail is exactly ``0.0``.  Non-convergence of the underlying LAPACK
+    every tail is exactly ``0.0``.  A matrix whose Gram matrix overflows,
+    one with entries near ``1e154`` or more, is truncated over its largest
+    magnitude and scaled back (:func:`_rescaled`); only such stacks pay for
+    the second pass.  Non-convergence of the underlying LAPACK
     driver is reported as :class:`SvdConvergenceError`.
     """
     m = np.asarray(m, dtype=np.float64)
@@ -72,11 +89,15 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             u_r, s, vt = np.linalg.svd(m, full_matrices=False)
             u_r, v = _normalize_signs(u_r, np.swapaxes(vt, -1, -2))
             return u_r, v * s[..., None, :], np.zeros(m.shape[:-2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = m @ m_t if rows <= cols else m_t @ m
+        finite = np.isfinite(gram).all(axis=(-2, -1))
+        if not finite.all():
+            return _rescaled(m, r_hat, finite)
+        _, vecs = np.linalg.eigh(gram)
         if rows <= cols:
-            _, vecs = np.linalg.eigh(m @ m_t)
             u_r = np.ascontiguousarray(vecs[..., : -r_hat - 1 : -1])
         else:
-            _, vecs = np.linalg.eigh(m_t @ m)
             u_r, _ = np.linalg.qr(m @ vecs[..., : -r_hat - 1 : -1])
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc

@@ -19,7 +19,7 @@ from sekron.decompose import (
     _factor_volumes,
     stored_param_count,
 )
-from sekron.errors import CandidateLimitError, NoFeasibleConfigError
+from sekron.errors import CandidateLimitError, NoFeasibleConfigError, ShapeError
 from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims
 
 # CR gaps within this fraction of the target CR count as equal in select_config.
@@ -27,6 +27,10 @@ CR_TIE_RTOL = 1e-9
 
 # enumerate_configs refuses a request whose raw product of choices exceeds this.
 MAX_CANDIDATES = 1_000_000
+
+# PlanRequest refuses a target dimension above this: 2**20 is beyond any conv
+# layer, and factoring it by trial division takes 2**10 steps.
+_MAX_DIMENSION = 2**20
 
 # Fewest timed calls a latency median is taken over.
 MIN_TRIALS = 3
@@ -81,7 +85,9 @@ class PlanRequest:
     compression target.
 
     ``target_cr`` and ``latency_budget_ms`` are stored as floats; a bool, a
-    string or another non-real value raises ``ValueError``."""
+    string or another non-real value raises ``ValueError``.  A target
+    dimension above ``2**20`` raises :class:`ShapeError` before any
+    factorization is counted."""
 
     target_shape: tuple[int, int, int, int]
     sequence_length: int
@@ -91,6 +97,10 @@ class PlanRequest:
 
     def __post_init__(self):
         shape = _dims(self.target_shape, 4, "target shape")
+        if max(shape) > _MAX_DIMENSION:
+            raise ShapeError(
+                f"target shape dimensions must be at most {_MAX_DIMENSION}, got {shape}"
+            )
         object.__setattr__(self, "target_shape", shape)
         object.__setattr__(
             self, "sequence_length", _count(self.sequence_length, "sequence length")

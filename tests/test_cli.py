@@ -145,6 +145,9 @@ CASES = {
     "bench-too-few-trials": (4, lambda p: bench_argv(p, "1,4,5,5", "--trials", "2")),
     "conv-3d-input": (4, lambda p: random_activation(p, (4, 5, 6))),
     "tucker-core-only": (4, tucker_core_only),
+    "shape-over-bound": (4, lambda p: ["plan", "--shape", "1000000000000000003,1,1,1",
+                                       "--seq-len", "2", "--target-cr", "1", "--max-rank", "1",
+                                       "--out", str(p / "sweep.csv")]),
     "candidate-cap": (7, lambda p: ["plan", "--shape", "256,256,3,3", "--seq-len", "4",
                                     "--target-cr", "4", "--out", str(p / "sweep.csv")]),
 }
@@ -250,6 +253,23 @@ def test_report_reads_exact_error_off_the_tails(tmp_path, capsys):
     w = np.random.default_rng(0).standard_normal((4, 4, 2, 2))
     exact = reconstruction_error(w, read_sequence(out))
     assert report["frobenius_error"] == pytest.approx(exact, rel=1e-9, abs=0)
+
+
+def test_weight_whose_gram_overflows_decomposes(tmp_path):
+    # entries near 1e160 square past the float64 range in the Gram matrix
+    # of the rank-2 level; the factors are the unscaled ones, the last
+    # factor times the scale
+    w = np.random.default_rng(0).standard_normal((4, 4, 2, 2))
+    outs = []
+    for scale in (1.0, 1e160):
+        write_tensor(tmp_path / "w.skt", scale * w)
+        outs.append(tmp_path / f"w{len(outs)}.sks")
+        argv = ["decompose", "--input", str(tmp_path / "w.skt"), "--shapes",
+                "2x2x1x1,2x2x2x2", "--ranks", "2", "--output", str(outs[-1])]
+        assert run_cli(argv) == 0
+    plain, scaled = (read_sequence(out).factors for out in outs)
+    assert np.linalg.norm(scaled[0] - plain[0]) <= 1e-12 * np.linalg.norm(plain[0])
+    assert np.linalg.norm(scaled[1] / 1e160 - plain[1]) <= 1e-12 * np.linalg.norm(plain[1])
 
 
 def random_factors(fmt):

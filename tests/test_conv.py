@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sekron.conv
 from sekron import (
     FactorShapeMatrix,
     KroneckerSequence,
@@ -321,3 +322,61 @@ def test_images_independent_of_batch():
         for i in range(x.shape[0]):
             alone = sekron_conv2d(x[i : i + 1], seq, padding=padding)
             assert np.array_equal(batched[i : i + 1], alone)
+
+
+class CountingNumpy:
+    """numpy, with the MACs of every ``matmul`` added up: a GEMM-by-GEMM
+    tally, each matrix of a stacked product counted."""
+
+    def __init__(self):
+        self.macs = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        stack = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+        self.macs += stack * a.shape[-2] * a.shape[-1] * b.shape[-1]
+        return np.matmul(a, b, **kwargs)
+
+
+class TestBands:
+    def test_one_row_bands_match_reference(self, monkeypatch):
+        monkeypatch.setattr("sekron.conv._BAND_BYTES", 1)
+        for seq, x, padding in sweep_cases():
+            out_h = x.shape[2] + 2 * padding - seq.target_shape[2] + 1
+            bands = sekron.conv._bands(seq, out_h, x.shape[3] + 2 * padding)
+            assert bands == [(y, 1) for y in range(out_h)]
+            got = sekron_conv2d(x, seq, padding=padding)
+            want = conv2d_reference(x, reconstruct(seq), padding=padding)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("band_bytes", [1, sekron.conv._BAND_BYTES], ids=["one-row", "default"])
+    def test_conv_macs_is_the_gemm_tally(self, monkeypatch, band_bytes):
+        monkeypatch.setattr("sekron.conv._BAND_BYTES", band_bytes)
+        counter = CountingNumpy()
+        monkeypatch.setattr("sekron.conv.np", counter)
+        recomputed = 0
+        for seq, x, padding in sweep_cases():
+            before = counter.macs
+            sekron_conv2d(x, seq, padding=padding)
+            hw = x.shape[2:]
+            assert conv_macs(seq, hw, padding) * x.shape[0] == counter.macs - before
+            recomputed += conv_macs(seq, hw, padding) > executed_conv_macs(seq, hw, padding)
+        # 1-row bands recompute the border rows that a tapped factor other
+        # than the last reads; one band per image recomputes nothing
+        assert (recomputed > 0) == (band_bytes == 1)
+
+    def test_peak_memory_stays_within_a_few_bands(self):
+        # at 2 rows a band the tapped stage's columns are the largest buffer,
+        # about 1 MB; columns of the whole image would be 58 MB
+        seq = random_sequence(FactorShapeMatrix(((16, 16, 1, 1), (4, 4, 3, 3))), (4,), rng=26)
+        x = np.random.default_rng(27).standard_normal((1, 64, 112, 112))
+        result = x.nbytes
+        tracemalloc.start()
+        try:
+            sekron_conv2d(x, seq, padding=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < result + 4 * sekron.conv._BAND_BYTES

@@ -220,6 +220,24 @@ class TestTruncatedSvd:
         for shape in [(4, 9), (9, 4), (5, 5)]:
             full_svd(rng.standard_normal(shape))
 
+    @pytest.mark.parametrize("shape", [(4, 16), (16, 4)])
+    def test_overflowing_gram_is_rescaled(self, shape):
+        # matrix 1 is rank 2 plus a small tail, times 1e155: its Gram matrix
+        # overflows and its tail does not; matrix 0 keeps its own bits
+        rng = np.random.default_rng(53)
+        low = rng.standard_normal(shape[:1] + (2,)) @ rng.standard_normal((2, shape[1]))
+        m = np.stack([rng.standard_normal(shape), low + 1e-4 * rng.standard_normal(shape)])
+        big = m * np.array([1.0, 1e155])[:, None, None]
+        with np.errstate(all="raise"):
+            u, scaled_v, tails = truncated_svd(big, 2)
+        alone = truncated_svd(m[0], 2)
+        assert all(np.array_equal(got[0], want) for got, want in zip((u, scaled_v, tails), alone))
+        u_1, scaled_v_1, tail_1 = truncated_svd(m[1], 2)
+        assert np.linalg.norm(u[1] - u_1) <= 1e-10
+        scaled_v_err = np.linalg.norm(scaled_v[1] / 1e155 - scaled_v_1)
+        assert scaled_v_err <= 1e-10 * np.linalg.norm(scaled_v_1)
+        assert tails[1] / 1e155 / 1e155 == pytest.approx(tail_1, rel=1e-6)
+
     @pytest.mark.parametrize(
         "rows, cols, r_hat", [(4, 15, 2), (15, 4, 3), (6, 6, 6), (3, 8, 3), (8, 3, 3)]
     )

@@ -192,6 +192,12 @@ class TestPlanRequest:
         with pytest.raises(ShapeError, match="dimension"):
             PlanRequest((dim, 4, 1, 1), 2, 2.0)
 
+    def test_dimension_above_bound_is_a_shape_error(self):
+        # refused at construction, before enumerate_configs factors anything
+        assert PlanRequest((2**20, 1, 1, 1), 2, 1.0).target_shape[0] == 2**20
+        with pytest.raises(ShapeError, match="at most"):
+            PlanRequest((2**20 + 1, 1, 1, 1), 2, 1.0)
+
     def test_numpy_integer_target_dimensions_become_ints(self):
         req = PlanRequest(tuple(np.int64(d) for d in (4, 4, 1, 1)), 2, 2.0)
         assert req.target_shape == (4, 4, 1, 1)
