@@ -16,7 +16,6 @@ from sekron.conv import (
 )
 from sekron.decompose import (
     KroneckerSequence,
-    random_sequence,
     reconstruct,
     sekron_decompose,
     stored_param_count,
@@ -95,7 +94,6 @@ __all__ = [
     "from_tucker",
     "measure_latency",
     "measure_sequence_latency",
-    "random_sequence",
     "read_sequence",
     "read_tensor",
     "reconstruct",

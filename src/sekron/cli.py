@@ -11,6 +11,7 @@ non-convergence, 7 candidate cap exceeded.
 import argparse
 import functools
 import json
+import math
 import sys
 
 from sekron.conv import _conv_shape, conv2d_reference, sekron_conv2d
@@ -72,7 +73,14 @@ def _parse_ints(text: str, what: str, error) -> tuple[int, ...]:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj))
+    # strict JSON, which has no NaN or infinity: a non-finite value, such as
+    # the squared error of a weight whose error passes the float64 range,
+    # is written as null
+    finite = {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in obj.items()
+    }
+    print(json.dumps(finite, allow_nan=False))
 
 
 def _cmd_decompose(args) -> int:
@@ -216,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--report",
         action="store_true",
-        help="print JSON with frobenius_error (the exact squared error), cr, fr, param_count",
+        help="print strict JSON with frobenius_error (the exact squared error), cr, fr, "
+        "param_count; a value beyond the float64 range, such as the squared error of a "
+        "weight near 1e160, is null",
     )
     p.set_defaults(func=_cmd_decompose)
 

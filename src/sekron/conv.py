@@ -9,22 +9,31 @@ runs one GEMM per image.  The factorized path runs one stage per factor on
 bands of output rows (:func:`_bands`), each band small enough that its
 stage buffers stay near the L2 cache: a band's rows go through the whole
 stage chain before the next band starts.  Its working activation keeps the
-open channel groups leading (:func:`_plans`), so a stage without taps reads
-its column matrix as a view of its input and only stages with taps copy
+digits a stage carries through unchanged trailing (:func:`_windows`), so a
+stage without taps reads its column matrix as a view of its input; stages
+with taps, and the last stage of some factor-0-first sequences, copy
 windows.  Factor matrices, window views and every buffer are set up once
 per call and reused by every band of every image.
 
-One stage schedule, :func:`_schedule`, fixes the stage order and each
-stage's accumulated ``f`` digits, open channel groups, tap dilation and
-output size; the factorized conv, its per-position MAC terms and its exact
-MAC count all read it.  The flops ratio (FR) of the planner is per output
-position: a stage that runs before a stage with taps also computes the
-border that the later taps consume, and FR leaves that border out.
-:func:`conv_macs` counts it, in every band, so it is the exact number of
+The stages run last factor first or factor 0 first.  Both orders sum the
+same products over the same branch tree, so both are exact; each sequence
+runs in the one whose GEMMs cost fewer MACs per output position
+(:func:`_cheaper_schedule`).  One stage schedule, :func:`_schedule`, fixes
+either order and each stage's GEMM sizes, whether it copies its window, its
+tap dilation and how much the image has shrunk; the factorized conv, its
+bands, the choice of order, the per-position MAC terms and the exact MAC
+count all read it.  The flops ratio (FR) of the planner is the per-position
+count of the last-factor-first order, so it is an upper bound on what the
+conv runs per position.  FR leaves out the border that a stage before a
+stage with taps also computes for the later taps; :func:`conv_macs` counts
+it, in every band and in the order that runs, so it is the exact number of
 MACs the GEMMs run.
 """
 
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -116,26 +125,92 @@ def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
     return out.reshape(x.shape[0], weights.shape[0], out_h, out_w)
 
 
-def _schedule(shapes: FactorShapeMatrix, in_h: int, in_w: int):
+def _schedule(shapes: FactorShapeMatrix, ranks, factor0_first: bool = False) -> tuple:
     """The stages of :func:`sekron_conv2d` in execution order, last factor
-    first, for a padded ``in_h x in_w`` input.
+    first or factor 0 first.
 
-    Yields ``(k, f_acc, groups, dil_h, dil_w, out_h, out_w)`` per stage: the
-    factor ``k`` it contracts; ``f_acc``, the ``f`` digits of the factors
-    after ``k``, already produced; ``groups``, the ``c`` digits of the
-    factors before ``k``, not yet summed; the dilation of its taps, the
-    kernel extent of the factors after ``k``; and its output size.  A stage
-    whose factor has taps shrinks the image, so every stage before it
-    writes the border that those taps read.
+    One ``(k, batch, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w)`` per
+    stage: the factor ``k`` it contracts; its GEMMs, ``batch`` products of
+    an ``m x kdim`` factor matrix with a ``kdim x (n out_h out_w)`` column
+    matrix, where ``n`` counts the digits the stage carries through
+    unchanged; whether its columns are a copied window (``copy``) rather
+    than a view of its input; the dilation of its taps, the kernel extent
+    of the factors after ``k`` in either order; and the rows and columns
+    the image has lost to taps by the end of the stage, so that on a padded
+    ``in_h x in_w`` input it writes ``out_h x out_w = (in_h - cut_h) x (in_w
+    - cut_w)`` positions.  A stage whose factor has taps shrinks the image,
+    so every stage before it writes the border that those taps read.
+
+    Last factor first, the first stage fans out every branch of factor
+    ``S-1``, and stage ``k < S-1`` then sums ``c_k`` and the rank digit
+    ``r_k`` for each open channel group ``c_0 .. c_{k-1}`` and surviving
+    branch ``r_0 .. r_{k-1}``, carrying the ``f`` digits already produced.
+    Factor 0 first mirrors that tree: stage ``k < S-1`` sums ``c_k`` and
+    fans out ``r_k`` for each produced ``f_0 .. f_{k-1}`` and branch ``r_0
+    .. r_{k-1}``, carrying the open groups ``c_{k+1} .. c_{S-1}``, and the
+    last stage sums every rank digit in one GEMM.  A stage copies its window
+    when its factor has taps, and, factor 0 first, the last stage also when
+    one of ``f_1 .. f_{S-2}`` is not 1: those digits sit between its rank
+    digits in its input (layout in :func:`_windows`).
     """
-    groups = math.prod(row[1] for row in shapes.rows)
-    f_acc = dil_h = dil_w = 1
-    for k in reversed(range(shapes.num_factors)):
-        f_k, c_k, h_k, w_k = shapes.rows[k]
-        groups //= c_k
-        in_h, in_w = in_h - (h_k - 1) * dil_h, in_w - (w_k - 1) * dil_w
-        yield k, f_acc, groups, dil_h, dil_w, in_h, in_w
-        f_acc, dil_h, dil_w = f_acc * f_k, dil_h * h_k, dil_w * w_k
+    rows = shapes.rows
+    s = len(rows)
+    ranks = tuple(ranks) + (1,)
+    # prefix[k] = prod(ranks[:k]), the branches r_0 .. r_{k-1}; prefix[S-1]
+    # is the branch count of the last factor
+    prefix = list(itertools.accumulate(ranks, operator.mul, initial=1))
+    open_c = math.prod(row[1] for row in rows)
+    done_f = done_h = done_w = 1
+    cut_h = cut_w = 0
+    stages = []
+    for k in range(s) if factor0_first else reversed(range(s)):
+        f_k, c_k, h_k, w_k = rows[k]
+        if factor0_first:
+            dil_h = math.prod(row[2] for row in rows[k + 1 :])
+            dil_w = math.prod(row[3] for row in rows[k + 1 :])
+        else:
+            dil_h, dil_w = done_h, done_w
+        cut_h, cut_w = cut_h + (h_k - 1) * dil_h, cut_w + (w_k - 1) * dil_w
+        open_c //= c_k
+        taps, q, r_k = h_k * w_k, prefix[k], ranks[k]
+        if k < s - 1 and factor0_first:  # fans out r_k
+            batch, m, kdim = done_f * q, f_k * r_k, c_k * taps
+        elif k < s - 1:  # sums r_k
+            batch, m, kdim = open_c * q, f_k, c_k * r_k * taps
+        elif factor0_first:  # sums every rank digit
+            batch, m, kdim = done_f, f_k, q * c_k * taps
+        else:  # fans out every branch
+            batch, m, kdim = open_c, q * f_k, c_k * taps
+        n = open_c if factor0_first else done_f
+        copy = taps > 1 or (factor0_first and k == s - 1 and done_f > rows[0][0])
+        stages.append((k, batch, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w))
+        done_f, done_h, done_w = done_f * f_k, done_h * h_k, done_w * w_k
+    return tuple(stages)
+
+
+@functools.lru_cache(maxsize=1024)
+def _cheaper_schedule(shapes: FactorShapeMatrix, ranks: tuple[int, ...]):
+    """``(factor0_first, stages)``: the stage order :func:`sekron_conv2d`
+    runs and its :func:`_schedule`.
+
+    It runs factor 0 first only when that order's GEMMs run strictly fewer
+    MACs per output position and its windows copy no more elements per
+    position; otherwise, ties included, last factor first.  A pure function
+    of the shapes and ranks, so it is memoized.
+    """
+
+    def per_position(stages):
+        macs = copied = 0
+        for _, batch, m, kdim, n, copy, *_ in stages:
+            macs += batch * m * kdim * n
+            copied += batch * kdim * n if copy else 0
+        return macs, copied
+
+    first, last = _schedule(shapes, ranks, True), _schedule(shapes, ranks)
+    (macs, copied), (last_macs, last_copied) = per_position(first), per_position(last)
+    if macs < last_macs and copied <= last_copied:
+        return True, first
+    return False, last
 
 
 # bytes of the largest stage buffer, columns or GEMM output, of one band of
@@ -144,96 +219,138 @@ def _schedule(shapes: FactorShapeMatrix, in_h: int, in_w: int):
 _BAND_BYTES = 2**20
 
 
-def _bands(seq: KroneckerSequence, out_h: int, in_w: int):
+def _bands(stages, kh: int, out_h: int, in_w: int):
     """``(first row, row count)`` of the bands of output rows that
-    :func:`sekron_conv2d` runs one at a time, for an image with ``out_h``
-    output rows and ``in_w`` padded columns.
+    :func:`sekron_conv2d` runs one at a time through ``stages`` (from
+    :func:`_schedule`), for a kernel ``kh`` rows high and an image with
+    ``out_h`` output rows and ``in_w`` padded columns.
 
     A band gets as many rows as keep every stage buffer of the band, each
-    stage's GEMM output and, for a stage with taps, its columns, within
-    :data:`_BAND_BYTES`, and at least one; the rows are then shared out
-    evenly over the bands.  A stage that runs before a stage with taps
-    writes the border rows those taps read, so it runs on that many more
-    rows than the band has.
+    stage's GEMM output and, for a stage that copies its window, its
+    columns, within :data:`_BAND_BYTES`, and at least one; the rows are then
+    shared out evenly over the bands.  A stage that runs before a stage with
+    taps writes the border rows those taps read, so it runs on that many
+    more rows than the band has.
     """
-    ranks = seq.ranks + (1,)
-    branches = seq.branch_sizes
     item = np.dtype(np.float64).itemsize
-    fit, branch = out_h, 1
-    # a one-row band: each stage's output rows are its border plus one
-    for k, f_acc, groups, _, _, rows, cols in _schedule(seq.shapes, seq.target_shape[2], in_w):
-        f_k, c_k, h_k, w_k = seq.shapes.rows[k]
-        out_branch = branches[k] // ranks[k]
-        per_row = max(out_branch * f_k, branch * c_k * h_k * w_k if h_k * w_k > 1 else 0)
-        per_row *= groups * f_acc * cols * item
-        fit = min(fit, _BAND_BYTES // per_row - (rows - 1))
-        branch = out_branch
+    fit = out_h
+    for _, batch, m, kdim, n, copy, _, _, cut_h, cut_w in stages:
+        per_row = max(batch * m, batch * kdim if copy else 0) * n * (in_w - cut_w) * item
+        # the stage's border: its output rows for a one-row band, less one
+        fit = min(fit, _BAND_BYTES // per_row - (kh - 1 - cut_h))
     step = -(-out_h // -(-out_h // max(fit, 1)))
     return [(y, min(step, out_h - y)) for y in range(0, out_h, step)]
 
 
-def _plans(seq: KroneckerSequence, channels: int, in_hs, in_w: int):
+@functools.lru_cache(maxsize=1024)
+def _windows(shapes: FactorShapeMatrix, ranks: tuple[int, ...], factor0_first: bool):
+    """How :func:`_plans` lays out each stage of :func:`_schedule` in the
+    order ``factor0_first`` names: ``(order, shared, sizes, planes,
+    batch_shape)`` per stage.  Memoized, as it depends only on its arguments.
+
+    A stage's input is its outer digits, then the ``n`` digits it carries,
+    then the image.  Last factor first, the outer digits of the stage that
+    contracts factor ``k`` are ``(G, c_k, r_k, Q)``: the open channel groups
+    ``G = (c_0 .. c_{k-1})``, factor ``k``'s channel digit and rank, and the
+    surviving branch digits ``Q = (r_{k-1} .. r_0)``; it carries the ``f``
+    digits already produced.  The first stage, the fan-out, has no ``r_k``
+    or ``Q`` and writes its rows as ``(r_{S-2} .. r_0, f_{S-1})``.  Factor 0
+    first they are ``(f_0, r_0, .., f_{k-1}, r_{k-1}, c_k)``, the stage
+    carries the open groups ``(c_{k+1} .. c_{S-1})``, and stage ``k < S-1``
+    writes its rows as ``(f_k, r_k)``.
+
+    The window view lists the outer digits the stage does not sum, in input
+    order, then the summed digits and the taps as ``K``, then the carried
+    digits and the output positions as ``N``, so its row-major reshape to
+    ``(batch.., K, N)`` is the column matrix; for a stage that does not copy
+    (:func:`_schedule`) that reshape is a view of the input.  ``sizes`` and
+    ``planes`` are the window's outer digits and taps and the strides of
+    those digits in image planes, and ``batch_shape`` the shape of the
+    batch digits.  The factor, transposed by ``order``, is reshaped to
+    ``shared + (M, K)``, with size 1 on the batch digits it is shared over,
+    and the GEMM output ``(batch.., M, N)`` is the next stage's input.
+    """
+    s = shapes.num_factors
+    stages = _schedule(shapes, ranks, factor0_first)
+    ranks = ranks + (1,)
+    windows = []
+    for k, batch, _, _, n, *_ in stages:
+        # outer digits as (size, role): "g" a batch digit the factor matrix
+        # is shared over, "q" a branch digit that selects its slice, "k" a
+        # digit the GEMM sums
+        if not factor0_first:
+            q = math.prod(ranks[:k]) if k < s - 1 else 1
+            layout = [(batch // q, "g"), (shapes.rows[k][1], "k"), (ranks[k], "k"), (q, "q")]
+            order = (*range(k - 1, -1, -1), k + 1, k + 2, k, k + 3, k + 4)
+        else:
+            role = "q" if k < s - 1 else "k"
+            layout = [d for j in range(k) for d in ((shapes.rows[j][0], "g"), (ranks[j], role))]
+            layout.append((shapes.rows[k][1], "k"))
+            if k < s - 1:
+                order = (*range(k), k + 1, k, k + 2, k + 3, k + 4)
+            else:
+                order = (k + 1, *range(k + 1), k + 2, k + 3, k + 4)
+        # each digit's stride in image planes: the planes of the digits after it
+        strides, p = [], n
+        for size, _ in reversed(layout):
+            strides.insert(0, p)
+            p *= size
+        # the digits the stage does not sum, then those it sums, each in order
+        window = sorted(range(len(layout)), key=lambda i: layout[i][1] == "k")
+        shared = tuple(size if role == "q" else 1 for size, role in layout if role != "k")
+        # leading axes of size 1 broadcast without being listed
+        while shared[:1] == (1,):
+            shared = shared[1:]
+        sizes = tuple(layout[i][0] for i in window) + shapes.rows[k][2:]
+        batch_shape = tuple(size for size, role in layout if role != "k")
+        windows.append((order, shared, sizes, tuple(strides[i] for i in window), batch_shape))
+    return tuple(windows)
+
+
+def _plans(seq: KroneckerSequence, factor0_first: bool, stages, channels: int, in_hs, in_w: int):
     """What :func:`sekron_conv2d` runs on a band, for each padded slab
-    height in ``in_hs``: ``{in_h: (slab, stages)}``.
+    height in ``in_hs``: ``{in_h: (slab, plan)}``, for ``stages`` from
+    :func:`_schedule` in the order ``factor0_first`` names.
 
     ``slab`` is a ``(channels, in_h, in_w)`` array that the band's input
-    rows are written into, and ``stages`` lists, in the order of
-    :func:`_schedule`, ``(factor matrix, window, columns, output)`` per
-    stage: the GEMM ``output = factor matrix @ columns`` contracts the
-    stage's factor, and ``window`` is ``None`` when ``columns`` is a view of
-    the stage input, else the strided view of it to copy into ``columns``
-    first.  Every array is made once per call, the factor matrices once for
-    all heights, so every band of a call reuses the same memory.
-
-    The input of the stage that contracts factor ``k`` has axes ``(G, c_k,
-    r_k, Q, F, H, W)``: the open channel groups ``G = (c_0 .. c_{k-1})``,
-    factor ``k``'s channel digit and rank, the surviving branch digits ``Q
-    = (r_{k-1} .. r_0)``, the accumulated ``f`` digits and the image.  Its
-    window view has axes ``(G, Q, c_k, r_k, i, j, F, u, v)``, so the row-major
-    reshape to ``(G, Q, K, F u v)`` is the column matrix; for a stage
-    without taps that reshape is a view of the input, with no copy.  The
-    factor is permuted once per call to ``(Q, f_k, K)``, and the GEMM output
-    ``(G, Q, f_k, F u v)`` is the next stage's input.  The first stage, the
-    fan-out, has no ``Q`` and writes its rows as ``(r_{S-2} .. r_0,
-    f_{S-1})``.
+    rows are written into, and ``plan`` lists, in the order of ``stages``,
+    ``(factor matrix, window, columns, output)`` per stage, laid out as
+    :func:`_windows` says: the GEMM ``output = factor matrix @ columns``
+    contracts the stage's factor, and ``window`` is ``None`` when
+    ``columns`` is a view of the stage input, else the strided view of it to
+    copy into ``columns`` first.  Every array is made once per call, the
+    factor matrices once for all heights, so every band of a call reuses
+    the same memory.
     """
     item = np.dtype(np.float64).itemsize
-    s = seq.shapes.num_factors
     ranks = seq.ranks + (1,)
+    windows = _windows(seq.shapes, seq.ranks, factor0_first)
     fmats = []
-    for k in reversed(range(s)):
-        q = math.prod(ranks[:k]) if k < s - 1 else 1
+    for (k, _, m, kdim, *_), (order, shared, *_) in zip(stages, windows):
         factor = seq.factors[k].reshape(ranks[: k + 1] + seq.shapes.rows[k])
-        fmat = factor.transpose(*range(k - 1, -1, -1), k + 1, k + 2, k, k + 3, k + 4)
-        fmats.append(np.ascontiguousarray(fmat).reshape(q, -1, math.prod(fmat.shape[-4:])))
+        fmats.append(np.ascontiguousarray(factor.transpose(order)).reshape(shared + (m, kdim)))
     plans = {}
     for in_h in in_hs:
         # zeros, so the padding columns, which no band writes, stay zero
         t = slab = np.zeros((channels, in_h, in_w))
-        stages = []
+        plan = []
         h, w = in_h, in_w
-        for (k, f_acc, groups, dil_h, dil_w, out_h, out_w), fmat in zip(
-            _schedule(seq.shapes, in_h, in_w), fmats
-        ):
-            _, c_k, h_k, w_k = seq.shapes.rows[k]
-            r_k, q = ranks[k], fmat.shape[0]
+        for stage, (_, _, sizes, planes, batch_shape), fmat in zip(stages, windows, fmats):
+            _, _, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w = stage
+            out_h, out_w = in_h - cut_h, in_w - cut_w
             s_h = w * item
             s_f = h * s_h
-            s_r = q * f_acc * s_f
-            win_shape = (groups, q, c_k, r_k, h_k, w_k, f_acc, out_h, out_w)
-            win_strides = (
-                c_k * r_k * s_r, f_acc * s_f, r_k * s_r, s_r, dil_h * s_h, dil_w * item, s_f, s_h, item
-            )
-            win = np.ndarray(win_shape, buffer=t, strides=win_strides)
-            cols_shape = (groups, q, fmat.shape[2], f_acc * out_h * out_w)
-            if h_k * w_k == 1:
-                win, cols = None, win.reshape(cols_shape)
-            else:
+            strides = tuple(p * s_f for p in planes) + (dil_h * s_h, dil_w * item, s_f, s_h, item)
+            win = np.ndarray(sizes + (n, out_h, out_w), buffer=t, strides=strides)
+            cols_shape = batch_shape + (kdim, n * out_h * out_w)
+            if copy:
                 cols = np.empty(cols_shape)
-            t = np.empty((groups, q, fmat.shape[1], cols_shape[3]))
-            stages.append((fmat, win, cols, t))
+            else:
+                win, cols = None, win.reshape(cols_shape)
+            t = np.empty(batch_shape + (m, cols_shape[-1]))
+            plan.append((fmat, win, cols, t))
             h, w = out_h, out_w
-        plans[in_h] = slab, stages
+        plans[in_h] = slab, plan
     return plans
 
 
@@ -252,39 +369,44 @@ def _fill_slab(slab, image, top: int, padding: int) -> None:
 def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     """Convolve without materializing the composed weight tensor.
 
-    Runs each image through one stage per factor, last factor first: stage
-    ``k`` is one GEMM of factor ``k``, as an ``(f_k, c_k r_k h_k w_k)``
-    matrix per surviving branch, with a column matrix of its input, so the
-    channel digit ``c_k``, the rank ``r_k`` and the taps, dilated by the
-    kernel extent of the factors after ``k``, are summed in one product.
-    The last factor is the same stage with ``r = 1``: the input has a single
-    branch, so all ``prod(ranks)`` branches of the factor fold into the GEMM
-    rows and the stage fans out.
+    Runs each image through one stage per factor: stage ``k`` multiplies
+    factor ``k``, as a stack of matrices, with column matrices of its input,
+    so the channel digit ``c_k`` and the taps, dilated by the kernel extent
+    of the factors after ``k``, are summed in one GEMM per batch.  The
+    stages run last factor first, or factor 0 first where that costs less
+    (:func:`_cheaper_schedule`): last factor first, the first stage fans out
+    every branch of factor ``S-1`` and each later stage also sums its rank
+    digit; factor 0 first, each stage but the last fans out its rank digit
+    and the last stage sums them all (:func:`_schedule`).  Both orders
+    compute the same sums.
 
-    The working activation keeps the open channel groups leading (layout in
-    :func:`_plans`), so a stage without taps reads its columns as a strided
-    view of its input; only stages with taps copy a window into columns.
-    Each image's output rows are cut into bands (:func:`_bands`) that keep
-    every stage buffer near :data:`_BAND_BYTES`, and the whole stage chain
-    runs on one band at a time, from a zero-padded slab of input rows.  Stage
-    setup and every buffer are made once per call and reused across bands
-    and images.  Numerically equivalent to ``conv2d_reference(x,
-    reconstruct(seq), padding)``, and raises :class:`ShapeError` in the same
-    cases, with ``seq.target_shape`` as the weight shape.
+    The working activation keeps the digits a stage carries through
+    unchanged trailing (layout in :func:`_windows`), so a stage without taps
+    reads its columns as a strided view of its input; only stages with taps,
+    and factor 0 first the last stage of some ``S >= 3`` sequences, copy a
+    window into columns.  Each image's output rows are cut into bands
+    (:func:`_bands`) that keep every stage buffer near :data:`_BAND_BYTES`,
+    and the whole stage chain runs on one band at a time, from a zero-padded
+    slab of input rows.  Stage setup and every buffer are made once per call
+    and reused across bands and images.  Numerically equivalent to
+    ``conv2d_reference(x, reconstruct(seq), padding)``, and raises
+    :class:`ShapeError` in the same cases, with ``seq.target_shape`` as the
+    weight shape.
     """
     x = as_tensor(x)
     padding, out_h, out_w = _conv_shape(x.shape, seq.target_shape, padding)
     kh = seq.target_shape[2]
     in_w = x.shape[3] + 2 * padding
-    bands = _bands(seq, out_h, in_w)
+    factor0_first, stages = _cheaper_schedule(seq.shapes, seq.ranks)
+    bands = _bands(stages, kh, out_h, in_w)
     heights = {rows + kh - 1 for _, rows in bands}
-    plans = _plans(seq, x.shape[1], heights, in_w)
+    plans = _plans(seq, factor0_first, stages, x.shape[1], heights, in_w)
     out = np.empty((x.shape[0], seq.target_shape[0], out_h, out_w))
     for b in range(x.shape[0]):
         for y, rows in bands:
-            slab, stages = plans[rows + kh - 1]
+            slab, plan = plans[rows + kh - 1]
             _fill_slab(slab, x[b], y - padding, padding)
-            for fmat, win, cols, t in stages:
+            for fmat, win, cols, t in plan:
                 if win is not None:
                     np.copyto(cols.reshape(win.shape), win)
                 np.matmul(fmat, cols, out=t)
@@ -292,37 +414,45 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     return out
 
 
-def stage_macs_per_branch(shapes: FactorShapeMatrix) -> tuple[int, ...]:
-    """Per-output-position MACs of each stage of :func:`sekron_conv2d`, for
-    one branch of its factor, in factor order.
-
-    Term ``k`` is ``f_k f_acc c_k groups h_k w_k`` for the stage of
-    :func:`_schedule` that contracts factor ``k``, i.e. ``(prod_{j>=k} f_j)
-    (prod_{j<=k} c_j) h_k w_k``: the stage writes the ``f`` digits of
-    factors ``k .. S-1`` for each open channel group, and each output sums
-    over ``c_k h_k w_k`` inputs.  The terms depend only on the shapes, so a
-    sweep over rank tuples computes them once per shape matrix.
-    """
+def _check_conv_axes(shapes: FactorShapeMatrix) -> None:
     if shapes.num_axes != 4:
         raise ShapeError("FLOP accounting needs factor axes (f, c, h, w)")
-    # per-position terms do not depend on the input size, nor read the
-    # output sizes it sets
-    stages = _schedule(shapes, 0, 0)
-    terms = [math.prod(shapes.rows[k]) * f_acc * groups for k, f_acc, groups, *_ in stages]
-    return tuple(reversed(terms))
+
+
+def stage_macs_per_branch(shapes: FactorShapeMatrix) -> tuple[int, ...]:
+    """Per-output-position MACs of each stage of :func:`sekron_conv2d` run
+    last factor first, for one branch of its factor, in factor order.
+
+    Term ``k`` is ``(prod_{j>=k} f_j) (prod_{j<=k} c_j) h_k w_k``: the stage
+    that contracts factor ``k`` writes the ``f`` digits of factors ``k ..
+    S-1`` for each open channel group, and each output sums over ``c_k h_k
+    w_k`` inputs.  It is that stage's MACs per position in
+    :func:`_schedule` at rank 1, where every factor has a single branch.
+    The terms depend only on the shapes, so a sweep over rank tuples
+    computes them once per shape matrix.
+    """
+    _check_conv_axes(shapes)
+    terms = [0] * shapes.num_factors
+    for k, batch, m, kdim, n, *_ in _schedule(shapes, (1,) * (shapes.num_factors - 1)):
+        terms[k] = batch * m * kdim * n
+    return tuple(terms)
 
 
 def flops_denominator(shapes: FactorShapeMatrix, ranks) -> int:
-    """Per-output-position MACs of the factorized convolution, the
-    denominator of the planner's flops ratio (FR).
+    """Per-output-position MACs of the factorized convolution run last
+    factor first, the denominator of the planner's flops ratio (FR).
 
     ``sum_k branch_k * term_k``: the branch count of factor ``k``
     (``prod_{j<=k} rank_j``, the last factor sharing the one before it)
-    times its term from :func:`stage_macs_per_branch`.  Each term counts the
-    outputs of its stage at the final output positions only; the border that
-    a stage before a tapped stage also computes is left out, so this times
-    the output size is at most :func:`conv_macs`, and equal to it when no
-    factor but the last (factor ``S-1``, the first stage) has taps.
+    times its term from :func:`stage_macs_per_branch`.  :func:`sekron_conv2d`
+    runs factor 0 first only where that order runs fewer MACs per position,
+    so this is an upper bound on the per-position MACs of the order it runs.
+    Each term counts the outputs of its stage at the final output positions
+    only, leaving out the border that a stage before a tapped stage also
+    computes; :func:`conv_macs` counts both exactly for a given input size.
+    This times the output size equals :func:`conv_macs` when the conv runs
+    last factor first and no factor but the last (factor ``S-1``, the first
+    stage) has taps.
     """
     stages = stage_macs_per_branch(shapes)
     ranks = _validate_ranks(shapes, ranks)
@@ -330,26 +460,26 @@ def flops_denominator(shapes: FactorShapeMatrix, ranks) -> int:
 
 
 def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
-    """Exact multiply-accumulate count of :func:`sekron_conv2d`.
+    """Exact multiply-accumulate count of :func:`sekron_conv2d`, in the
+    stage order it runs.
 
-    ``sum_k branch_k * term_k * out_h_k * out_w_k`` over the bands of
+    ``sum batch * m * kdim * n * out_h_k * out_w_k`` over the bands of
     :func:`_bands` and, in each band, the stages of :func:`_schedule` on its
-    slab of ``rows + K_h - 1`` input rows, with ``term_k`` from
-    :func:`stage_macs_per_branch` and each stage's own output size, border
-    included, for the given spatial input size ``(H, W)``, two positive
-    integers; anything else raises :class:`ShapeError`.  A stage before a
-    tapped stage writes, in every band, the border rows the taps read, so
-    splitting an image into bands adds MACs when a factor other than the
-    last has taps.  These are the MACs the GEMMs run.
+    slab of ``rows + K_h - 1`` input rows, each at its own output size,
+    border included, for the given spatial input size ``(H, W)``, two
+    positive integers; anything else raises :class:`ShapeError`.  A stage
+    before a tapped stage writes, in every band, the border rows the taps
+    read, so splitting an image into bands adds MACs when a factor that
+    runs after another has taps.  These are the MACs the GEMMs run.
     """
-    terms = stage_macs_per_branch(seq.shapes)
-    branches = seq.branch_sizes
+    _check_conv_axes(seq.shapes)
     h, w = _dims(input_hw, 2, "input size")
     kh, kw = seq.target_shape[2:]
     padding, out_h, _ = _check_conv_geometry(h, w, kh, kw, padding)
     in_w = w + 2 * padding
+    _, stages = _cheaper_schedule(seq.shapes, seq.ranks)
     return sum(
-        branches[k] * terms[k] * rows_k * cols_k
-        for _, rows in _bands(seq, out_h, in_w)
-        for k, *_, rows_k, cols_k in _schedule(seq.shapes, rows + kh - 1, in_w)
+        batch * m * kdim * n * (rows + kh - 1 - cut_h) * (in_w - cut_w)
+        for _, rows in _bands(stages, kh, out_h, in_w)
+        for _, batch, m, kdim, n, *_, cut_h, cut_w in stages
     )

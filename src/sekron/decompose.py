@@ -143,21 +143,6 @@ class KroneckerSequence:
         return sum(f.size for f in self.factors)
 
 
-def random_sequence(shapes: FactorShapeMatrix, ranks, rng=None) -> KroneckerSequence:
-    """Standard-normal factors with the layout a decomposition would produce.
-
-    Handy for synthetic weights in equivalence tests; the ranks are not
-    required to respect the decomposition rank ceilings.
-    """
-    ranks = _validate_ranks(shapes, ranks)
-    rng = np.random.default_rng(rng)
-    factors = [
-        rng.standard_normal((rho,) + shapes.rows[k])
-        for k, rho in enumerate(_branch_sizes(ranks))
-    ]
-    return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)
-
-
 def sekron_decompose(w, shapes: FactorShapeMatrix, ranks) -> KroneckerSequence:
     """Decompose ``w`` into a Kronecker sequence with the given factor shapes.
 

@@ -122,11 +122,14 @@ def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:
 
 def flops_ratio(shapes: FactorShapeMatrix, ranks) -> float:
     """Dense per-position MACs divided by factorized per-position MACs
-    (:func:`sekron.conv.flops_denominator`).
+    (:func:`sekron.conv.flops_denominator`), counted last factor first.
 
-    Per output position, FR leaves out the border that a stage before a
-    tapped stage also computes; :func:`sekron.conv.conv_macs` is the exact
-    count a conv on a given input size runs.
+    :func:`sekron.conv.sekron_conv2d` runs factor 0 first only where that
+    order runs fewer MACs per position, so FR is a lower bound on the
+    per-position saving of the order it runs.  Per output position, FR also
+    leaves out the border that a stage before a tapped stage computes;
+    :func:`sekron.conv.conv_macs` is the exact count a conv on a given input
+    size runs, in the order it runs.
     """
     dense = math.prod(shapes.target_shape)
     return dense / flops_denominator(shapes, ranks)
@@ -322,10 +325,12 @@ def write_candidates_csv(candidates, path) -> None:
     The bytes are those of :func:`csv.writer` with its default dialect
     (``\\r\\n`` line ends, minimal quoting).  A sweep shares one shape matrix
     between all of its rank tuples and one rank tuple between many shape
-    matrices, so each distinct shapes and ranks field is quoted once; the
-    rows are then joined and written in one call.
+    matrices, so each distinct shapes and ranks field is quoted once.  It
+    also repeats few CR and FR values, so each is formatted once: both are
+    ratios of positive counts, finite positive floats, so equal values
+    have equal text.  The rows are then joined and written in one call.
     """
-    shape_fields, rank_fields = {}, {}
+    shape_fields, rank_fields, ratio_fields = {}, {}, {}
     lines = ["shapes,ranks,cr,fr,latency_ms\r\n"]
     for c in candidates:
         shapes = shape_fields.get(c.shapes)
@@ -334,7 +339,13 @@ def write_candidates_csv(candidates, path) -> None:
         ranks = rank_fields.get(c.ranks)
         if ranks is None:
             ranks = rank_fields[c.ranks] = _csv_field(",".join(map(str, c.ranks)))
+        cr = ratio_fields.get(c.cr)
+        if cr is None:
+            cr = ratio_fields[c.cr] = repr(c.cr)
+        fr = ratio_fields.get(c.fr)
+        if fr is None:
+            fr = ratio_fields[c.fr] = repr(c.fr)
         latency = "" if c.latency_ms is None else repr(c.latency_ms)
-        lines.append(f"{shapes},{ranks},{c.cr!r},{c.fr!r},{latency}\r\n")
+        lines.append(f"{shapes},{ranks},{cr},{fr},{latency}\r\n")
     with open(path, "w", newline="") as handle:
         handle.write("".join(lines))

@@ -1,12 +1,13 @@
 """Reference implementations the tests check the package against.
 
 No program path calls them, so they live with the tests rather than in the
-package.  The index bijection, the Kronecker unfolding and the native
+package, as does :func:`random_sequence`, which draws the synthetic sequences
+the tests run.  The index bijection, the Kronecker unfolding and the native
 reconstructions are built from scalar formulas, the Kronecker sum from
-``np.kron``, the conv stage MACs by counting one multiply at a time (and a
-conv's executed MACs from those counts and each stage's output size), and the
-file writers by copying each payload into ``bytes``, independent of the
-machinery they check.
+``np.kron``, the conv stage MACs by counting one multiply at a time in either
+stage order (and a conv's executed MACs from those counts and each stage's
+output size), and the file writers by copying each payload into ``bytes``,
+independent of the machinery they check.
 """
 
 import csv
@@ -21,12 +22,29 @@ import numpy as np
 from sekron import (
     CpFactors,
     FactorShapeMatrix,
+    KroneckerSequence,
     ShapeError,
     TrCores,
     TuckerFactors,
     reconstruct,
 )
+from sekron.decompose import _branch_sizes, _validate_ranks
 from sekron.tensor_core import as_tensor
+
+
+def random_sequence(shapes: FactorShapeMatrix, ranks, rng=None) -> KroneckerSequence:
+    """Standard-normal factors with the layout a decomposition would produce.
+
+    Synthetic weights for equivalence tests; the ranks are not required to
+    respect the decomposition rank ceilings.
+    """
+    ranks = _validate_ranks(shapes, ranks)
+    rng = np.random.default_rng(rng)
+    factors = [
+        rng.standard_normal((rho,) + shapes.rows[k])
+        for k, rho in enumerate(_branch_sizes(ranks))
+    ]
+    return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)
 
 
 def seq_index_decompose(index, shapes: FactorShapeMatrix) -> list[tuple[int, ...]]:
@@ -168,20 +186,26 @@ def reconstruction_error(w, seq) -> float:
     return float(np.sum(diff * diff))
 
 
-def stage_mac_count(shapes: FactorShapeMatrix) -> list[int]:
+def stage_mac_count(shapes: FactorShapeMatrix, factor0_first: bool = False) -> list[int]:
     """Per-branch, per-output-position MACs of each factorized conv stage,
-    counted one multiply at a time.
+    counted one multiply at a time, in factor order.
 
-    The stage that contracts factor ``i`` writes one output for every ``f``
-    digit of factors ``i .. S-1`` and every ``c`` digit of factors ``0 ..
-    i-1`` (the channel groups not yet summed), and each output adds one
-    product per ``(c, h, w)`` digit of factor ``i``.
+    Last factor first, the stage that contracts factor ``i`` writes one
+    output for every ``f`` digit of factors ``i .. S-1`` and every ``c``
+    digit of factors ``0 .. i-1`` (the channel groups not yet summed).
+    Factor 0 first, it writes one for every ``f`` digit of factors ``0 ..
+    i`` and every ``c`` digit of factors ``i+1 .. S-1``.  Either way each
+    output adds one product per ``(c, h, w)`` digit of factor ``i``.
     """
     rows = shapes.rows
     counts = []
     for i, (_, c, h, w) in enumerate(rows):
+        if factor0_first:
+            f_rows, c_rows = rows[: i + 1], rows[i + 1 :]
+        else:
+            f_rows, c_rows = rows[i:], rows[:i]
         outputs = itertools.product(
-            *(range(row[0]) for row in rows[i:]), *(range(row[1]) for row in rows[:i])
+            *(range(row[0]) for row in f_rows), *(range(row[1]) for row in c_rows)
         )
         count = 0
         for _ in outputs:
@@ -191,25 +215,35 @@ def stage_mac_count(shapes: FactorShapeMatrix) -> list[int]:
     return counts
 
 
-def executed_conv_macs(seq, input_hw, padding: int = 0) -> int:
-    """MACs the staged conv runs on an ``(H, W)`` input, each stage at its own
-    output size.
+def executed_conv_macs(seq, input_hw, padding: int = 0, factor0_first: bool = False) -> int:
+    """MACs the staged conv runs on an ``(H, W)`` input in one band, each
+    stage at its own output size.
 
-    The stage that contracts factor ``k`` reads an image already shrunk by
-    the taps of factors ``k+1 .. S-1`` and shrinks it by its own, so it
-    writes ``(H_p - prod_{j>=k} h_j + 1) (W_p - prod_{j>=k} w_j + 1)``
-    positions, for each branch of factor ``k`` and each of the per-branch
-    outputs :func:`stage_mac_count` counts.
+    Last factor first, the stage that contracts factor ``k`` reads an image
+    already shrunk by the taps of factors ``k+1 .. S-1`` and shrinks it by
+    its own, so it writes ``(H_p - prod_{j>=k} h_j + 1) (W_p - prod_{j>=k}
+    w_j + 1)`` positions.  Factor 0 first, the image shrinks by the taps of
+    factors ``0 .. k``, each at the dilation ``prod_{j>l} h_j`` of its
+    factor ``l``, so the stage writes ``H_p - sum_{l<=k} (h_l - 1)
+    prod_{j>l} h_j`` rows, and likewise columns.  Each position counts, for
+    each branch of factor ``k``, the per-branch outputs
+    :func:`stage_mac_count` counts.
     """
     rows = seq.shapes.rows
     s = len(rows)
     h, w = (d + 2 * padding for d in input_hw)
     total = 0
-    for k, per_position in enumerate(stage_mac_count(seq.shapes)):
+    for k, per_position in enumerate(stage_mac_count(seq.shapes, factor0_first)):
         branches = math.prod(seq.ranks[: min(k, s - 2) + 1])
-        out_h = h - math.prod(row[2] for row in rows[k:]) + 1
-        out_w = w - math.prod(row[3] for row in rows[k:]) + 1
-        total += branches * per_position * out_h * out_w
+        if factor0_first:
+            # factor l's taps run at the dilation prod_{j>l} of its axis
+            shrink = [
+                sum((rows[l][a] - 1) * math.prod(r[a] for r in rows[l + 1 :]) for l in range(k + 1))
+                for a in (2, 3)
+            ]
+        else:
+            shrink = [math.prod(row[a] for row in rows[k:]) - 1 for a in (2, 3)]
+        total += branches * per_position * (h - shrink[0]) * (w - shrink[1])
     return total
 
 

@@ -13,7 +13,6 @@ from sekron import (
     FactorShapeMatrix,
     TrCores,
     TuckerFactors,
-    random_sequence,
     read_sequence,
     read_tensor,
     reconstruct,
@@ -21,7 +20,7 @@ from sekron import (
     write_tensor,
 )
 from sekron.cli import build_parser, run_cli
-from oracles import native_reconstruct, reconstruction_error
+from oracles import native_reconstruct, random_sequence, reconstruction_error
 
 
 def write_raw(path, magic: bytes, header: dict, n_floats: int) -> None:
@@ -270,6 +269,23 @@ def test_weight_whose_gram_overflows_decomposes(tmp_path):
     plain, scaled = (read_sequence(out).factors for out in outs)
     assert np.linalg.norm(scaled[0] - plain[0]) <= 1e-12 * np.linalg.norm(plain[0])
     assert np.linalg.norm(scaled[1] / 1e160 - plain[1]) <= 1e-12 * np.linalg.norm(plain[1])
+
+
+def test_report_is_strict_json_when_the_error_overflows(tmp_path, capsys):
+    # the squared error of a weight near 1e160 passes the float64 range; the
+    # report writes it as null, which a strict reader accepts
+    w = 1e160 * np.random.default_rng(0).standard_normal((4, 4, 2, 2))
+    write_tensor(tmp_path / "w.skt", w)
+    argv = ["decompose", "--input", str(tmp_path / "w.skt"), "--shapes", "2x2x1x1,2x2x2x2",
+            "--ranks", "2", "--output", str(tmp_path / "w.sks"), "--report"]
+    assert run_cli(argv) == 0
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert report["frobenius_error"] is None
+    assert report["cr"] == 64 / 40 and report["param_count"] == 40
 
 
 def random_factors(fmt):

@@ -1,5 +1,6 @@
 """Reference convolution and the equivalence of the factorized path."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -15,13 +16,12 @@ from sekron import (
     conv_macs,
     flops_denominator,
     measure_sequence_latency,
-    random_sequence,
     reconstruct,
     sekron_conv2d,
     sekron_decompose,
     stage_macs_per_branch,
 )
-from oracles import executed_conv_macs, stage_mac_count
+from oracles import executed_conv_macs, random_sequence, stage_mac_count
 
 
 def per_tap_conv(x, w, padding=0):
@@ -208,10 +208,12 @@ class TestConvMacs:
 
     def test_counts_executed_macs_across_sweep_cases(self):
         # S = 1..4 with taps split across factors: a stage that runs before
-        # a tapped stage also writes the border that the taps read
-        for seq, x, padding in sweep_cases():
+        # a tapped stage also writes the border that the taps read, in the
+        # stage order the conv runs
+        for seq, x, padding in itertools.chain(sweep_cases(), factor0_first_cases()):
             hw = x.shape[2:]
-            assert conv_macs(seq, hw, padding) == executed_conv_macs(seq, hw, padding)
+            first, _ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            assert conv_macs(seq, hw, padding) == executed_conv_macs(seq, hw, padding, first)
 
     def test_border_of_early_stages_is_counted(self):
         # stages run factor 2, 1, 0 at 9x5, 7x5 and 3x3 positions with 64,
@@ -232,6 +234,11 @@ class TestConvMacs:
             shapes = FactorShapeMatrix(rows)
             stages = stage_mac_count(shapes)
             assert list(stage_macs_per_branch(shapes)) == stages
+            # factor 0 first, at rank 1 each stage's GEMMs run its term
+            mirrored = [0] * s
+            for k, batch, m, kdim, n, *_ in sekron.conv._schedule(shapes, (1,) * (s - 1), True):
+                mirrored[k] = batch * m * kdim * n
+            assert mirrored == stage_mac_count(shapes, factor0_first=True)
             ranks = tuple(int(r) for r in rng.integers(1, 4, size=s - 1))
             # factor k has one branch per rank tuple (r_0..r_k); the last
             # factor shares the branch count of the one before it
@@ -345,7 +352,8 @@ class TestBands:
         monkeypatch.setattr("sekron.conv._BAND_BYTES", 1)
         for seq, x, padding in sweep_cases():
             out_h = x.shape[2] + 2 * padding - seq.target_shape[2] + 1
-            bands = sekron.conv._bands(seq, out_h, x.shape[3] + 2 * padding)
+            _, stages = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            bands = sekron.conv._bands(stages, seq.target_shape[2], out_h, x.shape[3] + 2 * padding)
             assert bands == [(y, 1) for y in range(out_h)]
             got = sekron_conv2d(x, seq, padding=padding)
             want = conv2d_reference(x, reconstruct(seq), padding=padding)
@@ -362,7 +370,8 @@ class TestBands:
             sekron_conv2d(x, seq, padding=padding)
             hw = x.shape[2:]
             assert conv_macs(seq, hw, padding) * x.shape[0] == counter.macs - before
-            recomputed += conv_macs(seq, hw, padding) > executed_conv_macs(seq, hw, padding)
+            first, _ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            recomputed += conv_macs(seq, hw, padding) > executed_conv_macs(seq, hw, padding, first)
         # 1-row bands recompute the border rows that a tapped factor other
         # than the last reads; one band per image recomputes nothing
         assert (recomputed > 0) == (band_bytes == 1)
@@ -380,3 +389,132 @@ class TestBands:
         finally:
             tracemalloc.stop()
         assert peak < result + 4 * sekron.conv._BAND_BYTES
+
+
+# Sequences the rule runs factor 0 first: channel-heavy early factors, S =
+# 2..4, taps on factors other than the last, with and without padding.
+FACTOR0_FIRST = [
+    ("1x8x3x1,4x1x1x3", (2,), 1),
+    ("1x4x3x3,4x1x1x1", (3,), 1),
+    ("2x16x1x1,16x1x1x1", (4,), 0),
+    ("1x4x3x1,1x2x1x3,4x1x1x1", (2, 2), 1),  # f_1 = 1: the last stage's columns are a view
+    ("1x4x3x1,2x2x1x3,4x1x1x1", (2, 2), 1),  # f_1 = 2: the last stage gathers them
+    ("1x4x1x1,2x2x3x1,4x1x1x3", (2, 2), 0),
+    ("1x2x1x1,1x2x3x1,2x2x1x1,4x1x1x3", (2, 2, 2), 1),
+    ("1x2x3x1,2x2x1x1,1x2x1x3,4x1x1x1", (2, 1, 2), 1),
+]
+
+
+def factor0_first_cases():
+    """(seq, x, padding) per entry of FACTOR0_FIRST, on a batch of 2."""
+    rng = np.random.default_rng(28)
+    for text, ranks, padding in FACTOR0_FIRST:
+        shapes = FactorShapeMatrix.from_string(text)
+        seq = random_sequence(shapes, ranks, rng=rng)
+        _, c, kh, kw = shapes.target_shape
+        x = rng.standard_normal((2, c, kh + 3, kw + 4))
+        yield seq, x, padding
+
+
+def per_position_macs(shapes, ranks, factor0_first):
+    """The counted per-branch stage MACs of one order, over all branches."""
+    s = shapes.num_factors
+    branches = [math.prod(ranks[: min(k, s - 2) + 1]) for k in range(s)]
+    return sum(b * t for b, t in zip(branches, stage_mac_count(shapes, factor0_first)))
+
+
+@pytest.fixture(params=[False, True], ids=["last-first", "factor0-first"])
+def stage_order(request, monkeypatch):
+    """Run the factorized conv, and count its MACs, in one stage order
+    whatever the rule would pick."""
+    first = request.param
+    monkeypatch.setattr(
+        "sekron.conv._cheaper_schedule",
+        lambda shapes, ranks: (first, sekron.conv._schedule(shapes, ranks, first)),
+    )
+    return first
+
+
+class TestStageOrder:
+    def test_rule_runs_channel_heavy_sequences_factor0_first(self):
+        for seq, _, _ in factor0_first_cases():
+            first, _ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            assert first, seq.shapes.to_string()
+            assert per_position_macs(seq.shapes, seq.ranks, True) < per_position_macs(
+                seq.shapes, seq.ranks, False
+            )
+
+    def test_worked_example_runs_factor0_first(self):
+        # last factor first: a fan-out to 256 outputs for each of 128
+        # groups, then a sum over those 128 groups for every f_1, 65,536
+        # MACs per position; factor 0 first: 128 then 256, 384
+        shapes = FactorShapeMatrix.from_string("1x128x1x1,256x1x1x1")
+        assert per_position_macs(shapes, (1,), False) == 65536 == flops_denominator(shapes, (1,))
+        assert per_position_macs(shapes, (1,), True) == 384
+        seq = random_sequence(shapes, (1,), rng=29)
+        assert conv_macs(seq, (7, 7)) == 384 * 49
+
+    @pytest.mark.parametrize(
+        "text, ranks, first",
+        [
+            # every 3x3 layer keeps the order it ran in before: factor 0
+            # first would copy more window elements, or run no fewer MACs
+            ("16x16x1x1,4x4x3x3", (4,), False),
+            ("4x4x1x1,4x4x1x1,8x4x3x3", (4, 2), False),
+            ("16x8x1x1,8x16x3x3", (4,), False),
+            ("4x4x1x1,8x4x1x1,8x8x3x3", (2, 4), False),
+            ("8x8x1x1,4x4x1x1,8x8x3x3", (4, 4), False),
+            ("4x4x1x1,8x8x1x1,16x8x3x3", (3, 2), False),
+            ("16x16x1x1,32x32x3x3", (4,), False),
+            # 1x1, S = 2: both orders copy nothing, factor 0 first runs fewer MACs
+            ("8x8x1x1,16x8x1x1", (4,), True),
+            ("16x16x1x1,16x8x1x1", (4,), True),
+            # 1x1, S = 3, f_1 = 4: factor 0 first would gather its last stage
+            ("8x8x1x1,4x4x1x1,16x8x1x1", (2, 3), False),
+        ],
+    )
+    def test_rule_on_resnet_layer_configs(self, text, ranks, first):
+        assert sekron.conv._cheaper_schedule(FactorShapeMatrix.from_string(text), ranks)[0] is first
+
+    @pytest.mark.parametrize("band_bytes", [1, sekron.conv._BAND_BYTES], ids=["one-row", "default"])
+    def test_both_orders_match_reference(self, monkeypatch, stage_order, band_bytes):
+        monkeypatch.setattr("sekron.conv._BAND_BYTES", band_bytes)
+        for seq, x, padding in itertools.chain(sweep_cases(), factor0_first_cases()):
+            got = sekron_conv2d(x, seq, padding=padding)
+            want = conv2d_reference(x, reconstruct(seq), padding=padding)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("band_bytes", [1, sekron.conv._BAND_BYTES], ids=["one-row", "default"])
+    def test_conv_macs_is_the_gemm_tally_in_both_orders(self, monkeypatch, stage_order, band_bytes):
+        monkeypatch.setattr("sekron.conv._BAND_BYTES", band_bytes)
+        counter = CountingNumpy()
+        monkeypatch.setattr("sekron.conv.np", counter)
+        for seq, x, padding in itertools.chain(sweep_cases(), factor0_first_cases()):
+            before = counter.macs
+            sekron_conv2d(x, seq, padding=padding)
+            hw = x.shape[2:]
+            assert conv_macs(seq, hw, padding) * x.shape[0] == counter.macs - before
+            if band_bytes > 1:
+                executed = executed_conv_macs(seq, hw, padding, stage_order)
+                assert conv_macs(seq, hw, padding) == executed
+
+    def test_factor0_first_copies_only_where_scheduled(self):
+        # S = 2 without taps runs copy-free; at S = 3 the last stage reads a
+        # view when f_1 = 1 and gathers its columns when f_1 = 2
+        for text, ranks, copies in [
+            ("2x16x1x1,16x1x1x1", (4,), [False, False]),
+            ("1x4x3x1,1x2x1x3,4x1x1x1", (2, 2), [True, True, False]),
+            ("1x4x3x1,2x2x1x3,4x1x1x1", (2, 2), [True, True, True]),
+        ]:
+            seq = random_sequence(FactorShapeMatrix.from_string(text), ranks, rng=30)
+            first, stages = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            assert first and [stage[5] for stage in stages] == copies
+            _, c, kh, _ = seq.target_shape
+            slab, plan = sekron.conv._plans(seq, first, stages, c, [kh + 4], 9)[kh + 4]
+            source = slab
+            for (_, win, cols, t), copy in zip(plan, copies):
+                # a view reads the stage input; a copy reads only its window
+                assert (win is None) == (not copy)
+                assert np.shares_memory(cols, source) == (not copy)
+                source = t

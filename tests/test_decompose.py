@@ -13,14 +13,13 @@ from sekron import (
     KroneckerSequence,
     RankError,
     ShapeError,
-    random_sequence,
     reconstruct,
     read_sequence,
     sekron_decompose,
     stored_param_count,
     write_sequence,
 )
-from oracles import kron_sum, kron_unfolding, reconstruction_error
+from oracles import kron_sum, kron_unfolding, random_sequence, reconstruction_error
 
 
 def rel_error(w, seq):

@@ -17,13 +17,12 @@ from sekron import (
     NonFinitePayloadError,
     ShapeError,
     TruncatedPayloadError,
-    random_sequence,
     read_sequence,
     read_tensor,
     write_sequence,
     write_tensor,
 )
-from oracles import write_sequence_joined, write_tensor_joined
+from oracles import random_sequence, write_sequence_joined, write_tensor_joined
 
 
 def write_raw(path, magic: bytes, header: dict, n_floats: int) -> None:

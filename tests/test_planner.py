@@ -23,7 +23,6 @@ from sekron import (
     flops_ratio,
     measure_latency,
     measure_sequence_latency,
-    random_sequence,
     sekron_decompose,
     select_config,
     stored_param_count,
@@ -31,7 +30,7 @@ from sekron import (
 )
 from sekron.cli import run_cli
 from sekron.planner import _count_factorizations
-from oracles import write_candidates_csv_per_row
+from oracles import random_sequence, write_candidates_csv_per_row
 
 GOLDEN = Path(__file__).parent / "golden"
 
