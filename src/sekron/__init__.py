@@ -7,13 +7,7 @@ into the same representation, and plans shape/rank configurations by
 compression ratio, FLOPs, and measured latency.
 """
 
-from sekron.conv import (
-    conv2d_reference,
-    conv_macs,
-    flops_denominator,
-    sekron_conv2d,
-    stage_macs_per_branch,
-)
+from sekron.conv import conv2d_reference, conv_macs, sekron_conv2d
 from sekron.decompose import (
     KroneckerSequence,
     reconstruct,
@@ -51,10 +45,12 @@ from sekron.planner import (
     compression_ratio,
     enumerate_configs,
     enumerate_factorizations,
+    flops_denominator,
     flops_ratio,
     measure_latency,
     measure_sequence_latency,
     select_config,
+    stage_macs_per_branch,
     write_candidates_csv,
 )
 from sekron.tensor_core import FactorShapeMatrix

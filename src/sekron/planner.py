@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sekron.conv import flops_denominator, sekron_conv2d, stage_macs_per_branch
+from sekron.conv import sekron_conv2d
 from sekron.decompose import (
     KroneckerSequence,
     _branch_sizes,
     _branch_total,
     _factor_volumes,
+    _validate_ranks,
     stored_param_count,
 )
 from sekron.errors import CandidateLimitError, NoFeasibleConfigError, ShapeError
@@ -120,9 +121,57 @@ def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:
     return dense / stored_param_count(shapes, ranks)
 
 
+def stage_macs_per_branch(shapes: FactorShapeMatrix) -> tuple[int, ...]:
+    """Per-output-position MACs of each stage of the factorized convolution
+    run last factor first, for one branch of its factor, in factor order.
+
+    Term ``k`` is ``(prod_{j>=k} f_j) (prod_{j<=k} c_j) h_k w_k``: the stage
+    that contracts factor ``k`` writes the ``f`` digits of factors ``k ..
+    S-1`` for each open channel group, and each output sums over ``c_k h_k
+    w_k`` inputs.  That is the stage's GEMM MACs per position in
+    :func:`sekron.conv._schedule` run last factor first at rank 1, where
+    every factor has a single branch.  The terms depend only on the shapes,
+    so a sweep over rank tuples computes them once per shape matrix.
+    Raises :class:`ShapeError` unless the factors have the four axes ``(f,
+    c, h, w)``.
+    """
+    if shapes.num_axes != 4:
+        raise ShapeError("FLOP accounting needs factor axes (f, c, h, w)")
+    f_from = math.prod(row[0] for row in shapes.rows)
+    c_upto = 1
+    terms = []
+    for f, c, h, w in shapes.rows:
+        c_upto *= c
+        terms.append(f_from * c_upto * h * w)
+        f_from //= f
+    return tuple(terms)
+
+
+def flops_denominator(shapes: FactorShapeMatrix, ranks) -> int:
+    """Per-output-position MACs of the factorized convolution run last
+    factor first, the denominator of the flops ratio (FR).
+
+    ``sum_k branch_k * term_k``: the branch count of factor ``k``
+    (``prod_{j<=k} rank_j``, the last factor sharing the one before it)
+    times its term from :func:`stage_macs_per_branch`.  FR is defined by
+    this order even where :func:`sekron.conv.sekron_conv2d` runs factor 0
+    first, which it does only where that order runs fewer MACs per
+    position, so this is an upper bound on the per-position MACs of the
+    order it runs.  Each term counts the outputs of its stage at the final
+    output positions only, leaving out the border that a stage before a
+    tapped stage also computes; :func:`sekron.conv.conv_macs` counts both
+    exactly for a given input size.  This times the output size equals
+    :func:`sekron.conv.conv_macs` when the conv runs last factor first and
+    no factor but the last (factor ``S-1``, the first stage) has taps.
+    """
+    stages = stage_macs_per_branch(shapes)
+    ranks = _validate_ranks(shapes, ranks)
+    return _branch_total(_branch_sizes(ranks), stages)
+
+
 def flops_ratio(shapes: FactorShapeMatrix, ranks) -> float:
     """Dense per-position MACs divided by factorized per-position MACs
-    (:func:`sekron.conv.flops_denominator`), counted last factor first.
+    (:func:`flops_denominator`), counted last factor first.
 
     :func:`sekron.conv.sekron_conv2d` runs factor 0 first only where that
     order runs fewer MACs per position, so FR is a lower bound on the
@@ -198,10 +247,11 @@ def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
     """
     s = req.sequence_length
     axes = math.prod(_count_factorizations(dim, s) for dim in req.target_shape)
-    raw = axes * req.max_rank ** (s - 1)
-    if raw > MAX_CANDIDATES:
+    # past 20 rank levels any max_rank > 1 alone exceeds the cap (2**20 >
+    # MAX_CANDIDATES), so the power is never built beyond that
+    if axes * req.max_rank ** min(s - 1, MAX_CANDIDATES.bit_length()) > MAX_CANDIDATES:
         raise CandidateLimitError(
-            f"{raw} raw candidates exceed the cap of {MAX_CANDIDATES}; "
+            f"the raw candidates exceed the cap of {MAX_CANDIDATES}; "
             "reduce max_rank / sequence length"
         )
     per_axis = [enumerate_factorizations(dim, s) for dim in req.target_shape]

@@ -149,6 +149,13 @@ CASES = {
                                        "--out", str(p / "sweep.csv")]),
     "candidate-cap": (7, lambda p: ["plan", "--shape", "256,256,3,3", "--seq-len", "4",
                                     "--target-cr", "4", "--out", str(p / "sweep.csv")]),
+    # counts with thousands of digits: the cap is decided without building them
+    "candidate-cap-long-sequence": (7, lambda p: ["plan", "--shape", "64,64,3,3",
+                                                  "--seq-len", "8000", "--target-cr", "6",
+                                                  "--out", str(p / "sweep.csv")]),
+    "candidate-cap-huge-sequence": (7, lambda p: ["plan", "--shape", "64,64,3,3",
+                                                  "--seq-len", "200000000", "--target-cr", "6",
+                                                  "--out", str(p / "sweep.csv")]),
 }
 
 

@@ -186,6 +186,11 @@ class TestSekronConv:
         seq = random_sequence(FactorShapeMatrix(((2, 2), (2, 2))), (1,), rng=9)
         with pytest.raises(ShapeError):
             sekron_conv2d(np.ones((1, 4, 6, 6)), seq)
+        # a weight with one axis has no channel count to build the input from
+        for rows in [((2, 2), (2, 2)), ((2,), (2,))]:
+            seq = random_sequence(FactorShapeMatrix(rows), (1,), rng=9)
+            with pytest.raises(ShapeError, match="weights must be"):
+                conv_macs(seq, (6, 6))
 
 
 class TestConvMacs:
@@ -212,7 +217,7 @@ class TestConvMacs:
         # stage order the conv runs
         for seq, x, padding in itertools.chain(sweep_cases(), factor0_first_cases()):
             hw = x.shape[2:]
-            first, _ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            first, *_ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
             assert conv_macs(seq, hw, padding) == executed_conv_macs(seq, hw, padding, first)
 
     def test_border_of_early_stages_is_counted(self):
@@ -234,11 +239,13 @@ class TestConvMacs:
             shapes = FactorShapeMatrix(rows)
             stages = stage_mac_count(shapes)
             assert list(stage_macs_per_branch(shapes)) == stages
-            # factor 0 first, at rank 1 each stage's GEMMs run its term
-            mirrored = [0] * s
-            for k, batch, m, kdim, n, *_ in sekron.conv._schedule(shapes, (1,) * (s - 1), True):
-                mirrored[k] = batch * m * kdim * n
-            assert mirrored == stage_mac_count(shapes, factor0_first=True)
+            # at rank 1 each stage's GEMMs run its counted term, in either order
+            for first in (False, True):
+                gemm = [0] * s
+                schedule = sekron.conv._schedule(shapes, (1,) * (s - 1), first)
+                for k, batch, m, kdim, n, *_ in schedule:
+                    gemm[k] = batch * m * kdim * n
+                assert gemm == stage_mac_count(shapes, factor0_first=first)
             ranks = tuple(int(r) for r in rng.integers(1, 4, size=s - 1))
             # factor k has one branch per rank tuple (r_0..r_k); the last
             # factor shares the branch count of the one before it
@@ -352,7 +359,7 @@ class TestBands:
         monkeypatch.setattr("sekron.conv._BAND_BYTES", 1)
         for seq, x, padding in sweep_cases():
             out_h = x.shape[2] + 2 * padding - seq.target_shape[2] + 1
-            _, stages = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            _, stages, _ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
             bands = sekron.conv._bands(stages, seq.target_shape[2], out_h, x.shape[3] + 2 * padding)
             assert bands == [(y, 1) for y in range(out_h)]
             got = sekron_conv2d(x, seq, padding=padding)
@@ -370,7 +377,7 @@ class TestBands:
             sekron_conv2d(x, seq, padding=padding)
             hw = x.shape[2:]
             assert conv_macs(seq, hw, padding) * x.shape[0] == counter.macs - before
-            first, _ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            first, *_ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
             recomputed += conv_macs(seq, hw, padding) > executed_conv_macs(seq, hw, padding, first)
         # 1-row bands recompute the border rows that a tapped factor other
         # than the last reads; one band per image recomputes nothing
@@ -399,6 +406,7 @@ FACTOR0_FIRST = [
     ("2x16x1x1,16x1x1x1", (4,), 0),
     ("1x4x3x1,1x2x1x3,4x1x1x1", (2, 2), 1),  # f_1 = 1: the last stage's columns are a view
     ("1x4x3x1,2x2x1x3,4x1x1x1", (2, 2), 1),  # f_1 = 2: the last stage gathers them
+    ("1x4x3x1,2x2x1x3,4x1x1x1", (1, 2), 1),  # r_0 = 1: f_1 separates no rank digits
     ("1x4x1x1,2x2x3x1,4x1x1x3", (2, 2), 0),
     ("1x2x1x1,1x2x3x1,2x2x1x1,4x1x1x3", (2, 2, 2), 1),
     ("1x2x3x1,2x2x1x1,1x2x1x3,4x1x1x1", (2, 1, 2), 1),
@@ -428,17 +436,19 @@ def stage_order(request, monkeypatch):
     """Run the factorized conv, and count its MACs, in one stage order
     whatever the rule would pick."""
     first = request.param
-    monkeypatch.setattr(
-        "sekron.conv._cheaper_schedule",
-        lambda shapes, ranks: (first, sekron.conv._schedule(shapes, ranks, first)),
-    )
+
+    def schedule(shapes, ranks):
+        stages = sekron.conv._schedule(shapes, ranks, first)
+        return first, stages, tuple(map(sekron.conv._layout, stages))
+
+    monkeypatch.setattr("sekron.conv._cheaper_schedule", schedule)
     return first
 
 
 class TestStageOrder:
     def test_rule_runs_channel_heavy_sequences_factor0_first(self):
         for seq, _, _ in factor0_first_cases():
-            first, _ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            first, *_ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
             assert first, seq.shapes.to_string()
             assert per_position_macs(seq.shapes, seq.ranks, True) < per_position_macs(
                 seq.shapes, seq.ranks, False
@@ -501,20 +511,35 @@ class TestStageOrder:
 
     def test_factor0_first_copies_only_where_scheduled(self):
         # S = 2 without taps runs copy-free; at S = 3 the last stage reads a
-        # view when f_1 = 1 and gathers its columns when f_1 = 2
+        # view unless f_1 > 1 sits between two rank digits of size > 1
         for text, ranks, copies in [
             ("2x16x1x1,16x1x1x1", (4,), [False, False]),
             ("1x4x3x1,1x2x1x3,4x1x1x1", (2, 2), [True, True, False]),
             ("1x4x3x1,2x2x1x3,4x1x1x1", (2, 2), [True, True, True]),
+            ("1x4x3x1,2x2x1x3,4x1x1x1", (1, 2), [True, True, False]),
         ]:
-            seq = random_sequence(FactorShapeMatrix.from_string(text), ranks, rng=30)
-            first, stages = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            shapes = FactorShapeMatrix.from_string(text)
+            first, stages, _ = sekron.conv._cheaper_schedule(shapes, ranks)
             assert first and [stage[5] for stage in stages] == copies
-            _, c, kh, _ = seq.target_shape
-            slab, plan = sekron.conv._plans(seq, first, stages, c, [kh + 4], 9)[kh + 4]
-            source = slab
-            for (_, win, cols, t), copy in zip(plan, copies):
-                # a view reads the stage input; a copy reads only its window
-                assert (win is None) == (not copy)
-                assert np.shares_memory(cols, source) == (not copy)
-                source = t
+
+    @pytest.mark.parametrize("band_bytes", [1, sekron.conv._BAND_BYTES], ids=["one-row", "default"])
+    def test_columns_are_a_view_exactly_where_nothing_is_copied(
+        self, monkeypatch, stage_order, band_bytes
+    ):
+        # in every stage of every slab height the conv builds, the stage has
+        # no window, is not scheduled to copy, and reads its columns from its
+        # input's memory, or none of the three
+        monkeypatch.setattr("sekron.conv._BAND_BYTES", band_bytes)
+        for seq, x, padding in itertools.chain(sweep_cases(), factor0_first_cases()):
+            _, stages, layouts = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            kh = seq.target_shape[2]
+            in_w = x.shape[3] + 2 * padding
+            out_h = x.shape[2] + 2 * padding - kh + 1
+            bands = sekron.conv._bands(stages, kh, out_h, in_w)
+            heights = {rows + kh - 1 for _, rows in bands}
+            plans = sekron.conv._plans(seq, stages, layouts, x.shape[1], heights, in_w)
+            for slab, plan in plans.values():
+                source = slab
+                for stage, (_, win, cols, t) in zip(stages, plan):
+                    assert (win is None) == (not stage[5]) == np.shares_memory(cols, source)
+                    source = t
