@@ -21,9 +21,15 @@ of output rows (:func:`_bands`), the window views and buffers
 (:func:`conv_macs`).  A stage reads its column matrix as a view of its
 input unless its factor has taps or a kept digit sits between two summed
 ones.  The stage chain runs on one band of output rows at a time, each band
-small enough that its stage buffers stay near the L2 cache.  Factor
-matrices, window views and every buffer are set up once per call and
-reused by every band of every image.
+small enough that its stage buffers stay near the L2 cache.
+
+What the factor values do not decide, the stage order, the bands and the
+shapes and strides of every window and buffer, depends only on the factor
+shapes, the ranks, the input's height and width, the padding and the band
+size, and is memoized on them (:func:`_geometry`), after the input is
+checked.  Each call then makes its factor matrices, window views and
+buffers from that geometry, once, and every band of every image reuses
+them.
 """
 
 import functools
@@ -204,8 +210,8 @@ def _schedule(shapes: FactorShapeMatrix, ranks, factor0_first: bool = False) -> 
 
 
 def _layout(stage) -> tuple:
-    """``(shared, sizes, planes, batch_shape)``: how :func:`_plans` lays
-    out a stage of :func:`_schedule`, read off its digits.
+    """``(shared, sizes, planes, batch_shape)``: how :func:`_geometry`
+    lays out a stage of :func:`_schedule`, read off its digits.
 
     The stage's window view lists the outer digits it keeps, in input
     order, then those it sums, then its taps, the digits it carries and the
@@ -232,16 +238,13 @@ def _layout(stage) -> tuple:
     return tuple(shared), sizes, planes, sizes[: len(kept)]
 
 
-@functools.lru_cache(maxsize=1024)
 def _cheaper_schedule(shapes: FactorShapeMatrix, ranks: tuple[int, ...]):
-    """``(factor0_first, stages, layouts)``: the stage order
-    :func:`sekron_conv2d` runs, its :func:`_schedule`, and the
-    :func:`_layout` of each of its stages.
+    """``(factor0_first, stages)``: the stage order :func:`sekron_conv2d`
+    runs and its :func:`_schedule`.
 
     It runs factor 0 first only when that order's GEMMs run strictly fewer
     MACs per output position and its windows copy no more elements per
-    position; otherwise, ties included, last factor first.  A pure function
-    of the shapes and ranks, so it is memoized.
+    position; otherwise, ties included, last factor first.
     """
 
     def per_position(stages):
@@ -254,8 +257,7 @@ def _cheaper_schedule(shapes: FactorShapeMatrix, ranks: tuple[int, ...]):
     first, last = _schedule(shapes, ranks, True), _schedule(shapes, ranks)
     (macs, copied), (last_macs, last_copied) = per_position(first), per_position(last)
     factor0_first = macs < last_macs and copied <= last_copied
-    stages = first if factor0_first else last
-    return factor0_first, stages, tuple(map(_layout, stages))
+    return factor0_first, first if factor0_first else last
 
 
 # bytes of the largest stage buffer, columns or GEMM output, of one band of
@@ -263,8 +265,11 @@ def _cheaper_schedule(shapes: FactorShapeMatrix, ranks: tuple[int, ...]):
 # 256 KB to 4 MB, 1 MB gave the fastest ResNet-18-shaped forward pass
 _BAND_BYTES = 2**20
 
+# bytes of one float64, the dtype of every stage buffer
+_ITEM = np.dtype(np.float64).itemsize
 
-def _bands(stages, kh: int, out_h: int, in_w: int):
+
+def _bands(stages, kh: int, out_h: int, in_w: int, band_bytes: int):
     """``(first row, row count)`` of the bands of output rows that
     :func:`sekron_conv2d` runs one at a time through ``stages`` (from
     :func:`_schedule`), for a kernel ``kh`` rows high and an image with
@@ -272,68 +277,106 @@ def _bands(stages, kh: int, out_h: int, in_w: int):
 
     A band gets as many rows as keep every stage buffer of the band, each
     stage's GEMM output and, for a stage that copies its window, its
-    columns, within :data:`_BAND_BYTES`, and at least one; the rows are then
+    columns, within ``band_bytes``, and at least one; the rows are then
     shared out evenly over the bands.  A stage that runs before a stage with
     taps writes the border rows those taps read, so it runs on that many
     more rows than the band has.
     """
-    item = np.dtype(np.float64).itemsize
     fit = out_h
     for _, batch, m, kdim, n, copy, _, _, cut_h, cut_w, *_ in stages:
-        per_row = max(batch * m, batch * kdim if copy else 0) * n * (in_w - cut_w) * item
+        per_row = max(batch * m, batch * kdim if copy else 0) * n * (in_w - cut_w) * _ITEM
         # the stage's border: its output rows for a one-row band, less one
-        fit = min(fit, _BAND_BYTES // per_row - (kh - 1 - cut_h))
+        fit = min(fit, band_bytes // per_row - (kh - 1 - cut_h))
     step = -(-out_h // -(-out_h // max(fit, 1)))
-    return [(y, min(step, out_h - y)) for y in range(0, out_h, step)]
+    return tuple((y, min(step, out_h - y)) for y in range(0, out_h, step))
 
 
-def _plans(seq: KroneckerSequence, stages, layouts, channels: int, in_hs, in_w: int):
-    """What :func:`sekron_conv2d` runs on a band, for each padded slab
-    height in ``in_hs``: ``{in_h: (slab, plan)}``, for ``stages`` from
-    :func:`_schedule` and their ``layouts`` from :func:`_layout`.
+@functools.lru_cache(maxsize=1024)
+def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, band_bytes: int):
+    """Everything about a :func:`sekron_conv2d` call that the factor values
+    do not decide: ``(stages, factors, bands, slabs)`` for a sequence of
+    these ``shapes`` and ``ranks`` on ``h x w`` images with the shapes'
+    channel count, zero-padded by ``padding``, in bands of ``band_bytes``
+    (:data:`_BAND_BYTES`).
 
-    ``slab`` is a ``(channels, in_h, in_w)`` array that the band's input
-    rows are written into, and ``plan`` lists, in the order of ``stages``,
-    ``(factor matrix, window, columns, output)`` per stage.  The factor
-    matrix is the factor transposed to the stage's ``axes`` and stacked in
-    its ``shared`` shape; the window is the strided view of the stage input
-    that :func:`_layout` describes, with the taps at their dilation; the
-    GEMM ``output = factor matrix @ columns`` is the next stage's input.
-    ``window`` is ``None`` where the stage does not copy and ``columns`` is
-    the window reshaped, a view of the stage input; otherwise ``columns`` is
-    a buffer the window is copied into first.  Every array is made once per
-    call, the factor matrices once for all heights, so every band of a call
-    reuses the same memory.
+    - ``stages``: the :func:`_schedule` of the stage order
+      :func:`_cheaper_schedule` picks, in the order the stages run;
+    - ``factors``: ``(k, split, axes, shape)`` per stage: factor ``k``,
+      its branch axis split into the ranks ``r_0 .. r_k``, transposed to
+      the stage's ``axes``, copied and reshaped to ``shape`` is the stage's
+      factor matrix, stacked in the ``shared`` shape of :func:`_layout`;
+    - ``bands``: the bands of output rows, from :func:`_bands`;
+    - ``slabs``: ``(slab shape, views)`` per slab height the bands use,
+      ``views`` holding ``(copy, window shape, window strides, columns
+      shape, output shape)`` per stage, strides in bytes: the window is the
+      strided view of the stage input that :func:`_layout` describes, with
+      the taps at their dilation, and the output the next stage's input.
+
+    Only shapes, strides and flags, never arrays or factor values, so one
+    entry serves every batch size and every sequence of these shapes and
+    ranks.  Memoized on all six arguments, at most 1,024 entries; callers
+    validate them first (:func:`_conv_shape`), so ``padding`` is an int.
     """
-    item = np.dtype(np.float64).itemsize
-    ranks = seq.ranks + (1,)
-    fmats = []
-    for (k, _, m, kdim, *_, axes), (shared, *_) in zip(stages, layouts):
-        factor = seq.factors[k].reshape(ranks[: k + 1] + seq.shapes.rows[k])
-        fmats.append(np.ascontiguousarray(factor.transpose(axes)).reshape(shared + (m, kdim)))
-    plans = {}
-    for in_h in in_hs:
-        # zeros, so the padding columns, which no band writes, stay zero
-        t = slab = np.zeros((channels, in_h, in_w))
-        plan = []
-        h, w = in_h, in_w
-        for stage, (_, sizes, planes, batch_shape), fmat in zip(stages, layouts, fmats):
+    _, stages = _cheaper_schedule(shapes, ranks)
+    kh = shapes.target_shape[2]
+    in_w = w + 2 * padding
+    bands = _bands(stages, kh, h + 2 * padding - kh + 1, in_w, band_bytes)
+    ranks = (*ranks, 1)
+    layouts = tuple(map(_layout, stages))
+    factors = tuple(
+        (k, ranks[: k + 1] + shapes.rows[k], axes, shared + (m, kdim))
+        for (k, _, m, kdim, *_, axes), (shared, *_) in zip(stages, layouts)
+    )
+    slabs = []
+    for in_h in sorted({rows + kh - 1 for _, rows in bands}):
+        views = []
+        stage_h, stage_w = in_h, in_w
+        for stage, (_, sizes, planes, batch_shape) in zip(stages, layouts):
             k, _, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w, *_ = stage
             out_h, out_w = in_h - cut_h, in_w - cut_w
-            s_h = w * item
-            s_f = h * s_h
-            shape = sizes + seq.shapes.rows[k][2:] + (n, out_h, out_w)
-            strides = tuple(p * s_f for p in planes) + (dil_h * s_h, dil_w * item, s_f, s_h, item)
-            win = np.ndarray(shape, buffer=t, strides=strides)
+            s_h = stage_w * _ITEM
+            s_f = stage_h * s_h
+            shape = sizes + shapes.rows[k][2:] + (n, out_h, out_w)
+            strides = tuple(p * s_f for p in planes) + (dil_h * s_h, dil_w * _ITEM, s_f, s_h, _ITEM)
             cols_shape = batch_shape + (kdim, n * out_h * out_w)
+            views.append((copy, shape, strides, cols_shape, batch_shape + (m, cols_shape[-1])))
+            stage_h, stage_w = out_h, out_w
+        slabs.append(((shapes.target_shape[1], in_h, in_w), tuple(views)))
+    return stages, factors, bands, tuple(slabs)
+
+
+def _plans(seq: KroneckerSequence, factors, slabs):
+    """What :func:`sekron_conv2d` runs on a band, for the ``factors`` and
+    ``slabs`` of its :func:`_geometry`: ``{in_h: (slab, plan)}`` per padded
+    slab height.
+
+    ``slab`` is a zero array that the band's input rows are written into,
+    and ``plan`` lists, stage by stage, ``(factor matrix, window, columns,
+    output)``; the GEMM ``output = factor matrix @ columns`` is the next
+    stage's input.  ``window`` is ``None`` where the stage does not copy and
+    ``columns`` is the window reshaped, a view of the stage input;
+    otherwise ``columns`` is a buffer the window is copied into first.
+    Every array is made once per call, the factor matrices once for all
+    heights, so every band of a call reuses the same memory.
+    """
+    fmats = [
+        np.ascontiguousarray(seq.factors[k].reshape(split).transpose(axes)).reshape(shape)
+        for k, split, axes, shape in factors
+    ]
+    plans = {}
+    for slab_shape, views in slabs:
+        # zeros, so the padding columns, which no band writes, stay zero
+        t = slab = np.zeros(slab_shape)
+        plan = []
+        for fmat, (copy, win_shape, strides, cols_shape, out_shape) in zip(fmats, views):
+            win = np.ndarray(win_shape, buffer=t, strides=strides)
             if copy:
                 cols = np.empty(cols_shape)
             else:
                 win, cols = None, win.reshape(cols_shape)
-            t = np.empty(batch_shape + (m, cols_shape[-1]))
+            t = np.empty(out_shape)
             plan.append((fmat, win, cols, t))
-            h, w = out_h, out_w
-        plans[in_h] = slab, plan
+        plans[slab_shape[1]] = slab, plan
     return plans
 
 
@@ -344,8 +387,10 @@ def _fill_slab(slab, image, top: int, padding: int) -> None:
     h, w = image.shape[1:]
     first = max(top, 0)
     last = max(min(top + slab.shape[1], h), first)
-    slab[:, : first - top] = 0
-    slab[:, last - top :] = 0
+    if first > top:
+        slab[:, : first - top] = 0
+    if last - top < slab.shape[1]:
+        slab[:, last - top :] = 0
     slab[:, first - top : last - top, padding : padding + w] = image[:, first:last]
 
 
@@ -368,20 +413,27 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     it copies a window into columns.  Each image's output rows are cut into
     bands (:func:`_bands`) that keep every stage buffer near
     :data:`_BAND_BYTES`, and the whole stage chain runs on one band at a
-    time, from a zero-padded slab of input rows.  Stage setup and every
-    buffer are made once per call (:func:`_plans`) and reused across bands
-    and images.  Numerically equivalent to ``conv2d_reference(x,
+    time, from a zero-padded slab of input rows.
+
+    After ``x`` and ``padding`` are checked, everything the factor values
+    do not decide (stage order, bands, window and buffer shapes and
+    strides) is read from a memo keyed on ``seq.shapes``, ``seq.ranks``,
+    the input's height and width, the padding and :data:`_BAND_BYTES`
+    (:func:`_geometry`, at most 1,024 entries); the batch size is not in
+    the key.  The memo holds no arrays and no factor values: each call
+    makes its factor matrices from ``seq.factors`` as they are then, and its
+    buffers, once (:func:`_plans`), and reuses them across bands and
+    images.  Numerically equivalent to ``conv2d_reference(x,
     reconstruct(seq), padding)``, and raises :class:`ShapeError` in the same
     cases, with ``seq.target_shape`` as the weight shape.
     """
     x = as_tensor(x)
     padding, out_h, out_w = _conv_shape(x.shape, seq.target_shape, padding)
     kh = seq.target_shape[2]
-    in_w = x.shape[3] + 2 * padding
-    _, stages, layouts = _cheaper_schedule(seq.shapes, seq.ranks)
-    bands = _bands(stages, kh, out_h, in_w)
-    heights = {rows + kh - 1 for _, rows in bands}
-    plans = _plans(seq, stages, layouts, x.shape[1], heights, in_w)
+    _, factors, bands, slabs = _geometry(
+        seq.shapes, seq.ranks, *x.shape[2:], padding, _BAND_BYTES
+    )
+    plans = _plans(seq, factors, slabs)
     out = np.empty((x.shape[0], seq.target_shape[0], out_h, out_w))
     for b in range(x.shape[0]):
         for y, rows in bands:
@@ -412,12 +464,12 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     h, w = _dims(input_hw, 2, "input size")
     # a weight without a channel axis fails _conv_shape's weight check
     x_shape = (1, *seq.target_shape[1:2], h, w)
-    padding, out_h, _ = _conv_shape(x_shape, seq.target_shape, padding)
+    padding, _, _ = _conv_shape(x_shape, seq.target_shape, padding)
     kh = seq.target_shape[2]
     in_w = w + 2 * padding
-    _, stages, _ = _cheaper_schedule(seq.shapes, seq.ranks)
+    stages, _, bands, _ = _geometry(seq.shapes, seq.ranks, h, w, padding, _BAND_BYTES)
     return sum(
         batch * m * kdim * n * (rows + kh - 1 - cut_h) * (in_w - cut_w)
-        for _, rows in _bands(stages, kh, out_h, in_w)
+        for _, rows in bands
         for _, batch, m, kdim, n, _, _, _, cut_h, cut_w, *_ in stages
     )

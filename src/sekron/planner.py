@@ -16,12 +16,11 @@ from sekron.decompose import (
     KroneckerSequence,
     _branch_sizes,
     _branch_total,
-    _factor_volumes,
     _validate_ranks,
     stored_param_count,
 )
 from sekron.errors import CandidateLimitError, NoFeasibleConfigError, ShapeError
-from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims
+from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims, _rank_caps
 
 # CR gaps within this fraction of the target CR count as equal in select_config.
 CR_TIE_RTOL = 1e-9
@@ -215,16 +214,47 @@ def enumerate_factorizations(n: int, s: int) -> list[tuple[int, ...]]:
     """All ordered ``s``-tuples of positive integers with product ``n``,
     in lexicographic order.
 
-    Starts from ``(n,)`` and splits the last entry of every tuple by each
-    of its divisors, ``s - 1`` times, so ``s`` is not bounded by the
-    recursion limit.
+    A depth-first walk over prefixes, on an explicit stack, so ``s`` is not
+    bounded by the recursion limit.  A prefix whose product is already
+    ``n`` is completed with ones at once, so every prefix the walk extends
+    has at least two completions, and the walk costs O(s) per tuple it
+    returns.
     """
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
-    out = [(n,)]
-    for _ in range(s - 1):
-        out = [(*t[:-1], d, t[-1] // d) for t in out for d in _divisors(t[-1])]
+    out = []
+    stack = [((), n)]
+    while stack:
+        prefix, rest = stack.pop()
+        if rest == 1 or len(prefix) == s - 1:
+            out.append(prefix + (rest,) + (1,) * (s - 1 - len(prefix)))
+        else:
+            # pushed largest first, so the smallest divisor is taken next
+            stack.extend((prefix + (d,), rest // d) for d in reversed(_divisors(rest)))
     return out
+
+
+def _branch_totals(per_branch, ranges) -> list[int]:
+    """``sum_k branch_k * per_branch[k]`` for every rank tuple of
+    ``itertools.product(*ranges)``, in that order.
+
+    Branch ``k`` counts the rank tuples ``(r_0 .. r_k)``, the last factor
+    sharing the one before it (:func:`sekron.decompose._branch_sizes`), so
+    the sum nests as ``r_0 (p_0 + r_1 (p_1 + .. r_{S-2} (p_{S-2} +
+    p_{S-1})))``: each rank level multiplies out the totals of the levels
+    after it, and a rank tuple costs one multiply-add beyond its last level.
+    A level whose only rank is 1 adds its term to every total, so a run of
+    them is carried as one sum instead of rebuilding the list per level.
+    Exact integers, as :func:`sekron.decompose._branch_total` gives them.
+    """
+    totals, carried = [per_branch[-1]], 0
+    for k in reversed(range(len(ranges))):
+        if ranges[k] == range(1, 2):
+            carried += per_branch[k]
+        else:
+            totals = [r * (per_branch[k] + carried + t) for r in ranges[k] for t in totals]
+            carried = 0
+    return [carried + t for t in totals]
 
 
 def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
@@ -238,12 +268,13 @@ def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
     Both ratios are a dense count over ``sum_k branch_k * term_k``, where
     the branch sizes depend only on the rank tuple and the terms (factor
     volumes for CR, :func:`stage_macs_per_branch` for FR) only on the shape
-    matrix.  So the branch sizes are worked out once per rank tuple, the
-    shape matrix, its rank caps and its terms once per shape combination,
-    and each candidate costs two integer dot products: the same integers,
-    hence the same floats, as :func:`compression_ratio` and
-    :func:`flops_ratio`.  Candidates come out in the order of the shape
-    combinations, then of the rank tuples, both lexicographic.
+    matrix.  So each shape combination's volumes, terms and rank caps
+    (:func:`sekron.tensor_core._rank_caps`) take one O(S) pass, and its
+    denominators one nested sum over its rank tuples
+    (:func:`_branch_totals`): the same integers, hence the same floats, as
+    :func:`compression_ratio` and :func:`flops_ratio`.  Candidates come out
+    in the order of the shape combinations, then of the rank tuples, both
+    lexicographic.
     """
     s = req.sequence_length
     axes = math.prod(_count_factorizations(dim, s) for dim in req.target_shape)
@@ -256,26 +287,16 @@ def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
         )
     per_axis = [enumerate_factorizations(dim, s) for dim in req.target_shape]
     dense = math.prod(req.target_shape)
-    branches = {
-        ranks: _branch_sizes(ranks)
-        for ranks in itertools.product(range(1, req.max_rank + 1), repeat=s - 1)
-    }
     configs = []
     for combo in itertools.product(*per_axis):
-        shapes = FactorShapeMatrix(tuple(zip(*combo)))
-        volumes = _factor_volumes(shapes)
-        stages = stage_macs_per_branch(shapes)
-        capped = [range(1, min(req.max_rank, cap) + 1) for cap in shapes.max_ranks()]
-        for ranks in itertools.product(*capped):
-            rho = branches[ranks]
-            configs.append(
-                CandidateConfig(
-                    shapes,
-                    ranks,
-                    dense / _branch_total(rho, volumes),
-                    dense / _branch_total(rho, stages),
-                )
-            )
+        # the enumerator's own ints, so the rows are not read again
+        shapes = FactorShapeMatrix._of_ints(tuple(zip(*combo)))
+        volumes = tuple(map(math.prod, shapes.rows))
+        ranges = [range(1, min(req.max_rank, cap) + 1) for cap in _rank_caps(volumes)]
+        stored = _branch_totals(volumes, ranges)
+        macs = _branch_totals(stage_macs_per_branch(shapes), ranges)
+        for ranks, cr_den, fr_den in zip(itertools.product(*ranges), stored, macs):
+            configs.append(CandidateConfig(shapes, ranks, dense / cr_den, dense / fr_den))
     return configs
 
 
@@ -299,9 +320,13 @@ def measure_sequence_latency(seq, input_shape, trials: int = 5, padding: int = 0
 
     Latency depends on the shapes, not on the numbers: a float64 GEMM runs
     at the same speed for any finite values.  So every input entry is 1.0,
-    and nothing is drawn from a random generator.  Benchmarks should not
-    run concurrently with other work; numbers are only comparable within
-    one process.
+    and nothing is drawn from a random generator.  The warm-up call also
+    works out the conv's geometry, which the trials then read from its memo
+    (keyed on the shapes, ranks, input height and width and padding, not on
+    the factor values or the batch size; see :func:`sekron_conv2d`), so
+    the median is of calls that only build their buffers and run.
+    Benchmarks should not run concurrently with other work; numbers are
+    only comparable within one process.
     """
     x = np.ones(_dims(input_shape, 4, "input shape"))
     return _median_ms(lambda: sekron_conv2d(x, seq, padding=padding), trials)

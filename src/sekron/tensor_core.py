@@ -10,6 +10,7 @@ Conventions used throughout the package:
   turns Kronecker structure into matrix rank (see :mod:`sekron.decompose`).
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -42,7 +43,8 @@ def _dims(values, ndim: int, what: str) -> tuple[int, ...]:
     """``values`` as ``ndim`` Python ints >= 1, each read through
     :func:`_as_int`; a float, a bool, a value below 1 or the wrong count
     raises :class:`ShapeError` naming ``what``."""
-    dims = tuple(_as_int(v, f"{what} dimension") for v in values)
+    label = f"{what} dimension"
+    dims = tuple([_as_int(v, label) for v in values])
     if len(dims) != ndim or any(d < 1 for d in dims):
         raise ShapeError(f"{what} needs {ndim} positive dimensions, got {dims}")
     return dims
@@ -58,6 +60,16 @@ def as_tensor(data) -> np.ndarray:
     return arr
 
 
+def _rank_caps(volumes) -> tuple[int, ...]:
+    """Rank ceiling of each level ``k`` in ``0 .. S-2`` of a sequence whose
+    factors have these ``volumes``: ``min(volume_k, prod_{j>k} volume_j)``,
+    the smaller side of the level-``k`` unfolding, whose columns span the
+    later factors.  One pass of suffix products, so O(S) for S factors."""
+    # later[k] = prod_{j>k} volume_j, accumulated from the last factor back
+    later = list(itertools.accumulate(reversed(volumes[1:]), operator.mul))[::-1]
+    return tuple(map(min, volumes, later))
+
+
 @dataclass(frozen=True)
 class FactorShapeMatrix:
     """Per-factor, per-axis dimensions of a Kronecker sequence.
@@ -67,6 +79,15 @@ class FactorShapeMatrix:
     """
 
     rows: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def _of_ints(cls, rows: tuple[tuple[int, ...], ...]) -> "FactorShapeMatrix":
+        """The matrix of ``rows`` without re-reading them: for a caller whose
+        rows are already a tuple of equal-length tuples of Python ints >= 1,
+        at least one of each, such as the planner's enumeration."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
 
     def __post_init__(self):
         rows = tuple(tuple(map(_dim, row)) for row in self.rows)
@@ -114,7 +135,8 @@ class FactorShapeMatrix:
         return min(self.factor_volume(k), math.prod(self.block_shape(k)))
 
     def max_ranks(self) -> tuple[int, ...]:
-        return tuple(self.full_rank(k) for k in range(self.num_factors - 1))
+        """:meth:`full_rank` of every level, in one pass (:func:`_rank_caps`)."""
+        return _rank_caps(tuple(map(math.prod, self.rows)))
 
     def validate_target(self, shape) -> None:
         shape = tuple(map(_dim, shape))
@@ -139,4 +161,5 @@ class FactorShapeMatrix:
         return cls(rows)
 
     def to_string(self) -> str:
-        return ",".join("x".join(str(d) for d in row) for row in self.rows)
+        row_format = "x".join(["%d"] * self.num_axes)
+        return ",".join([row_format % row for row in self.rows])

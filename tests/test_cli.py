@@ -213,6 +213,19 @@ def test_bench_input_is_checked_against_shape_before_the_sweep(
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_plan_of_a_long_sequence_finishes(tmp_path, capsys):
+    # 1,000 shape matrices of 1,000 factors each: every rank cap, term and
+    # factorization is O(S) per matrix, so this runs in seconds (its rank
+    # caps alone were O(S**2) per matrix and took minutes)
+    argv = ["plan", "--shape", "3,1,1,1", "--seq-len", "1000", "--max-rank", "1",
+            "--target-cr", "1", "--out", str(tmp_path / "sweep.csv")]
+    assert run_cli(argv) == 0
+    chosen = json.loads(capsys.readouterr().out)
+    assert chosen["ranks"] == [1] * 999 and chosen["cr"] == 3 / 1002
+    with open(tmp_path / "sweep.csv", newline="") as handle:
+        assert sum(1 for _ in csv.reader(handle)) == 1001
+
+
 def test_plan_progress_is_one_json_object_per_candidate(tmp_path, capsys):
     # max rank 2 gives two candidates for some shape matrices, told apart
     # only by their ranks

@@ -1,5 +1,6 @@
 """Reference convolution and the equivalence of the factorized path."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -267,6 +268,43 @@ def test_non_integer_padding_is_a_shape_error(padding):
         conv_macs(seq, (5, 5), padding)
 
 
+@pytest.mark.parametrize("padding", [True, 1.0, "1"])
+def test_bad_padding_is_refused_after_a_warm_call(padding):
+    # True == 1.0 == 1 and they hash alike, so a memo looked up before the
+    # check would hand them the entry padding=1 left
+    seq = random_sequence(FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3))), (1,), rng=21)
+    x = np.ones((1, 4, 5, 5))
+    sekron_conv2d(x, seq, padding=1)
+    conv_macs(seq, (5, 5), 1)
+    with pytest.raises(ShapeError, match="padding"):
+        sekron_conv2d(x, seq, padding=padding)
+    with pytest.raises(ShapeError, match="padding"):
+        conv_macs(seq, (5, 5), padding)
+
+
+# the first runs last factor first, the second factor 0 first
+@pytest.mark.parametrize(
+    "text, ranks", [("2x2x3x1,2x2x1x3", (2,)), ("1x4x3x1,2x2x1x3,4x1x1x1", (2, 2))]
+)
+def test_memo_holds_no_values(text, ranks):
+    # two input sizes, two paddings, batch 4 then 1, and factor 0 edited in
+    # place before every call: each call must see the values it is given,
+    # and the two batch sizes share one memo entry
+    seq = random_sequence(FactorShapeMatrix.from_string(text), ranks, rng=30)
+    rng = np.random.default_rng(31)
+    sekron.conv._geometry.cache_clear()
+    for hw in [(5, 6), (8, 7)]:
+        for padding in (0, 1):
+            for batch in (4, 1):
+                seq.factors[0] *= rng.uniform(0.5, 2.0, size=seq.factors[0].shape)
+                x = rng.standard_normal((batch, seq.target_shape[1], *hw))
+                got = sekron_conv2d(x, seq, padding=padding)
+                want = conv2d_reference(x, reconstruct(seq), padding=padding)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    info = sekron.conv._geometry.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (4, 4, 1024)
+
+
 @pytest.mark.parametrize(
     "hw",
     [(5.9, 5), (5.0, 5), (5, True), (5,), (5, 5, 5), (0, 5)],
@@ -338,6 +376,13 @@ def test_images_independent_of_batch():
             assert np.array_equal(batched[i : i + 1], alone)
 
 
+def geometry(seq, x, padding):
+    """The conv's memoized :func:`sekron.conv._geometry` for ``seq`` on ``x``."""
+    return sekron.conv._geometry(
+        seq.shapes, seq.ranks, *x.shape[2:], padding, sekron.conv._BAND_BYTES
+    )
+
+
 class CountingNumpy:
     """numpy, with the MACs of every ``matmul`` added up: a GEMM-by-GEMM
     tally, each matrix of a stacked product counted."""
@@ -359,9 +404,8 @@ class TestBands:
         monkeypatch.setattr("sekron.conv._BAND_BYTES", 1)
         for seq, x, padding in sweep_cases():
             out_h = x.shape[2] + 2 * padding - seq.target_shape[2] + 1
-            _, stages, _ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
-            bands = sekron.conv._bands(stages, seq.target_shape[2], out_h, x.shape[3] + 2 * padding)
-            assert bands == [(y, 1) for y in range(out_h)]
+            bands = geometry(seq, x, padding)[2]
+            assert bands == tuple((y, 1) for y in range(out_h))
             got = sekron_conv2d(x, seq, padding=padding)
             want = conv2d_reference(x, reconstruct(seq), padding=padding)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -382,6 +426,23 @@ class TestBands:
         # 1-row bands recompute the border rows that a tapped factor other
         # than the last reads; one band per image recomputes nothing
         assert (recomputed > 0) == (band_bytes == 1)
+
+    def test_band_bytes_are_not_read_from_a_warm_memo(self, monkeypatch):
+        # the default bands are memoized first; the one-row bands asked for
+        # next must run, and recompute border rows, in the GEMMs themselves
+        for seq, x, padding in sweep_cases():
+            sekron_conv2d(x, seq, padding=padding)
+        monkeypatch.setattr("sekron.conv._BAND_BYTES", 1)
+        counter = CountingNumpy()
+        monkeypatch.setattr("sekron.conv.np", counter)
+        recomputed = 0
+        for seq, x, padding in sweep_cases():
+            before = counter.macs
+            sekron_conv2d(x, seq, padding=padding)
+            first, _ = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
+            executed = executed_conv_macs(seq, x.shape[2:], padding, first)
+            recomputed += counter.macs - before > x.shape[0] * executed
+        assert recomputed > 0
 
     def test_peak_memory_stays_within_a_few_bands(self):
         # at 2 rows a band the tapped stage's columns are the largest buffer,
@@ -431,18 +492,24 @@ def per_position_macs(shapes, ranks, factor0_first):
     return sum(b * t for b, t in zip(branches, stage_mac_count(shapes, factor0_first)))
 
 
+def force_order(monkeypatch, first):
+    """Run the factorized conv, and count its MACs, in stage order ``first``
+    whatever the rule would pick, through a fresh geometry memo: an entry
+    the rule's order left in the package's memo is never read, and the
+    forced order leaves none there."""
+    monkeypatch.setattr(
+        "sekron.conv._cheaper_schedule",
+        lambda shapes, ranks: (first, sekron.conv._schedule(shapes, ranks, first)),
+    )
+    memo = functools.lru_cache(maxsize=None)(sekron.conv._geometry.__wrapped__)
+    monkeypatch.setattr("sekron.conv._geometry", memo)
+
+
 @pytest.fixture(params=[False, True], ids=["last-first", "factor0-first"])
 def stage_order(request, monkeypatch):
-    """Run the factorized conv, and count its MACs, in one stage order
-    whatever the rule would pick."""
-    first = request.param
-
-    def schedule(shapes, ranks):
-        stages = sekron.conv._schedule(shapes, ranks, first)
-        return first, stages, tuple(map(sekron.conv._layout, stages))
-
-    monkeypatch.setattr("sekron.conv._cheaper_schedule", schedule)
-    return first
+    """Each test that takes it runs once in each stage order (:func:`force_order`)."""
+    force_order(monkeypatch, request.param)
+    return request.param
 
 
 class TestStageOrder:
@@ -509,6 +576,24 @@ class TestStageOrder:
                 executed = executed_conv_macs(seq, hw, padding, stage_order)
                 assert conv_macs(seq, hw, padding) == executed
 
+    def test_forced_order_ignores_a_warm_memo(self, monkeypatch):
+        # the rule's order is memoized first; a forced order that read its
+        # entry would run, and count, the rule's GEMMs
+        differ = 0
+        for first in (False, True):
+            for seq, x, padding in itertools.chain(sweep_cases(), factor0_first_cases()):
+                sekron_conv2d(x, seq, padding=padding)
+                hw = x.shape[2:]
+                with monkeypatch.context() as forced:
+                    force_order(forced, first)
+                    counter = CountingNumpy()
+                    forced.setattr("sekron.conv.np", counter)
+                    sekron_conv2d(x, seq, padding=padding)
+                want = executed_conv_macs(seq, hw, padding, first)
+                assert counter.macs == x.shape[0] * want
+                differ += want != executed_conv_macs(seq, hw, padding, not first)
+        assert differ > 0
+
     def test_factor0_first_copies_only_where_scheduled(self):
         # S = 2 without taps runs copy-free; at S = 3 the last stage reads a
         # view unless f_1 > 1 sits between two rank digits of size > 1
@@ -519,7 +604,7 @@ class TestStageOrder:
             ("1x4x3x1,2x2x1x3,4x1x1x1", (1, 2), [True, True, False]),
         ]:
             shapes = FactorShapeMatrix.from_string(text)
-            first, stages, _ = sekron.conv._cheaper_schedule(shapes, ranks)
+            first, stages = sekron.conv._cheaper_schedule(shapes, ranks)
             assert first and [stage[5] for stage in stages] == copies
 
     @pytest.mark.parametrize("band_bytes", [1, sekron.conv._BAND_BYTES], ids=["one-row", "default"])
@@ -531,13 +616,9 @@ class TestStageOrder:
         # input's memory, or none of the three
         monkeypatch.setattr("sekron.conv._BAND_BYTES", band_bytes)
         for seq, x, padding in itertools.chain(sweep_cases(), factor0_first_cases()):
-            _, stages, layouts = sekron.conv._cheaper_schedule(seq.shapes, seq.ranks)
-            kh = seq.target_shape[2]
-            in_w = x.shape[3] + 2 * padding
-            out_h = x.shape[2] + 2 * padding - kh + 1
-            bands = sekron.conv._bands(stages, kh, out_h, in_w)
-            heights = {rows + kh - 1 for _, rows in bands}
-            plans = sekron.conv._plans(seq, stages, layouts, x.shape[1], heights, in_w)
+            stages, factors, bands, slabs = geometry(seq, x, padding)
+            plans = sekron.conv._plans(seq, factors, slabs)
+            assert plans.keys() == {rows + seq.target_shape[2] - 1 for _, rows in bands}
             for slab, plan in plans.values():
                 source = slab
                 for stage, (_, win, cols, t) in zip(stages, plan):

@@ -29,7 +29,8 @@ from sekron import (
     write_candidates_csv,
 )
 from sekron.cli import run_cli
-from sekron.planner import _count_factorizations
+from sekron.decompose import _branch_sizes, _branch_total
+from sekron.planner import _branch_totals, _count_factorizations
 from oracles import random_sequence, write_candidates_csv_per_row
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -172,6 +173,21 @@ class TestEnumerateConfigs:
                 assert config.cr == compression_ratio(config.shapes, config.ranks)
                 assert config.fr == flops_ratio(config.shapes, config.ranks)
                 assert config.latency_ms is None
+
+
+def test_branch_totals_match_the_per_tuple_sums():
+    # levels capped at rank 1 between wider ones: each run of them is
+    # carried as one sum
+    rng = np.random.default_rng(32)
+    for _ in range(50):
+        s = int(rng.integers(1, 7))
+        per_branch = tuple(int(p) for p in rng.integers(1, 10**6, size=s))
+        ranges = [range(1, int(cap) + 1) for cap in rng.integers(1, 4, size=s - 1)]
+        want = [
+            _branch_total(_branch_sizes(ranks), per_branch)
+            for ranks in itertools.product(*ranges)
+        ]
+        assert _branch_totals(per_branch, ranges) == want
 
 
 # what the error message names for each real-valued field

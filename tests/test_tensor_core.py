@@ -188,6 +188,26 @@ class TestFactorShapeMatrix:
         assert shapes.full_rank(0) == 4
         assert shapes.max_ranks() == (4,)
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 16, 64])
+    def test_max_ranks_match_a_brute_force_count(self, s):
+        # level k's unfolding has one row per entry of factor k and one
+        # column per entry of the block of later factors, multiplied out
+        # one dimension at a time
+        rng = np.random.default_rng(s)
+        rows = tuple(tuple(int(d) for d in rng.integers(1, 4, size=4)) for _ in range(s))
+        shapes = FactorShapeMatrix(rows)
+        caps = []
+        for k in range(s - 1):
+            n_rows = n_cols = 1
+            for d in rows[k]:
+                n_rows *= d
+            for row in rows[k + 1 :]:
+                for d in row:
+                    n_cols *= d
+            caps.append(min(n_rows, n_cols))
+        assert shapes.max_ranks() == tuple(caps)
+        assert shapes.max_ranks() == tuple(shapes.full_rank(k) for k in range(s - 1))
+
     def test_string_round_trip(self):
         text = "2x2x1x1,2x2x3x3"
         shapes = FactorShapeMatrix.from_string(text)
