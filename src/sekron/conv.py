@@ -14,14 +14,15 @@ per output position (:func:`_cheaper_schedule`).  One schedule,
 :func:`_schedule`, describes every stage of either order as one digit
 layout: the outer digits of the stage's input, each kept as a batch digit,
 kept as a branch digit that selects a slice of the factor, or summed, and
-the order of the factor's axes.  Everything else is derived from that
-layout: each stage's GEMM sizes and whether it copies its window, the bands
-of output rows (:func:`_bands`), the window views and buffers
-(:func:`_layout`, :func:`_plans`) and the exact MAC count
-(:func:`conv_macs`).  A stage reads its column matrix as a view of its
-input unless its factor has taps or a kept digit sits between two summed
-ones.  The stage chain runs on one band of output rows at a time, each band
-small enough that its stage buffers stay near the L2 cache.
+the order of the factor's axes.  It walks each stage's digits once and
+derives from them the stage's GEMM sizes, whether it copies its window,
+and the sizes and strides of its window; the bands of output rows
+(:func:`_bands`), the window views and buffers (:func:`_geometry`,
+:func:`_plans`) and the exact MAC count (:func:`conv_macs`) read those
+records.  A stage reads its column matrix as a view of its input unless
+its factor has taps or a kept digit sits between two summed ones.  The
+stage chain runs on one band of output rows at a time, each band small
+enough that its stage buffers stay near the L2 cache.
 
 What the factor values do not decide, the stage order, the bands and the
 shapes and strides of every window and buffer, depends only on the factor
@@ -33,13 +34,12 @@ them.
 """
 
 import functools
-import itertools
 import math
 import operator
 
 import numpy as np
 
-from sekron.decompose import KroneckerSequence
+from sekron.decompose import KroneckerSequence, _branch_sizes
 from sekron.errors import ShapeError
 from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims, as_tensor
 
@@ -119,51 +119,63 @@ def _schedule(shapes: FactorShapeMatrix, ranks, factor0_first: bool = False) -> 
     first or factor 0 first: the one description of a stage in either order.
 
     A stage's input is its outer digits, then the ``n`` digits it carries
-    through unchanged, then the image.  One ``(k, batch, m, kdim, n, copy,
-    dil_h, dil_w, cut_h, cut_w, digits, axes)`` per stage, where ``k`` is
-    the factor it contracts and two fields describe it:
+    through unchanged, then the image.  Each outer digit is kept as a batch
+    digit the factor matrix is shared over, kept as a branch digit that
+    selects a slice of the factor, or summed by the GEMM.  One ``(k, batch,
+    m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w, sizes, planes,
+    batch_shape, shared, axes)`` per stage, where ``k`` is the factor it
+    contracts:
 
-    - ``digits``: the outer digits as ``(size, role)`` in input order, the
-      role ``"g"`` for a batch digit the factor matrix is shared over,
-      ``"q"`` for a branch digit that selects a slice of the factor, and
-      ``"k"`` for a digit the GEMM sums;
-    - ``axes``: the order the factor's axes ``(r_0 .. r_k, f_k, c_k, h_k,
+    - the stage runs ``batch`` GEMMs, one per value of its kept digits, of
+      an ``m x kdim`` factor matrix with a ``kdim x (n out_h out_w)`` column
+      matrix: ``kdim`` is the summed digits times the taps, and ``m`` the
+      factor's entries over those;
+    - ``copy`` says its columns are a copied window rather than a view of
+      its input: when its factor has taps, or when a kept digit of size > 1
+      sits between two summed digits of size > 1, which then cannot merge
+      into one axis of a view (a digit of size 1 has no stride to keep);
+    - its taps are dilated by ``dil_h x dil_w``, the kernel extent of the
+      factors after ``k``, in either order; ``cut_h`` and ``cut_w`` count
+      the rows and columns the image has lost to taps by the end of the
+      stage, so that on a padded ``in_h x in_w`` input it writes ``(in_h -
+      cut_h) x (in_w - cut_w)`` positions: a stage whose factor has taps
+      shrinks the image, so every stage before it writes the border those
+      taps read;
+    - ``sizes``, ``planes``, ``batch_shape`` and ``shared`` lay out the
+      stage's window view, which lists the outer digits it keeps, in input
+      order, then those it sums, then its taps, the digits it carries and
+      the output positions, so the row-major reshape of the window to
+      ``batch_shape + (kdim, n out_h out_w)`` is the column matrix; where
+      the stage does not copy, that reshape is a view of its input.
+      ``sizes`` and ``planes`` are the window's outer digits and their
+      strides in image planes, ``batch_shape`` the sizes of the kept
+      digits, and ``shared`` the shape the factor matrix is stacked in over
+      them: the branch digits, and size 1 on the batch digits it is shared
+      over;
+    - ``axes`` is the order the factor's axes ``(r_0 .. r_k, f_k, c_k, h_k,
       w_k)`` take in its matrix: the branch digits, the rows, then the
       summed digits and the taps.
 
-    The rest is derived from them.  The stage runs ``batch`` GEMMs, one per
-    value of its kept digits, of an ``m x kdim`` factor matrix with a ``kdim
-    x (n out_h out_w)`` column matrix: ``kdim`` is the summed digits times
-    the taps, and ``m`` the factor's entries over those.  ``copy`` says its
-    columns are a copied window rather than a view of its input: when its
-    factor has taps, or when a kept digit of size > 1 sits between two
-    summed digits of size > 1, which then cannot merge into one axis of a
-    view (a digit of size 1 has no stride to keep).  Its
-    taps are dilated by ``dil_h x dil_w``, the kernel extent of the factors
-    after ``k``, in either order.  ``cut_h`` and ``cut_w`` count the rows
-    and columns the image has lost to taps by the end of the stage, so that
-    on a padded ``in_h x in_w`` input it writes ``(in_h - cut_h) x (in_w -
-    cut_w)`` positions: a stage whose factor has taps shrinks the image, so
-    every stage before it writes the border those taps read.
-
     Last factor first, the outer digits of the stage of factor ``k`` are
     ``(G, c_k, r_k, Q)``: the open channel groups ``G = c_0 .. c_{k-1}``,
-    the channel digit and rank it sums, and the surviving branches ``Q =
-    r_{k-1} .. r_0``; it carries the ``f`` digits already produced and
-    writes rows ``f_k``.  The first stage, ``k = S-1``, has ``r_k = Q = 1``
-    and fans out every branch into rows ``(r_{S-2} .. r_0, f_{S-1})``.
-    Factor 0 first they are ``(f_0, r_0, .., f_{k-1}, r_{k-1}, c_k)``, and
-    the stage carries the open groups ``c_{k+1} .. c_{S-1}``.  Stage ``k <
-    S-1`` sums ``c_k`` and fans out ``r_k`` into rows ``(f_k, r_k)``, one
-    factor slice per branch ``r_0 .. r_{k-1}``; the last stage sums every
-    rank digit, so it copies when one of ``f_1 .. f_{S-2}`` separates two
-    of them.
+    kept as batch digits, the channel digit and rank it sums, and the
+    surviving branches ``Q = r_{k-1} .. r_0``, kept as branch digits; it
+    carries the ``f`` digits already produced and writes rows ``f_k``.  The
+    first stage, ``k = S-1``, has ``r_k = Q = 1`` and fans out every branch
+    into rows ``(r_{S-2} .. r_0, f_{S-1})``.  Factor 0 first they are
+    ``(f_0, r_0, .., f_{k-1}, r_{k-1}, c_k)``, and the stage carries the
+    open groups ``c_{k+1} .. c_{S-1}``.  Stage ``k < S-1`` sums ``c_k`` and
+    fans out ``r_k`` into rows ``(f_k, r_k)``, one factor slice per branch
+    ``r_0 .. r_{k-1}``; the last stage sums every rank digit, so it copies
+    when one of ``f_1 .. f_{S-2}`` separates two of them.  The branch
+    counts are those the :mod:`sekron.tensor_core` docstring defines
+    (:func:`sekron.decompose._branch_sizes`).
     """
     rows = shapes.rows
     s = len(rows)
-    ranks = tuple(ranks) + (1,)
-    # prefix[k] = prod(ranks[:k]), the branches r_0 .. r_{k-1}
-    prefix = list(itertools.accumulate(ranks, operator.mul, initial=1))
+    # prefix[k]: the branches r_0 .. r_{k-1}
+    prefix = (1, *_branch_sizes(ranks))
+    ranks = (*ranks, 1)
     # extent[k]: the f, c, h and w extents of factors k .. S-1
     extent = [(1, 1, 1, 1)]
     for row in reversed(rows):
@@ -173,6 +185,8 @@ def _schedule(shapes: FactorShapeMatrix, ranks, factor0_first: bool = False) -> 
     for k in range(s) if factor0_first else reversed(range(s)):
         f_k, c_k, h_k, w_k = rows[k]
         f_after, c_after, dil_h, dil_w = extent[k + 1]
+        # the outer digits as (size, role): "g" for a batch digit, "q" for a
+        # branch digit, "k" for a summed digit
         if factor0_first:
             role = "q" if k < s - 1 else "k"
             produced = (d for j in range(k) for d in ((rows[j][0], "g"), (ranks[j], role)))
@@ -188,54 +202,31 @@ def _schedule(shapes: FactorShapeMatrix, ranks, factor0_first: bool = False) -> 
             digits = ((groups, "g"), (c_k, "k"), (ranks[k], "k"), (branches, "q"))
             n = f_after
             axes = (*range(k - 1, -1, -1), k + 1, k + 2, k, k + 3, k + 4)
-        batch = shared = kdim = 1
-        roles = ""  # of the digits of size > 1, in input order
+        kept, summed, shared = [], [], []
+        # each digit's stride in image planes: the planes of the digits after it
+        stride = n * math.prod(size for size, _ in digits)
         for size, role in digits:
-            if size > 1:
-                roles += role
+            stride //= size
             if role == "k":
-                kdim *= size
+                summed.append((size, stride))
             else:
-                batch *= size
-                shared *= size if role == "q" else 1
-        kdim *= h_k * w_k
-        # the factor is its shared slices of an m x kdim matrix
-        m = prefix[k + 1] * f_k * c_k * h_k * w_k // (shared * kdim)
+                kept.append((size, stride))
+                shared.append(size if role == "q" else 1)
+        sizes, planes = zip(*kept, *summed)
+        batch_shape = sizes[: len(kept)]
+        batch = math.prod(batch_shape)
+        kdim = math.prod(sizes[len(kept) :]) * h_k * w_k
+        # the factor is its branch slices of an m x kdim matrix
+        m = prefix[k + 1] * f_k * c_k * h_k * w_k // (math.prod(shared) * kdim)
         # the summed digits merge into one axis of a view unless the stage
-        # has taps or a kept digit sits between two of them
+        # has taps or a kept digit sits between two of them; the roles are
+        # those of the digits of size > 1, in input order
+        roles = "".join(role for size, role in digits if size > 1)
         copy = h_k * w_k > 1 or roles.strip("gq").strip("k") != ""
         cut_h, cut_w = cut_h + (h_k - 1) * dil_h, cut_w + (w_k - 1) * dil_w
-        stages.append((k, batch, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w, digits, axes))
+        stages.append((k, batch, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w,
+                       sizes, planes, batch_shape, tuple(shared), axes))
     return tuple(stages)
-
-
-def _layout(stage) -> tuple:
-    """``(shared, sizes, planes, batch_shape)``: how :func:`_geometry`
-    lays out a stage of :func:`_schedule`, read off its digits.
-
-    The stage's window view lists the outer digits it keeps, in input
-    order, then those it sums, then its taps, the digits it carries and the
-    output positions, so the row-major reshape of the window to
-    ``batch_shape + (kdim, n out_h out_w)`` is the column matrix; where the
-    stage does not copy, that reshape is a view of its input.  ``sizes``
-    and ``planes`` are the window's outer digits and their strides in image
-    planes, ``batch_shape`` the sizes of the kept digits, and ``shared`` the
-    shape the factor matrix is stacked in over them: the branch digits, and
-    size 1 on the batch digits it is shared over.
-    """
-    _, _, _, _, n, *_, digits, _ = stage
-    shared, kept, summed = [], [], []
-    # each digit's stride in image planes: the planes of the digits after it
-    stride = n * math.prod(size for size, _ in digits)
-    for size, role in digits:
-        stride //= size
-        if role == "k":
-            summed.append((size, stride))
-        else:
-            kept.append((size, stride))
-            shared.append(size if role == "q" else 1)
-    sizes, planes = zip(*kept, *summed)
-    return tuple(shared), sizes, planes, sizes[: len(kept)]
 
 
 def _cheaper_schedule(shapes: FactorShapeMatrix, ranks: tuple[int, ...]):
@@ -301,16 +292,18 @@ def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, ba
 
     - ``stages``: the :func:`_schedule` of the stage order
       :func:`_cheaper_schedule` picks, in the order the stages run;
-    - ``factors``: ``(k, split, axes, shape)`` per stage: factor ``k``,
-      its branch axis split into the ranks ``r_0 .. r_k``, transposed to
-      the stage's ``axes``, copied and reshaped to ``shape`` is the stage's
-      factor matrix, stacked in the ``shared`` shape of :func:`_layout`;
+    - ``factors``: ``(k, want, split, axes, shape)`` per stage: factor
+      ``k``, of shape ``want``, its branch axis split into the ranks ``r_0
+      .. r_k``, transposed to the stage's ``axes``, copied and reshaped to
+      ``shape`` is the stage's factor matrix, stacked in the stage's
+      ``shared`` shape;
     - ``bands``: the bands of output rows, from :func:`_bands`;
     - ``slabs``: ``(slab shape, views)`` per slab height the bands use,
       ``views`` holding ``(copy, window shape, window strides, columns
       shape, output shape)`` per stage, strides in bytes: the window is the
-      strided view of the stage input that :func:`_layout` describes, with
-      the taps at their dilation, and the output the next stage's input.
+      strided view of the stage input that the stage's ``sizes`` and
+      ``planes`` describe, with the taps at their dilation, and the output
+      the next stage's input.
 
     Only shapes, strides and flags, never arrays or factor values, so one
     entry serves every batch size and every sequence of these shapes and
@@ -321,25 +314,25 @@ def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, ba
     kh = shapes.target_shape[2]
     in_w = w + 2 * padding
     bands = _bands(stages, kh, h + 2 * padding - kh + 1, in_w, band_bytes)
+    branches = _branch_sizes(ranks)
     ranks = (*ranks, 1)
-    layouts = tuple(map(_layout, stages))
     factors = tuple(
-        (k, ranks[: k + 1] + shapes.rows[k], axes, shared + (m, kdim))
-        for (k, _, m, kdim, *_, axes), (shared, *_) in zip(stages, layouts)
+        (k, (branches[k],) + shapes.rows[k], ranks[: k + 1] + shapes.rows[k], axes,
+         shared + (m, kdim))
+        for k, _, m, kdim, *_, shared, axes in stages
     )
     slabs = []
     for in_h in sorted({rows + kh - 1 for _, rows in bands}):
         views = []
         stage_h, stage_w = in_h, in_w
-        for stage, (_, sizes, planes, batch_shape) in zip(stages, layouts):
-            k, _, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w, *_ = stage
+        for k, _, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w, sizes, planes, batch, *_ in stages:
             out_h, out_w = in_h - cut_h, in_w - cut_w
             s_h = stage_w * _ITEM
             s_f = stage_h * s_h
             shape = sizes + shapes.rows[k][2:] + (n, out_h, out_w)
             strides = tuple(p * s_f for p in planes) + (dil_h * s_h, dil_w * _ITEM, s_f, s_h, _ITEM)
-            cols_shape = batch_shape + (kdim, n * out_h * out_w)
-            views.append((copy, shape, strides, cols_shape, batch_shape + (m, cols_shape[-1])))
+            cols_shape = batch + (kdim, n * out_h * out_w)
+            views.append((copy, shape, strides, cols_shape, batch + (m, cols_shape[-1])))
             stage_h, stage_w = out_h, out_w
         slabs.append(((shapes.target_shape[1], in_h, in_w), tuple(views)))
     return stages, factors, bands, tuple(slabs)
@@ -357,12 +350,16 @@ def _plans(seq: KroneckerSequence, factors, slabs):
     ``columns`` is the window reshaped, a view of the stage input;
     otherwise ``columns`` is a buffer the window is copied into first.
     Every array is made once per call, the factor matrices once for all
-    heights, so every band of a call reuses the same memory.
+    heights, so every band of a call reuses the same memory.  A factor
+    whose shape is not the ``want`` of its entry, say one swapped into
+    ``seq.factors`` after construction, raises :class:`ShapeError`.
     """
-    fmats = [
-        np.ascontiguousarray(seq.factors[k].reshape(split).transpose(axes)).reshape(shape)
-        for k, split, axes, shape in factors
-    ]
+    fmats = []
+    for k, want, split, axes, shape in factors:
+        factor = seq.factors[k]
+        if factor.shape != want:
+            raise ShapeError(f"factor {k} has shape {factor.shape}, expected {want}")
+        fmats.append(np.ascontiguousarray(factor.reshape(split).transpose(axes)).reshape(shape))
     plans = {}
     for slab_shape, views in slabs:
         # zeros, so the padding columns, which no band writes, stay zero
@@ -425,7 +422,9 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     buffers, once (:func:`_plans`), and reuses them across bands and
     images.  Numerically equivalent to ``conv2d_reference(x,
     reconstruct(seq), padding)``, and raises :class:`ShapeError` in the same
-    cases, with ``seq.target_shape`` as the weight shape.
+    cases, with ``seq.target_shape`` as the weight shape, among them a
+    factor that no longer has the shape ``seq.shapes`` and ``seq.ranks``
+    give it, say one swapped into ``seq.factors`` after construction.
     """
     x = as_tensor(x)
     padding, out_h, out_w = _conv_shape(x.shape, seq.target_shape, padding)

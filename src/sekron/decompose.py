@@ -34,7 +34,7 @@ factors, so the error identity above holds to rounding either way.  A level
 kept at full rank runs the full SVD and records tails of exactly ``0.0``.
 """
 
-import math
+import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -46,20 +46,15 @@ from sekron.tensor_core import FactorShapeMatrix, _as_int, as_tensor
 
 
 def _branch_sizes(ranks: tuple[int, ...]) -> tuple[int, ...]:
-    # factor k keeps one slice per retained rank tuple (r_0..r_k); the last
-    # factor shares the branch count of the one before it
-    s = len(ranks) + 1
-    return tuple(math.prod(ranks[: min(k, s - 2) + 1]) for k in range(s))
+    # the branch count of each factor, as the sekron.tensor_core docstring
+    # defines it: the prefix products of (*ranks, 1), in O(S)
+    return tuple(itertools.accumulate((*ranks, 1), operator.mul))
 
 
 def _branch_total(branch_sizes, per_branch) -> int:
     # sum_k branch_sizes[k] * per_branch[k]: a per-slice count of each factor
     # totalled over all of that factor's branches
     return sum(map(operator.mul, branch_sizes, per_branch))
-
-
-def _factor_volumes(shapes: FactorShapeMatrix) -> tuple[int, ...]:
-    return tuple(shapes.factor_volume(k) for k in range(shapes.num_factors))
 
 
 def _digit_major(shapes: FactorShapeMatrix):
@@ -103,16 +98,15 @@ def stored_param_count(shapes: FactorShapeMatrix, ranks) -> int:
     """Elements stored by a sequence with these shapes and ranks:
     ``sum_k branch_k * volume_k`` over the factors."""
     ranks = _validate_ranks(shapes, ranks)
-    return _branch_total(_branch_sizes(ranks), _factor_volumes(shapes))
+    return _branch_total(_branch_sizes(ranks), shapes.volumes)
 
 
 @dataclass
 class KroneckerSequence:
     """Factors of a Kronecker-sequence representation.
 
-    ``factors[k]`` has shape ``(branch_sizes[k], *shapes.rows[k])``; the
-    branch axis flattens the retained rank tuple ``(r_0, ..., r_k)``
-    row-major (``branch = previous_branch * ranks[k] + r_k``).
+    ``factors[k]`` has shape ``(branch_sizes[k], *shapes.rows[k])``, its
+    branch axis as the :mod:`sekron.tensor_core` docstring defines it.
 
     ``level_tails[k][b]`` is the squared singular-value tail that level ``k``
     discarded on branch ``b``; it is ``None`` unless the sequence came from
@@ -163,11 +157,10 @@ def sekron_decompose(w, shapes: FactorShapeMatrix, ranks) -> KroneckerSequence:
     # leading branch axis, initially a single branch
     work = w.reshape(split).transpose(order).copy().reshape(1, -1)
     factors, level_tails = [], []
-    for k, r in enumerate(ranks):
-        cap = shapes.full_rank(k)
+    for k, (r, cap, volume) in enumerate(zip(ranks, shapes.max_ranks(), shapes.volumes)):
         if r > cap:
             raise RankError(f"rank {r} exceeds full rank {cap} of the level-{k} unfolding")
-        stack = work.reshape(work.shape[0], shapes.factor_volume(k), -1)
+        stack = work.reshape(work.shape[0], volume, -1)
         u, scaled_v, tails = truncated_svd(stack, r)
         factors.append(np.swapaxes(u, 1, 2).reshape((-1,) + shapes.rows[k]))
         work = np.swapaxes(scaled_v, 1, 2).reshape(work.shape[0] * r, -1)
@@ -188,9 +181,12 @@ def reconstruct(seq: KroneckerSequence) -> np.ndarray:
     level below, and its flattening is that branch's slice of the working
     array one level up.  One inverse transpose of the last product then
     gives the dense tensor.  The result is always a new array, also for a
-    single factor, which has no level.
+    single factor, which has no level.  Raises :class:`ShapeError` when a
+    factor no longer has the shape the sequence's shapes and ranks give it,
+    say one swapped into ``seq.factors`` after construction.
     """
     shapes, ranks, factors = seq.shapes, seq.ranks, seq.factors
+    _check_factor_shapes(shapes, ranks, factors)
     work = factors[-1]
     for k in reversed(range(shapes.num_factors - 1)):
         r = ranks[k]

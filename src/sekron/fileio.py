@@ -204,8 +204,8 @@ def read_sequence(path) -> KroneckerSequence:
         values = _read_payload(handle, stored_param_count(shapes, ranks), path)
     factors = []
     offset = 0
-    for k, r in enumerate(_branch_sizes(ranks)):
-        size = r * shapes.factor_volume(k)
-        factors.append(values[offset : offset + size].reshape((r,) + shapes.rows[k]))
+    for r, volume, row in zip(_branch_sizes(ranks), shapes.volumes, shapes.rows):
+        size = r * volume
+        factors.append(values[offset : offset + size].reshape((r,) + row))
         offset += size
     return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)

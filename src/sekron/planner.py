@@ -150,18 +150,18 @@ def flops_denominator(shapes: FactorShapeMatrix, ranks) -> int:
     """Per-output-position MACs of the factorized convolution run last
     factor first, the denominator of the flops ratio (FR).
 
-    ``sum_k branch_k * term_k``: the branch count of factor ``k``
-    (``prod_{j<=k} rank_j``, the last factor sharing the one before it)
-    times its term from :func:`stage_macs_per_branch`.  FR is defined by
-    this order even where :func:`sekron.conv.sekron_conv2d` runs factor 0
-    first, which it does only where that order runs fewer MACs per
-    position, so this is an upper bound on the per-position MACs of the
-    order it runs.  Each term counts the outputs of its stage at the final
-    output positions only, leaving out the border that a stage before a
-    tapped stage also computes; :func:`sekron.conv.conv_macs` counts both
-    exactly for a given input size.  This times the output size equals
-    :func:`sekron.conv.conv_macs` when the conv runs last factor first and
-    no factor but the last (factor ``S-1``, the first stage) has taps.
+    ``sum_k branch_k * term_k``: the branch count of factor ``k`` (see the
+    :mod:`sekron.tensor_core` docstring) times its term from
+    :func:`stage_macs_per_branch`.  FR is defined by this order even where
+    :func:`sekron.conv.sekron_conv2d` runs factor 0 first, which it does
+    only where that order runs fewer MACs per position, so this is an upper
+    bound on the per-position MACs of the order it runs.  Each term counts
+    the outputs of its stage at the final output positions only, leaving
+    out the border that a stage before a tapped stage also computes;
+    :func:`sekron.conv.conv_macs` counts both exactly for a given input
+    size.  This times the output size equals :func:`sekron.conv.conv_macs`
+    when the conv runs last factor first and no factor but the last (factor
+    ``S-1``, the first stage) has taps.
     """
     stages = stage_macs_per_branch(shapes)
     ranks = _validate_ranks(shapes, ranks)
@@ -238,13 +238,13 @@ def _branch_totals(per_branch, ranges) -> list[int]:
     """``sum_k branch_k * per_branch[k]`` for every rank tuple of
     ``itertools.product(*ranges)``, in that order.
 
-    Branch ``k`` counts the rank tuples ``(r_0 .. r_k)``, the last factor
-    sharing the one before it (:func:`sekron.decompose._branch_sizes`), so
-    the sum nests as ``r_0 (p_0 + r_1 (p_1 + .. r_{S-2} (p_{S-2} +
-    p_{S-1})))``: each rank level multiplies out the totals of the levels
-    after it, and a rank tuple costs one multiply-add beyond its last level.
-    A level whose only rank is 1 adds its term to every total, so a run of
-    them is carried as one sum instead of rebuilding the list per level.
+    Branch ``k`` is the branch count the :mod:`sekron.tensor_core` docstring
+    defines (:func:`sekron.decompose._branch_sizes`), so the sum nests as
+    ``r_0 (p_0 + r_1 (p_1 + .. r_{S-2} (p_{S-2} + p_{S-1})))``: each rank
+    level multiplies out the totals of the levels after it, and a rank tuple
+    costs one multiply-add beyond its last level.  A level whose only rank
+    is 1 adds its term to every total, so a run of them is carried as one
+    sum instead of rebuilding the list per level.
     Exact integers, as :func:`sekron.decompose._branch_total` gives them.
     """
     totals, carried = [per_branch[-1]], 0
@@ -291,7 +291,7 @@ def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
     for combo in itertools.product(*per_axis):
         # the enumerator's own ints, so the rows are not read again
         shapes = FactorShapeMatrix._of_ints(tuple(zip(*combo)))
-        volumes = tuple(map(math.prod, shapes.rows))
+        volumes = shapes.volumes
         ranges = [range(1, min(req.max_rank, cap) + 1) for cap in _rank_caps(volumes)]
         stored = _branch_totals(volumes, ranges)
         macs = _branch_totals(stage_macs_per_branch(shapes), ranges)
@@ -302,7 +302,10 @@ def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
 
 def _median_ms(run, trials: int) -> float:
     """Median wall-clock milliseconds of ``run()`` over ``trials`` calls,
-    after one warm-up call."""
+    after one warm-up call.  ``trials`` is read through ``operator.index``:
+    a bool, a float, a string, ``None`` or a count below
+    :data:`MIN_TRIALS` raises ``ValueError``."""
+    trials = _as_int(trials, "trials", ValueError)
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for a stable median")
     run()

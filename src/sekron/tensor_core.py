@@ -7,7 +7,13 @@ Conventions used throughout the package:
 * axis ``n`` of a composed tensor splits into the mixed-radix digits
   ``(rows[0][n], ..., rows[S-1][n])``, most significant first, one digit per
   factor; "digit-major" order lists those digits factor by factor, which
-  turns Kronecker structure into matrix rank (see :mod:`sekron.decompose`).
+  turns Kronecker structure into matrix rank (see :mod:`sekron.decompose`);
+* the branch count: a sequence of ``S`` factors with ranks ``(R_0, ...,
+  R_{S-2})`` keeps one branch of factor ``k`` per rank tuple ``(r_0, ...,
+  r_k)``, ``r_j < R_j``, flattened row-major (``branch = previous_branch *
+  R_k + r_k``), and the last factor shares the count of the one before it;
+  so factor ``k`` has ``R_0 * ... * R_k`` branches, the prefix products of
+  ``(*ranks, 1)``.
 """
 
 import itertools
@@ -119,24 +125,15 @@ class FactorShapeMatrix:
         """
         return tuple(math.prod(row[n] for row in self.rows) for n in range(self.num_axes))
 
-    def block_shape(self, k: int) -> tuple[int, ...]:
-        """Elementwise product of rows ``k+1 .. S-1`` (all-ones for the last row)."""
-        return tuple(
-            math.prod(row[n] for row in self.rows[k + 1 :])
-            for n in range(self.num_axes)
-        )
-
-    def factor_volume(self, k: int) -> int:
-        """Number of elements of one factor-``k`` slice."""
-        return math.prod(self.rows[k])
-
-    def full_rank(self, k: int) -> int:
-        """Rank ceiling of the level-``k`` unfolding, ``k`` in ``0 .. S-2``."""
-        return min(self.factor_volume(k), math.prod(self.block_shape(k)))
+    @property
+    def volumes(self) -> tuple[int, ...]:
+        """Number of elements of one slice of each factor, in factor order."""
+        return tuple(map(math.prod, self.rows))
 
     def max_ranks(self) -> tuple[int, ...]:
-        """:meth:`full_rank` of every level, in one pass (:func:`_rank_caps`)."""
-        return _rank_caps(tuple(map(math.prod, self.rows)))
+        """Rank ceiling of each level ``k`` in ``0 .. S-2``, the smaller side
+        of its unfolding, in one pass (:func:`_rank_caps`)."""
+        return _rank_caps(self.volumes)
 
     def validate_target(self, shape) -> None:
         shape = tuple(map(_dim, shape))

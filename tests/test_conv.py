@@ -268,6 +268,22 @@ def test_non_integer_padding_is_a_shape_error(padding):
         conv_macs(seq, (5, 5), padding)
 
 
+@pytest.mark.parametrize(
+    "compose",
+    [lambda seq: sekron_conv2d(np.ones((1, 4, 5, 5)), seq, padding=1), reconstruct],
+    ids=["sekron_conv2d", "reconstruct"],
+)
+def test_a_factor_swapped_in_after_construction_is_refused(compose):
+    # the swapped factor has the 8 elements of the (2, 2, 2, 1, 1) it
+    # replaces, so every reshape of it succeeds; a warm call comes first,
+    # so the conv's memo holds the geometry of these shapes and ranks
+    seq = random_sequence(FactorShapeMatrix.from_string("2x2x1x1,4x2x3x3"), (2,), rng=28)
+    compose(seq)
+    seq.factors[0] = np.random.default_rng(29).standard_normal((2, 1, 4, 1, 1))
+    with pytest.raises(ShapeError, match=r"factor 0 has shape \(2, 1, 4, 1, 1\)"):
+        compose(seq)
+
+
 @pytest.mark.parametrize("padding", [True, 1.0, "1"])
 def test_bad_padding_is_refused_after_a_warm_call(padding):
     # True == 1.0 == 1 and they hash alike, so a memo looked up before the

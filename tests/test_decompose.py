@@ -19,6 +19,7 @@ from sekron import (
     stored_param_count,
     write_sequence,
 )
+from sekron.decompose import _branch_sizes
 from oracles import kron_sum, kron_unfolding, random_sequence, reconstruction_error
 
 
@@ -151,7 +152,7 @@ class TestReconstruct:
         rng = np.random.default_rng(8)
         w = rng.standard_normal((4, 6))
         shapes = FactorShapeMatrix(((2, 2), (2, 3)))
-        seq = sekron_decompose(w, shapes, (shapes.full_rank(0),))
+        seq = sekron_decompose(w, shapes, shapes.max_ranks())
         assert rel_error(w, seq) <= 1e-10
 
 
@@ -275,9 +276,19 @@ class TestInvariants:
         ranks = (2, 2)
         seq = random_sequence(shapes, ranks, rng=15)
         expected = sum(
-            rho * shapes.factor_volume(k) for k, rho in enumerate(seq.branch_sizes)
+            rho * volume for rho, volume in zip(seq.branch_sizes, shapes.volumes)
         )
         assert seq.param_count == expected
+
+    def test_branch_sizes_match_the_closed_form(self):
+        # factor k has prod(ranks[:k+1]) branches, the last factor sharing
+        # the count of the one before it
+        rng = np.random.default_rng(17)
+        for s in range(1, 9):
+            for _ in range(5):
+                ranks = tuple(int(r) for r in rng.integers(1, 6, size=s - 1))
+                closed = tuple(math.prod(ranks[: min(k, s - 2) + 1]) for k in range(s))
+                assert _branch_sizes(ranks) == closed
 
     def test_deterministic_output(self):
         rng = np.random.default_rng(16)

@@ -349,6 +349,15 @@ class TestLatency:
         with pytest.raises(ValueError):
             measure_latency(self.config(), (1, 4, 8, 8), trials=2)
 
+    # a float, a string or None is no count, and True would read as 1
+    @pytest.mark.parametrize("trials", [3.5, "5", None, True])
+    def test_non_integer_trials_is_a_value_error(self, trials):
+        seq = random_sequence(self.config().shapes, (1,), rng=0)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            measure_latency(self.config(), (1, 4, 8, 8), trials=trials)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            measure_sequence_latency(seq, (1, 4, 8, 8), trials=trials)
+
     def test_probes_are_all_ones_through_the_planners_conv(self, monkeypatch):
         # the probe calls sekron_conv2d by its name in sekron.planner, where
         # a tracer can wrap it, with factors and input of all ones

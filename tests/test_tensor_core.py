@@ -183,9 +183,7 @@ class TestFactorShapeMatrix:
     def test_target_and_blocks(self):
         shapes = FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3)))
         assert shapes.target_shape == (4, 4, 3, 3)
-        assert shapes.block_shape(0) == (2, 2, 3, 3)
-        assert shapes.block_shape(1) == (1, 1, 1, 1)
-        assert shapes.full_rank(0) == 4
+        assert shapes.volumes == (4, 36)
         assert shapes.max_ranks() == (4,)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 5, 16, 64])
@@ -196,17 +194,19 @@ class TestFactorShapeMatrix:
         rng = np.random.default_rng(s)
         rows = tuple(tuple(int(d) for d in rng.integers(1, 4, size=4)) for _ in range(s))
         shapes = FactorShapeMatrix(rows)
-        caps = []
-        for k in range(s - 1):
+        volumes, caps = [], []
+        for k in range(s):
             n_rows = n_cols = 1
             for d in rows[k]:
                 n_rows *= d
             for row in rows[k + 1 :]:
                 for d in row:
                     n_cols *= d
-            caps.append(min(n_rows, n_cols))
+            volumes.append(n_rows)
+            if k < s - 1:
+                caps.append(min(n_rows, n_cols))
+        assert shapes.volumes == tuple(volumes)
         assert shapes.max_ranks() == tuple(caps)
-        assert shapes.max_ranks() == tuple(shapes.full_rank(k) for k in range(s - 1))
 
     def test_string_round_trip(self):
         text = "2x2x1x1,2x2x3x3"
