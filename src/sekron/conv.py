@@ -27,30 +27,25 @@ enough that its stage buffers stay near the L2 cache.
 What the factor values do not decide, the stage order, the bands and the
 shapes and strides of every window and buffer, depends only on the factor
 shapes, the ranks, the input's height and width, the padding and the band
-size, and is memoized on them (:func:`_geometry`), after the input is
-checked.  Each call then makes its factor matrices, window views and
+size, and is memoized on them (:func:`_geometry`), after the input and the
+sequence are checked.  The sequence is checked by the one check every
+consumer of a sequence runs (:func:`sekron.decompose._check_sequence`), and
+the memo holds no factor shapes to check against.  Each call then makes
+its factor matrices, from the stage records, and its window views and
 buffers from that geometry, once, and every band of every image reuses
 them.
 """
 
+import collections
 import functools
 import math
 import operator
 
 import numpy as np
 
-from sekron.decompose import KroneckerSequence, _branch_sizes
+from sekron.decompose import KroneckerSequence, _branch_sizes, _check_sequence
 from sekron.errors import ShapeError
 from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims, as_tensor
-
-
-def _zero_pad(x, padding: int) -> np.ndarray:
-    # a zero array with the input assigned to its interior: the same values
-    # as np.pad, without its per-call overhead
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-    xp[:, :, padding : padding + h, padding : padding + w] = x
-    return xp
 
 
 def _conv_shape(x_shape, w_shape, padding, what: str = "input"):
@@ -104,7 +99,7 @@ def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
     weights = as_tensor(weights)
     padding, out_h, out_w = _conv_shape(x.shape, weights.shape, padding)
     kh, kw = weights.shape[2], weights.shape[3]
-    xp = _zero_pad(x, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     # im2col: columns (c, i, j) by output position (u, v); a tap and an
     # output position step through the padded image alike
     win_shape = (x.shape[0], x.shape[1], kh, kw, out_h, out_w)
@@ -114,6 +109,11 @@ def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
     return out.reshape(x.shape[0], weights.shape[0], out_h, out_w)
 
 
+# one stage of _schedule, fields as its docstring describes them
+_Stage = collections.namedtuple("_Stage", "k batch m kdim n copy dil_h dil_w cut_h cut_w "
+                                "sizes planes batch_shape split axes shape")
+
+
 def _schedule(shapes: FactorShapeMatrix, ranks, factor0_first: bool = False) -> tuple:
     """The stages of :func:`sekron_conv2d` in execution order, last factor
     first or factor 0 first: the one description of a stage in either order.
@@ -121,10 +121,10 @@ def _schedule(shapes: FactorShapeMatrix, ranks, factor0_first: bool = False) -> 
     A stage's input is its outer digits, then the ``n`` digits it carries
     through unchanged, then the image.  Each outer digit is kept as a batch
     digit the factor matrix is shared over, kept as a branch digit that
-    selects a slice of the factor, or summed by the GEMM.  One ``(k, batch,
-    m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w, sizes, planes,
-    batch_shape, shared, axes)`` per stage, where ``k`` is the factor it
-    contracts:
+    selects a slice of the factor, or summed by the GEMM.  One
+    :data:`_Stage` ``(k, batch, m, kdim, n, copy, dil_h, dil_w, cut_h,
+    cut_w, sizes, planes, batch_shape, split, axes, shape)`` per stage, a
+    named tuple, where ``k`` is the factor it contracts:
 
     - the stage runs ``batch`` GEMMs, one per value of its kept digits, of
       an ``m x kdim`` factor matrix with a ``kdim x (n out_h out_w)`` column
@@ -141,20 +141,23 @@ def _schedule(shapes: FactorShapeMatrix, ranks, factor0_first: bool = False) -> 
       cut_h) x (in_w - cut_w)`` positions: a stage whose factor has taps
       shrinks the image, so every stage before it writes the border those
       taps read;
-    - ``sizes``, ``planes``, ``batch_shape`` and ``shared`` lay out the
-      stage's window view, which lists the outer digits it keeps, in input
-      order, then those it sums, then its taps, the digits it carries and
-      the output positions, so the row-major reshape of the window to
-      ``batch_shape + (kdim, n out_h out_w)`` is the column matrix; where
-      the stage does not copy, that reshape is a view of its input.
-      ``sizes`` and ``planes`` are the window's outer digits and their
-      strides in image planes, ``batch_shape`` the sizes of the kept
-      digits, and ``shared`` the shape the factor matrix is stacked in over
-      them: the branch digits, and size 1 on the batch digits it is shared
-      over;
-    - ``axes`` is the order the factor's axes ``(r_0 .. r_k, f_k, c_k, h_k,
-      w_k)`` take in its matrix: the branch digits, the rows, then the
-      summed digits and the taps.
+    - ``sizes``, ``planes`` and ``batch_shape`` lay out the stage's window
+      view, which lists the outer digits it keeps, in input order, then
+      those it sums, then its taps, the digits it carries and the output
+      positions, so the row-major reshape of the window to ``batch_shape +
+      (kdim, n out_h out_w)`` is the column matrix; where the stage does
+      not copy, that reshape is a view of its input.  ``sizes`` and
+      ``planes`` are the window's outer digits and their strides in image
+      planes, and ``batch_shape`` the sizes of the kept digits;
+    - ``split``, ``axes`` and ``shape`` make the stage's factor matrix from
+      factor ``k``: its branch axis split into the ranks, ``split = (r_0 ..
+      r_k) + rows[k]`` with ``r_{S-1} = 1``, transposed to ``axes``, copied
+      and reshaped to ``shape``.  ``axes`` is the order the factor's axes
+      ``(r_0 .. r_k, f_k, c_k, h_k, w_k)`` take in its matrix: the branch
+      digits, the rows, then the summed digits and the taps.  ``shape`` is
+      ``shared + (m, kdim)``, where ``shared`` stacks the matrix over the
+      kept digits: the branch digits, and size 1 on the batch digits it is
+      shared over.
 
     Last factor first, the outer digits of the stage of factor ``k`` are
     ``(G, c_k, r_k, Q)``: the open channel groups ``G = c_0 .. c_{k-1}``,
@@ -224,8 +227,8 @@ def _schedule(shapes: FactorShapeMatrix, ranks, factor0_first: bool = False) -> 
         roles = "".join(role for size, role in digits if size > 1)
         copy = h_k * w_k > 1 or roles.strip("gq").strip("k") != ""
         cut_h, cut_w = cut_h + (h_k - 1) * dil_h, cut_w + (w_k - 1) * dil_w
-        stages.append((k, batch, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w,
-                       sizes, planes, batch_shape, tuple(shared), axes))
+        stages.append(_Stage(k, batch, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w, sizes, planes,
+                             batch_shape, ranks[: k + 1] + rows[k], axes, (*shared, m, kdim)))
     return tuple(stages)
 
 
@@ -239,11 +242,9 @@ def _cheaper_schedule(shapes: FactorShapeMatrix, ranks: tuple[int, ...]):
     """
 
     def per_position(stages):
-        macs = copied = 0
-        for _, batch, m, kdim, n, copy, *_ in stages:
-            macs += batch * m * kdim * n
-            copied += batch * kdim * n if copy else 0
-        return macs, copied
+        # (MACs, copied elements) per output position
+        return (sum(s.batch * s.m * s.kdim * s.n for s in stages),
+                sum(s.batch * s.kdim * s.n for s in stages if s.copy))
 
     first, last = _schedule(shapes, ranks, True), _schedule(shapes, ranks)
     (macs, copied), (last_macs, last_copied) = per_position(first), per_position(last)
@@ -285,18 +286,14 @@ def _bands(stages, kh: int, out_h: int, in_w: int, band_bytes: int):
 @functools.lru_cache(maxsize=1024)
 def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, band_bytes: int):
     """Everything about a :func:`sekron_conv2d` call that the factor values
-    do not decide: ``(stages, factors, bands, slabs)`` for a sequence of
-    these ``shapes`` and ``ranks`` on ``h x w`` images with the shapes'
-    channel count, zero-padded by ``padding``, in bands of ``band_bytes``
+    do not decide: ``(stages, bands, slabs)`` for a sequence of these
+    ``shapes`` and ``ranks`` on ``h x w`` images with the shapes' channel
+    count, zero-padded by ``padding``, in bands of ``band_bytes``
     (:data:`_BAND_BYTES`).
 
     - ``stages``: the :func:`_schedule` of the stage order
-      :func:`_cheaper_schedule` picks, in the order the stages run;
-    - ``factors``: ``(k, want, split, axes, shape)`` per stage: factor
-      ``k``, of shape ``want``, its branch axis split into the ranks ``r_0
-      .. r_k``, transposed to the stage's ``axes``, copied and reshaped to
-      ``shape`` is the stage's factor matrix, stacked in the stage's
-      ``shared`` shape;
+      :func:`_cheaper_schedule` picks, in the order the stages run, each
+      record holding how its factor matrix is made;
     - ``bands``: the bands of output rows, from :func:`_bands`;
     - ``slabs``: ``(slab shape, views)`` per slab height the bands use,
       ``views`` holding ``(copy, window shape, window strides, columns
@@ -305,22 +302,18 @@ def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, ba
       ``planes`` describe, with the taps at their dilation, and the output
       the next stage's input.
 
-    Only shapes, strides and flags, never arrays or factor values, so one
-    entry serves every batch size and every sequence of these shapes and
-    ranks.  Memoized on all six arguments, at most 1,024 entries; callers
-    validate them first (:func:`_conv_shape`), so ``padding`` is an int.
+    Only shapes, strides and flags, never arrays, factor values or the
+    shapes the factors must have, so one entry serves every batch size and
+    every sequence of these shapes and ranks.  Memoized on all six
+    arguments, at most 1,024 entries; callers validate them first, the
+    input and padding with :func:`_conv_shape` and the sequence with
+    :func:`sekron.decompose._check_sequence`, so ``padding`` is an int and
+    ``ranks`` a tuple of ints.
     """
     _, stages = _cheaper_schedule(shapes, ranks)
     kh = shapes.target_shape[2]
     in_w = w + 2 * padding
     bands = _bands(stages, kh, h + 2 * padding - kh + 1, in_w, band_bytes)
-    branches = _branch_sizes(ranks)
-    ranks = (*ranks, 1)
-    factors = tuple(
-        (k, (branches[k],) + shapes.rows[k], ranks[: k + 1] + shapes.rows[k], axes,
-         shared + (m, kdim))
-        for k, _, m, kdim, *_, shared, axes in stages
-    )
     slabs = []
     for in_h in sorted({rows + kh - 1 for _, rows in bands}):
         views = []
@@ -335,11 +328,11 @@ def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, ba
             views.append((copy, shape, strides, cols_shape, batch + (m, cols_shape[-1])))
             stage_h, stage_w = out_h, out_w
         slabs.append(((shapes.target_shape[1], in_h, in_w), tuple(views)))
-    return stages, factors, bands, tuple(slabs)
+    return stages, bands, tuple(slabs)
 
 
-def _plans(seq: KroneckerSequence, factors, slabs):
-    """What :func:`sekron_conv2d` runs on a band, for the ``factors`` and
+def _plans(seq: KroneckerSequence, stages, slabs):
+    """What :func:`sekron_conv2d` runs on a band, for the ``stages`` and
     ``slabs`` of its :func:`_geometry`: ``{in_h: (slab, plan)}`` per padded
     slab height.
 
@@ -350,16 +343,14 @@ def _plans(seq: KroneckerSequence, factors, slabs):
     ``columns`` is the window reshaped, a view of the stage input;
     otherwise ``columns`` is a buffer the window is copied into first.
     Every array is made once per call, the factor matrices once for all
-    heights, so every band of a call reuses the same memory.  A factor
-    whose shape is not the ``want`` of its entry, say one swapped into
-    ``seq.factors`` after construction, raises :class:`ShapeError`.
+    heights, straight from the stage records, so every band of a call
+    reuses the same memory.  It compares no shapes: the caller has checked
+    ``seq`` (:func:`sekron.decompose._check_sequence`).
     """
-    fmats = []
-    for k, want, split, axes, shape in factors:
-        factor = seq.factors[k]
-        if factor.shape != want:
-            raise ShapeError(f"factor {k} has shape {factor.shape}, expected {want}")
-        fmats.append(np.ascontiguousarray(factor.reshape(split).transpose(axes)).reshape(shape))
+    fmats = [
+        np.ascontiguousarray(seq.factors[s.k].reshape(s.split).transpose(s.axes)).reshape(s.shape)
+        for s in stages
+    ]
     plans = {}
     for slab_shape, views in slabs:
         # zeros, so the padding columns, which no band writes, stay zero
@@ -412,27 +403,30 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     :data:`_BAND_BYTES`, and the whole stage chain runs on one band at a
     time, from a zero-padded slab of input rows.
 
-    After ``x`` and ``padding`` are checked, everything the factor values
-    do not decide (stage order, bands, window and buffer shapes and
-    strides) is read from a memo keyed on ``seq.shapes``, ``seq.ranks``,
-    the input's height and width, the padding and :data:`_BAND_BYTES`
-    (:func:`_geometry`, at most 1,024 entries); the batch size is not in
-    the key.  The memo holds no arrays and no factor values: each call
-    makes its factor matrices from ``seq.factors`` as they are then, and its
-    buffers, once (:func:`_plans`), and reuses them across bands and
-    images.  Numerically equivalent to ``conv2d_reference(x,
-    reconstruct(seq), padding)``, and raises :class:`ShapeError` in the same
-    cases, with ``seq.target_shape`` as the weight shape, among them a
-    factor that no longer has the shape ``seq.shapes`` and ``seq.ranks``
-    give it, say one swapped into ``seq.factors`` after construction.
+    After ``x`` and ``padding`` are checked, ``seq`` is checked as
+    :func:`sekron.decompose.reconstruct` and
+    :func:`sekron.fileio.write_sequence` check it
+    (:func:`sekron.decompose._check_sequence`), so it accepts exactly the
+    sequences they accept and raises :class:`RankError` or
+    :class:`ShapeError` for the rest, say one whose ranks or factors were
+    changed after construction.  Everything the factor values do not decide
+    (stage order, bands, window and buffer shapes and strides) is then read
+    from a memo keyed on ``seq.shapes``, the checked ranks, the input's
+    height and width, the padding and :data:`_BAND_BYTES` (:func:`_geometry`,
+    at most 1,024 entries); the batch size is not in the key.  The memo
+    holds no arrays and no factor values: each call makes its factor
+    matrices from ``seq.factors`` as they are then, and its buffers, once
+    (:func:`_plans`), and reuses them across bands and images.  Numerically
+    equivalent to ``conv2d_reference(x, reconstruct(seq), padding)``, and
+    raises :class:`ShapeError` in the same cases, with ``seq.target_shape``
+    as the weight shape.
     """
     x = as_tensor(x)
     padding, out_h, out_w = _conv_shape(x.shape, seq.target_shape, padding)
     kh = seq.target_shape[2]
-    _, factors, bands, slabs = _geometry(
-        seq.shapes, seq.ranks, *x.shape[2:], padding, _BAND_BYTES
-    )
-    plans = _plans(seq, factors, slabs)
+    ranks = _check_sequence(seq)
+    stages, bands, slabs = _geometry(seq.shapes, ranks, *x.shape[2:], padding, _BAND_BYTES)
+    plans = _plans(seq, stages, slabs)
     out = np.empty((x.shape[0], seq.target_shape[0], out_h, out_w))
     for b in range(x.shape[0]):
         for y, rows in bands:
@@ -455,10 +449,14 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     slab of ``rows + K_h - 1`` input rows, each at its own output size,
     border included, for the given spatial input size ``(H, W)``, two
     positive integers; anything else, and a sequence whose factors do not
-    have the four axes ``(f, c, h, w)``, raises :class:`ShapeError`.  A
-    stage before a tapped stage writes, in every band, the border rows the
-    taps read, so splitting an image into bands adds MACs when a factor
-    that runs after another has taps.  These are the MACs the GEMMs run.
+    have the four axes ``(f, c, h, w)``, raises :class:`ShapeError`.  The
+    sequence is checked as in :func:`sekron_conv2d`, so it accepts exactly
+    the sequences :func:`sekron.decompose.reconstruct` and
+    :func:`sekron.fileio.write_sequence` accept and raises
+    :class:`RankError` or :class:`ShapeError` for the rest.  A stage before
+    a tapped stage writes, in every band, the border rows the taps read, so
+    splitting an image into bands adds MACs when a factor that runs after
+    another has taps.  These are the MACs the GEMMs run.
     """
     h, w = _dims(input_hw, 2, "input size")
     # a weight without a channel axis fails _conv_shape's weight check
@@ -466,7 +464,7 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     padding, _, _ = _conv_shape(x_shape, seq.target_shape, padding)
     kh = seq.target_shape[2]
     in_w = w + 2 * padding
-    stages, _, bands, _ = _geometry(seq.shapes, seq.ranks, h, w, padding, _BAND_BYTES)
+    stages, bands, _ = _geometry(seq.shapes, _check_sequence(seq), h, w, padding, _BAND_BYTES)
     return sum(
         batch * m * kdim * n * (rows + kh - 1 - cut_h) * (in_w - cut_w)
         for _, rows in bands

@@ -72,26 +72,44 @@ def _digit_major(shapes: FactorShapeMatrix):
 
 
 def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
-    ranks = tuple(_as_int(r, "rank", RankError) for r in ranks)
-    if len(ranks) != shapes.num_factors - 1:
+    ranks = tuple([_as_int(r, "rank", RankError) for r in ranks])
+    if len(ranks) != len(shapes.rows) - 1:
         raise RankError(
             f"need {shapes.num_factors - 1} ranks for {shapes.num_factors} factors, "
             f"got {len(ranks)}"
         )
-    if any(r < 1 for r in ranks):
+    if ranks and min(ranks) < 1:
         raise RankError("ranks must be >= 1")
     return ranks
 
 
-def _check_factor_shapes(shapes: FactorShapeMatrix, ranks, factors) -> None:
-    """Raise :class:`ShapeError` unless ``factors`` holds one array of shape
-    ``(branch_sizes[k], *shapes.rows[k])`` per factor ``k``."""
-    if len(factors) != shapes.num_factors:
-        raise ShapeError(f"expected {shapes.num_factors} factors, got {len(factors)}")
-    for k, (factor, rho) in enumerate(zip(factors, _branch_sizes(ranks))):
-        want = (rho,) + shapes.rows[k]
-        if np.shape(factor) != want:
-            raise ShapeError(f"factor {k} has shape {np.shape(factor)}, expected {want}")
+def _check_sequence(seq: "KroneckerSequence") -> tuple[int, ...]:
+    """The ranks of ``seq`` as a tuple of Python ints, after the one check
+    of a sequence: its ranks pass :func:`_validate_ranks`, else
+    :class:`RankError`, and ``seq.factors`` holds one array of shape
+    ``(branch_sizes[k], *shapes.rows[k])`` per factor ``k``, else
+    :class:`ShapeError`.
+
+    The constructor, :func:`reconstruct`, :func:`sekron.fileio.write_sequence`,
+    :func:`sekron.conv.sekron_conv2d` and :func:`sekron.conv.conv_macs` run
+    it, since a caller may change a sequence's fields after construction;
+    the conv keys its memo on the ranks it returns.
+    """
+    shapes, factors = seq.shapes, seq.factors
+    ranks = _validate_ranks(shapes, seq.ranks)
+    rows, extended, rho = shapes.rows, (*ranks, 1), 1
+    if len(factors) != len(rows):
+        raise ShapeError(f"expected {len(rows)} factors, got {len(factors)}")
+    # rho steps through the branch counts, the prefix products of (*ranks,
+    # 1) that _branch_sizes returns: the conv runs this loop on every call,
+    # and building that tuple and unpacking a zip per factor cost more than
+    # the comparisons
+    for k, factor in enumerate(factors):
+        rho *= extended[k]
+        if not isinstance(factor, np.ndarray) or factor.shape != (rho,) + rows[k]:
+            got, want = getattr(factor, "shape", type(factor).__name__), (rho,) + rows[k]
+            raise ShapeError(f"factor {k} has shape {got}, expected an array of shape {want}")
+    return ranks
 
 
 def stored_param_count(shapes: FactorShapeMatrix, ranks) -> int:
@@ -108,6 +126,14 @@ class KroneckerSequence:
     ``factors[k]`` has shape ``(branch_sizes[k], *shapes.rows[k])``, its
     branch axis as the :mod:`sekron.tensor_core` docstring defines it.
 
+    The constructor makes every factor a float64 array and reads ``ranks``
+    as a tuple of Python ints.  The fields stay open to callers, so a
+    sequence may change after construction; :func:`reconstruct`,
+    :func:`sekron.fileio.write_sequence`, :func:`sekron.conv.sekron_conv2d`
+    and :func:`sekron.conv.conv_macs` each check it again, through the
+    constructor's own check (:func:`_check_sequence`), and raise
+    :class:`RankError` or :class:`ShapeError` for a sequence it refuses.
+
     ``level_tails[k][b]`` is the squared singular-value tail that level ``k``
     discarded on branch ``b``; it is ``None`` unless the sequence came from
     :func:`sekron_decompose`.
@@ -119,9 +145,8 @@ class KroneckerSequence:
     level_tails: list[list[float]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.ranks = _validate_ranks(self.shapes, self.ranks)
-        _check_factor_shapes(self.shapes, self.ranks, self.factors)
         self.factors = [as_tensor(f) for f in self.factors]
+        self.ranks = _check_sequence(self)
 
     @property
     def branch_sizes(self) -> tuple[int, ...]:
@@ -181,12 +206,11 @@ def reconstruct(seq: KroneckerSequence) -> np.ndarray:
     level below, and its flattening is that branch's slice of the working
     array one level up.  One inverse transpose of the last product then
     gives the dense tensor.  The result is always a new array, also for a
-    single factor, which has no level.  Raises :class:`ShapeError` when a
-    factor no longer has the shape the sequence's shapes and ranks give it,
-    say one swapped into ``seq.factors`` after construction.
+    single factor, which has no level.  Raises :class:`RankError` or
+    :class:`ShapeError` for a sequence that fails :func:`_check_sequence`,
+    say one whose ranks or factors were changed after construction.
     """
-    shapes, ranks, factors = seq.shapes, seq.ranks, seq.factors
-    _check_factor_shapes(shapes, ranks, factors)
+    shapes, ranks, factors = seq.shapes, _check_sequence(seq), seq.factors
     work = factors[-1]
     for k in reversed(range(shapes.num_factors - 1)):
         r = ranks[k]

@@ -28,7 +28,7 @@ import numpy as np
 from sekron.decompose import (
     KroneckerSequence,
     _branch_sizes,
-    _check_factor_shapes,
+    _check_sequence,
     stored_param_count,
 )
 from sekron.errors import (
@@ -152,16 +152,18 @@ def write_sequence(path, seq: KroneckerSequence) -> None:
 
     Factors are concatenated in order, each row-major with its branch axis
     leading; branch sizes are reconstructed from the ranks on read.  The
-    factors are checked against the shapes and ranks first, since a caller
-    may have replaced them after construction: a mismatch raises
-    :class:`ShapeError` and creates no file.  So does a NaN or infinite
-    value, with :class:`NonFinitePayloadError`.
+    sequence is checked first (:func:`sekron.decompose._check_sequence`),
+    since a caller may have changed its ranks or factors after
+    construction: a sequence it refuses raises :class:`RankError` or
+    :class:`ShapeError` and creates no file, and the header holds the ranks
+    it returns, Python ints.  A NaN or infinite value creates no file
+    either, with :class:`NonFinitePayloadError`.
     """
-    _check_factor_shapes(seq.shapes, seq.ranks, seq.factors)
+    ranks = _check_sequence(seq)
     header = {
         "S": seq.shapes.num_factors,
         "N": seq.shapes.num_axes,
-        "ranks": list(seq.ranks),
+        "ranks": list(ranks),
         "factor_shapes": [list(row) for row in seq.shapes.rows],
         "layout": "branch-major",
     }

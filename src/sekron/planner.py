@@ -241,20 +241,14 @@ def _branch_totals(per_branch, ranges) -> list[int]:
     Branch ``k`` is the branch count the :mod:`sekron.tensor_core` docstring
     defines (:func:`sekron.decompose._branch_sizes`), so the sum nests as
     ``r_0 (p_0 + r_1 (p_1 + .. r_{S-2} (p_{S-2} + p_{S-1})))``: each rank
-    level multiplies out the totals of the levels after it, and a rank tuple
-    costs one multiply-add beyond its last level.  A level whose only rank
-    is 1 adds its term to every total, so a run of them is carried as one
-    sum instead of rebuilding the list per level.
-    Exact integers, as :func:`sekron.decompose._branch_total` gives them.
+    level, last to first, multiplies out the totals of the levels after it,
+    one multiply-add per rank tuple of the levels from it on.  Exact
+    integers, as :func:`sekron.decompose._branch_total` gives them.
     """
-    totals, carried = [per_branch[-1]], 0
+    totals = [per_branch[-1]]
     for k in reversed(range(len(ranges))):
-        if ranges[k] == range(1, 2):
-            carried += per_branch[k]
-        else:
-            totals = [r * (per_branch[k] + carried + t) for r in ranges[k] for t in totals]
-            carried = 0
-    return [carried + t for t in totals]
+        totals = [r * (per_branch[k] + t) for r in ranges[k] for t in totals]
+    return totals
 
 
 def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:

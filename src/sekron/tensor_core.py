@@ -33,6 +33,8 @@ def _as_int(value, what: str, error=ShapeError) -> int:
     A float or a string raises ``error`` instead of being truncated, and so
     does a bool, which would read as 0 or 1; numpy ints are accepted.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise error(f"{what} must be an integer, not a bool, got {value!r}")
     try:

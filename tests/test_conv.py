@@ -12,6 +12,7 @@ import sekron.conv
 from sekron import (
     FactorShapeMatrix,
     KroneckerSequence,
+    RankError,
     ShapeError,
     conv2d_reference,
     conv_macs,
@@ -21,6 +22,7 @@ from sekron import (
     sekron_conv2d,
     sekron_decompose,
     stage_macs_per_branch,
+    write_sequence,
 )
 from oracles import executed_conv_macs, random_sequence, stage_mac_count
 
@@ -268,20 +270,63 @@ def test_non_integer_padding_is_a_shape_error(padding):
         conv_macs(seq, (5, 5), padding)
 
 
+def _write_and_read_back(seq, path):
+    write_sequence(path, seq)
+    return path.read_bytes()
+
+
+# each change to the open fields of a 2x2x1x1,4x2x3x3 sequence of the given
+# rank, with the error it must raise and its message, or None where the
+# changed sequence is still the same sequence
+_CHANGES = [
+    # 8 elements, like the (2, 2, 2, 1, 1) it replaces, so every reshape succeeds
+    ("swap", (2,), lambda seq: seq.factors.__setitem__(0, np.ones((2, 1, 4, 1, 1))),
+     ShapeError, r"factor 0 has shape \(2, 1, 4, 1, 1\), expected an array of shape \(2, 2, 2"),
+    ("one branch", (2,), lambda seq: seq.factors.__setitem__(0, seq.factors[0][:1]),
+     ShapeError, r"factor 0 has shape \(1, 2, 2, 1, 1\)"),
+    ("nested list", (2,), lambda seq: seq.factors.__setitem__(0, seq.factors[0].tolist()),
+     ShapeError, "factor 0 has shape list"),
+    ("pop", (2,), lambda seq: seq.factors.pop(), ShapeError, "expected 2 factors, got 1"),
+    ("append", (2,), lambda seq: seq.factors.append(np.ones(3)),
+     ShapeError, "expected 2 factors, got 3"),
+    ("no ranks", (2,), lambda seq: setattr(seq, "ranks", ()), RankError, "need 1 ranks"),
+    ("float rank", (2,), lambda seq: setattr(seq, "ranks", (2.0,)), RankError, "integer"),
+    # True == 1, so only the type can refuse it
+    ("bool rank", (1,), lambda seq: setattr(seq, "ranks", (True,)), RankError, "bool"),
+    ("list of ranks", (2,), lambda seq: setattr(seq, "ranks", [2]), None, None),
+    ("numpy rank", (2,), lambda seq: setattr(seq, "ranks", (np.int64(2),)), None, None),
+]
+
+
 @pytest.mark.parametrize(
-    "compose",
-    [lambda seq: sekron_conv2d(np.ones((1, 4, 5, 5)), seq, padding=1), reconstruct],
-    ids=["sekron_conv2d", "reconstruct"],
+    "consume",
+    [
+        lambda seq, path: sekron_conv2d(np.ones((1, 4, 5, 5)), seq, padding=1),
+        lambda seq, path: reconstruct(seq),
+        lambda seq, path: conv_macs(seq, (5, 5), 1),
+        _write_and_read_back,
+    ],
+    ids=["sekron_conv2d", "reconstruct", "conv_macs", "write_sequence"],
 )
-def test_a_factor_swapped_in_after_construction_is_refused(compose):
-    # the swapped factor has the 8 elements of the (2, 2, 2, 1, 1) it
-    # replaces, so every reshape of it succeeds; a warm call comes first,
-    # so the conv's memo holds the geometry of these shapes and ranks
-    seq = random_sequence(FactorShapeMatrix.from_string("2x2x1x1,4x2x3x3"), (2,), rng=28)
-    compose(seq)
-    seq.factors[0] = np.random.default_rng(29).standard_normal((2, 1, 4, 1, 1))
-    with pytest.raises(ShapeError, match=r"factor 0 has shape \(2, 1, 4, 1, 1\)"):
-        compose(seq)
+def test_a_factor_swapped_in_after_construction_is_refused(consume, tmp_path):
+    # every consumer reads a changed sequence through one check: a change it
+    # refuses raises ShapeError or RankError, never a raw Python error, and
+    # writes no file; a change to ranks of another type but the same values
+    # gives the unchanged sequence's result.  A warm call comes first, so the
+    # conv's memo holds the geometry of these shapes and ranks
+    shapes = FactorShapeMatrix.from_string("2x2x1x1,4x2x3x3")
+    for name, ranks, change, error, message in _CHANGES:
+        seq = random_sequence(shapes, ranks, rng=28)
+        want = consume(seq, tmp_path / "unchanged.sks")
+        change(seq)
+        path = tmp_path / f"{name}.sks"
+        if error is None:
+            got = consume(seq, path)
+            assert type(got) is type(want) and np.array_equal(got, want), name
+        else:
+            with pytest.raises(error, match=message):
+                consume(seq, path)
+            assert not path.exists(), name
 
 
 @pytest.mark.parametrize("padding", [True, 1.0, "1"])
@@ -420,7 +465,7 @@ class TestBands:
         monkeypatch.setattr("sekron.conv._BAND_BYTES", 1)
         for seq, x, padding in sweep_cases():
             out_h = x.shape[2] + 2 * padding - seq.target_shape[2] + 1
-            bands = geometry(seq, x, padding)[2]
+            bands = geometry(seq, x, padding)[1]
             assert bands == tuple((y, 1) for y in range(out_h))
             got = sekron_conv2d(x, seq, padding=padding)
             want = conv2d_reference(x, reconstruct(seq), padding=padding)
@@ -632,8 +677,8 @@ class TestStageOrder:
         # input's memory, or none of the three
         monkeypatch.setattr("sekron.conv._BAND_BYTES", band_bytes)
         for seq, x, padding in itertools.chain(sweep_cases(), factor0_first_cases()):
-            stages, factors, bands, slabs = geometry(seq, x, padding)
-            plans = sekron.conv._plans(seq, factors, slabs)
+            stages, bands, slabs = geometry(seq, x, padding)
+            plans = sekron.conv._plans(seq, stages, slabs)
             assert plans.keys() == {rows + seq.target_shape[2] - 1 for _, rows in bands}
             for slab, plan in plans.values():
                 source = slab
