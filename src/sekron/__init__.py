@@ -42,6 +42,7 @@ from sekron.linalg import truncated_svd
 from sekron.planner import (
     CandidateConfig,
     PlanRequest,
+    Sweep,
     compression_ratio,
     enumerate_configs,
     enumerate_factorizations,
@@ -73,6 +74,7 @@ __all__ = [
     "SekronError",
     "ShapeError",
     "SvdConvergenceError",
+    "Sweep",
     "TrCores",
     "TruncatedPayloadError",
     "TuckerFactors",

@@ -170,19 +170,18 @@ def _cmd_plan(args) -> int:
             raise ValueError(f"--trials must be at least {MIN_TRIALS}, got {args.trials}")
     candidates = enumerate_configs(request)
     if args.bench_input is not None:
-        measured = []
-        for i, candidate in enumerate(candidates):
+        latencies, n = [], len(candidates)
+        for i, candidate in enumerate(candidates, 1):
             latency = measure_latency(candidate, input_shape, trials=args.trials)
-            measured.append(candidate.with_latency(latency))
-            progress = {
-                "i": i + 1,
-                "n": len(candidates),
-                "shapes": candidate.shapes.to_string(),
-                "ranks": list(candidate.ranks),
-                "latency_ms": latency,
-            }
-            print(json.dumps(progress), file=sys.stderr)
-        candidates = measured
+            latencies.append(latency)
+            # the bytes json.dumps writes for {"i", "n", "shapes", "ranks",
+            # "latency_ms"}: shapes are digits, x and commas, which JSON does
+            # not escape, and a measured latency is a finite float, written
+            # as its repr
+            ranks = ", ".join(map(str, candidate.ranks))
+            print(f'{{"i": {i}, "n": {n}, "shapes": "{candidate.shapes.to_string()}", '
+                  f'"ranks": [{ranks}], "latency_ms": {latency!r}}}', file=sys.stderr)
+        candidates = candidates.with_latency(latencies)
     write_candidates_csv(candidates, args.out)
     print(f"wrote {len(candidates)} candidates to {args.out}", file=sys.stderr)
     chosen = select_config(candidates, request.target_cr, request.latency_budget_ms)

@@ -22,7 +22,9 @@ and the sizes and strides of its window; the bands of output rows
 records.  A stage reads its column matrix as a view of its input unless
 its factor has taps or a kept digit sits between two summed ones.  The
 stage chain runs on one band of output rows at a time, each band small
-enough that its stage buffers stay near the L2 cache.
+enough that its stage buffers stay near the L2 cache.  Without padding a
+band reads its rows straight from the image, and where one band covers
+the image the last GEMM writes straight into the result.
 
 What the factor values do not decide, the stage order, the bands and the
 shapes and strides of every window and buffer, depends only on the factor
@@ -238,7 +240,9 @@ def _cheaper_schedule(shapes: FactorShapeMatrix, ranks: tuple[int, ...]):
 
     It runs factor 0 first only when that order's GEMMs run strictly fewer
     MACs per output position and its windows copy no more elements per
-    position; otherwise, ties included, last factor first.
+    position; otherwise, ties included, last factor first.  The copied
+    elements are those the schedule copies, not the copy of each band's
+    input rows that :func:`_bands` leaves out of its budget too.
     """
 
     def per_position(stages):
@@ -272,7 +276,12 @@ def _bands(stages, kh: int, out_h: int, in_w: int, band_bytes: int):
     columns, within ``band_bytes``, and at least one; the rows are then
     shared out evenly over the bands.  A stage that runs before a stage with
     taps writes the border rows those taps read, so it runs on that many
-    more rows than the band has.
+    more rows than the band has.  The copy of the band's input rows is not
+    counted: with padding the zero-padded slab, and without it the first
+    stage's columns where they copy only because a band shorter than the
+    image cuts apart the planes the stage carries (:func:`_geometry`).  That
+    stage has no taps and sums ``c_0``, so its columns hold the slab's
+    elements in the slab's order.
     """
     fit = out_h
     for _, batch, m, kdim, n, copy, _, _, cut_h, cut_w, *_ in stages:
@@ -295,12 +304,18 @@ def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, ba
       :func:`_cheaper_schedule` picks, in the order the stages run, each
       record holding how its factor matrix is made;
     - ``bands``: the bands of output rows, from :func:`_bands`;
-    - ``slabs``: ``(slab shape, views)`` per slab height the bands use,
-      ``views`` holding ``(copy, window shape, window strides, columns
-      shape, output shape)`` per stage, strides in bytes: the window is the
-      strided view of the stage input that the stage's ``sizes`` and
-      ``planes`` describe, with the taps at their dilation, and the output
-      the next stage's input.
+    - ``slabs``: ``(in_h, slab shape, views)`` per height ``in_h`` of the
+      input rows the bands read, ``views`` holding ``(copy, window shape,
+      window strides, columns shape, output shape)`` per stage, strides in
+      bytes: the window is the strided view of the stage input that the
+      stage's ``sizes`` and ``planes`` describe, with the taps at their
+      dilation, and the output the next stage's input.  With padding, the
+      first stage reads a zero-padded slab of ``slab shape``; without, the
+      slab shape is ``None`` and the first stage reads the band's rows
+      straight from the image, whose planes are ``h`` rows high.  Its
+      columns are then a view only where the rows of its ``n`` carried
+      planes are adjacent: one carried plane, or a band the image's height;
+      elsewhere ``copy`` is set and the window is copied.
 
     Only shapes, strides and flags, never arrays, factor values or the
     shapes the factors must have, so one entry serves every batch size and
@@ -317,7 +332,8 @@ def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, ba
     slabs = []
     for in_h in sorted({rows + kh - 1 for _, rows in bands}):
         views = []
-        stage_h, stage_w = in_h, in_w
+        # the rows and columns of the planes of the stage's input
+        stage_h, stage_w = in_h if padding else h, in_w
         for k, _, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w, sizes, planes, batch, *_ in stages:
             out_h, out_w = in_h - cut_h, in_w - cut_w
             s_h = stage_w * _ITEM
@@ -325,46 +341,53 @@ def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, ba
             shape = sizes + shapes.rows[k][2:] + (n, out_h, out_w)
             strides = tuple(p * s_f for p in planes) + (dil_h * s_h, dil_w * _ITEM, s_f, s_h, _ITEM)
             cols_shape = batch + (kdim, n * out_h * out_w)
+            copy = copy or (n > 1 and stage_h * stage_w != out_h * out_w)
             views.append((copy, shape, strides, cols_shape, batch + (m, cols_shape[-1])))
             stage_h, stage_w = out_h, out_w
-        slabs.append(((shapes.target_shape[1], in_h, in_w), tuple(views)))
+        slab = (shapes.target_shape[1], in_h, in_w) if padding else None
+        slabs.append((in_h, slab, tuple(views)))
     return stages, bands, tuple(slabs)
 
 
 def _plans(seq: KroneckerSequence, stages, slabs):
     """What :func:`sekron_conv2d` runs on a band, for the ``stages`` and
-    ``slabs`` of its :func:`_geometry`: ``{in_h: (slab, plan)}`` per padded
-    slab height.
+    ``slabs`` of its :func:`_geometry`: ``{in_h: (slab, first, plan)}`` per
+    height ``in_h`` of the input rows the bands read.
 
     ``slab`` is a zero array that the band's input rows are written into,
-    and ``plan`` lists, stage by stage, ``(factor matrix, window, columns,
-    output)``; the GEMM ``output = factor matrix @ columns`` is the next
-    stage's input.  ``window`` is ``None`` where the stage does not copy and
-    ``columns`` is the window reshaped, a view of the stage input;
-    otherwise ``columns`` is a buffer the window is copied into first.
-    Every array is made once per call, the factor matrices once for all
-    heights, straight from the stage records, so every band of a call
-    reuses the same memory.  It compares no shapes: the caller has checked
-    ``seq`` (:func:`sekron.decompose._check_sequence`).
+    or ``None`` without padding.  ``plan`` lists, stage by stage, ``[factor
+    matrix, window, columns, output]``; the GEMM ``output = factor matrix @
+    columns`` is the next stage's input.  ``window`` is ``None`` where the
+    stage does not copy and ``columns`` is the window reshaped, a view of
+    the stage input; otherwise ``columns`` is a buffer the window is copied
+    into first.  Without a slab the first stage reads each band's rows of
+    the image, so its window, where it copies, or else its columns are left
+    ``None`` for the caller to make per band from ``first``, the stage's
+    view in :func:`_geometry`.  Every array is made once per call, the
+    factor matrices once for all heights, straight from the stage records,
+    so every band of a call reuses the same memory.  It compares no shapes:
+    the caller has checked ``seq`` (:func:`sekron.decompose._check_sequence`).
     """
     fmats = [
         np.ascontiguousarray(seq.factors[s.k].reshape(s.split).transpose(s.axes)).reshape(s.shape)
         for s in stages
     ]
     plans = {}
-    for slab_shape, views in slabs:
+    for in_h, slab_shape, views in slabs:
         # zeros, so the padding columns, which no band writes, stay zero
-        t = slab = np.zeros(slab_shape)
+        t = slab = None if slab_shape is None else np.zeros(slab_shape)
         plan = []
         for fmat, (copy, win_shape, strides, cols_shape, out_shape) in zip(fmats, views):
-            win = np.ndarray(win_shape, buffer=t, strides=strides)
+            win = cols = None
             if copy:
                 cols = np.empty(cols_shape)
-            else:
-                win, cols = None, win.reshape(cols_shape)
+            if t is not None:
+                win = np.ndarray(win_shape, buffer=t, strides=strides)
+                if not copy:
+                    win, cols = None, win.reshape(cols_shape)
             t = np.empty(out_shape)
-            plan.append((fmat, win, cols, t))
-        plans[slab_shape[1]] = slab, plan
+            plan.append([fmat, win, cols, t])
+        plans[in_h] = slab, views[0], plan
     return plans
 
 
@@ -401,7 +424,12 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     it copies a window into columns.  Each image's output rows are cut into
     bands (:func:`_bands`) that keep every stage buffer near
     :data:`_BAND_BYTES`, and the whole stage chain runs on one band at a
-    time, from a zero-padded slab of input rows.
+    time.  With padding, each band's input rows are first written into a
+    zero-padded slab; with ``padding=0`` no slab is filled, and the first
+    stage reads the band's rows straight from ``x``, as a view where its
+    columns are one, else copying its window from ``x``.  Where one band
+    covers the image, the last GEMM writes straight into the image's rows of
+    the result; otherwise each band's last output is copied there.
 
     After ``x`` and ``padding`` are checked, ``seq`` is checked as
     :func:`sekron.decompose.reconstruct` and
@@ -423,20 +451,35 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     """
     x = as_tensor(x)
     padding, out_h, out_w = _conv_shape(x.shape, seq.target_shape, padding)
-    kh = seq.target_shape[2]
     ranks = _check_sequence(seq)
+    kh = seq.target_shape[2]
     stages, bands, slabs = _geometry(seq.shapes, ranks, *x.shape[2:], padding, _BAND_BYTES)
     plans = _plans(seq, stages, slabs)
+    # made after the buffers: made first, it ran the 128x128k3 layer about
+    # 10% slower at batch 1 (the allocator then gave out other memory)
     out = np.empty((x.shape[0], seq.target_shape[0], out_h, out_w))
     for b in range(x.shape[0]):
         for y, rows in bands:
-            slab, plan = plans[rows + kh - 1]
-            _fill_slab(slab, x[b], y - padding, padding)
+            slab, first, plan = plans[rows + kh - 1]
+            if slab is None:
+                # the first stage reads the band's rows straight from the image
+                copy, win_shape, strides, cols_shape, _ = first
+                win = np.ndarray(win_shape, buffer=x[b], offset=y * x.strides[2], strides=strides)
+                if copy:
+                    plan[0][1] = win
+                else:
+                    plan[0][2] = win.reshape(cols_shape)
+            else:
+                _fill_slab(slab, x[b], y - padding, padding)
+            if len(bands) == 1:
+                # the last GEMM writes straight into the image's rows of the result
+                plan[-1][3] = out[b].reshape(plan[-1][3].shape)
             for fmat, win, cols, t in plan:
                 if win is not None:
                     np.copyto(cols.reshape(win.shape), win)
                 np.matmul(fmat, cols, out=t)
-            out[b, :, y : y + rows] = t.reshape(-1, rows, out_w)
+            if len(bands) > 1:
+                out[b, :, y : y + rows] = t.reshape(-1, rows, out_w)
     return out
 
 

@@ -72,7 +72,13 @@ def _digit_major(shapes: FactorShapeMatrix):
 
 
 def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
-    ranks = tuple([_as_int(r, "rank", RankError) for r in ranks])
+    """``ranks`` as a tuple of Python ints, one per level of ``shapes``, each
+    >= 1; anything else, a value that is not iterable among it, raises
+    :class:`RankError`."""
+    try:
+        ranks = tuple([_as_int(r, "rank", RankError) for r in ranks])
+    except TypeError:
+        raise RankError(f"ranks must be a sequence of integers, got {ranks!r}") from None
     if len(ranks) != len(shapes.rows) - 1:
         raise RankError(
             f"need {shapes.num_factors - 1} ranks for {shapes.num_factors} factors, "
@@ -88,7 +94,7 @@ def _check_sequence(seq: "KroneckerSequence") -> tuple[int, ...]:
     of a sequence: its ranks pass :func:`_validate_ranks`, else
     :class:`RankError`, and ``seq.factors`` holds one array of shape
     ``(branch_sizes[k], *shapes.rows[k])`` per factor ``k``, else
-    :class:`ShapeError`.
+    :class:`ShapeError`, also where it is no sequence at all.
 
     The constructor, :func:`reconstruct`, :func:`sekron.fileio.write_sequence`,
     :func:`sekron.conv.sekron_conv2d` and :func:`sekron.conv.conv_macs` run
@@ -98,8 +104,14 @@ def _check_sequence(seq: "KroneckerSequence") -> tuple[int, ...]:
     shapes, factors = seq.shapes, seq.factors
     ranks = _validate_ranks(shapes, seq.ranks)
     rows, extended, rho = shapes.rows, (*ranks, 1), 1
-    if len(factors) != len(rows):
-        raise ShapeError(f"expected {len(rows)} factors, got {len(factors)}")
+    try:
+        count = len(factors)
+    except TypeError:
+        raise ShapeError(
+            f"factors must be a list of arrays, got {type(factors).__name__}"
+        ) from None
+    if count != len(rows):
+        raise ShapeError(f"expected {len(rows)} factors, got {count}")
     # rho steps through the branch counts, the prefix products of (*ranks,
     # 1) that _branch_sizes returns: the conv runs this loop on every call,
     # and building that tuple and unpacking a zip per factor cost more than

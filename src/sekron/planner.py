@@ -1,13 +1,27 @@
 """Compression/FLOP accounting, candidate configuration enumeration,
 latency measurement, and configuration selection for factorized conv layers.
+
+A sweep is stored as columns, one group per shape matrix (:class:`Sweep`):
+the matrix, its rank tuples, a list of CR and a list of FR values, and, once
+timed, one list of latencies for the whole sweep.  A sweep shares each shape
+matrix among all of its rank tuples, each grid of rank tuples, with its CSV
+text, among all of its shape matrices that have the same capped ranks, and
+each CR or FR list among the shape matrices whose counts give equal lists.
+Enumeration (:func:`enumerate_configs`), the CSV writer
+(:func:`write_candidates_csv`) and the selector (:func:`select_config`) work
+one group at a time, so none of them builds an object per candidate;
+:class:`CandidateConfig` is the record of one candidate, built only where one
+is asked for: by iterating a sweep, for a latency probe, and for the pick.
 """
 
 import itertools
 import math
 import numbers
+import operator
 import statistics
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +62,89 @@ class CandidateConfig:
 
     def with_latency(self, latency_ms: float) -> "CandidateConfig":
         return CandidateConfig(self.shapes, self.ranks, self.cr, self.fr, latency_ms)
+
+
+def _csv_field(text: str) -> str:
+    # csv.writer's default (excel) dialect quotes a field holding a comma, a
+    # double quote or a line break and doubles its double quotes; an empty
+    # field within a row is written as nothing
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+class RankGrid(NamedTuple):
+    """The rank tuples of one group of a :class:`Sweep`, in order, and the
+    CSV field of each followed by a comma; one grid serves every group with
+    the same rank tuples."""
+
+    tuples: tuple[tuple[int, ...], ...]
+    fields: tuple[str, ...]
+
+    @classmethod
+    def of(cls, tuples) -> "RankGrid":
+        tuples = tuple(tuples)
+        return cls(tuples, tuple(_csv_field(",".join(map(str, r))) + "," for r in tuples))
+
+
+class ShapeGroup(NamedTuple):
+    """The candidates of one shape matrix in a :class:`Sweep`: row ``i`` has
+    the rank tuple ``ranks.tuples[i]``, CR ``cr[i]`` and FR ``fr[i]``."""
+
+    shapes: FactorShapeMatrix
+    ranks: RankGrid
+    cr: list[float]
+    fr: list[float]
+
+
+@dataclass
+class Sweep:
+    """A compression sweep as columns: one :class:`ShapeGroup` per shape
+    matrix, the candidates in group order, then row order.
+
+    ``latency_ms`` is ``None`` for a sweep that was not timed, else one
+    entry per candidate in that order, ``None`` where a candidate has no
+    measured latency.  ``len`` is the candidate count, and iterating yields
+    each candidate as a :class:`CandidateConfig`, built as it is asked for.
+    Groups may share their :class:`RankGrid`, CR list and FR list, so the
+    columns are not to be changed in place; :meth:`with_latency` gives a
+    timed sweep that shares the groups.
+    """
+
+    groups: list[ShapeGroup]
+    latency_ms: list[float | None] | None = None
+
+    def __len__(self) -> int:
+        return sum(len(group.cr) for group in self.groups)
+
+    def __iter__(self):
+        latency = iter(self.latency_ms or ())
+        for shapes, ranks, cr, fr in self.groups:
+            for row in zip(ranks.tuples, cr, fr):
+                yield CandidateConfig(shapes, *row, next(latency, None))
+
+    def with_latency(self, latency_ms) -> "Sweep":
+        """The same candidates with one measured latency each, in order."""
+        latency_ms = list(latency_ms)
+        if len(latency_ms) != len(self):
+            raise ValueError(f"need {len(self)} latencies, got {len(latency_ms)}")
+        return Sweep(self.groups, latency_ms)
+
+    @classmethod
+    def of(cls, candidates) -> "Sweep":
+        """``candidates`` as a sweep: a :class:`Sweep` as it is, any other
+        iterable of :class:`CandidateConfig` as one group per run of
+        consecutive candidates with equal shapes, in order."""
+        if isinstance(candidates, cls):
+            return candidates
+        candidates = list(candidates)
+        groups = []
+        for shapes, run in itertools.groupby(candidates, operator.attrgetter("shapes")):
+            run = list(run)
+            groups.append(ShapeGroup(shapes, RankGrid.of(c.ranks for c in run),
+                                     [c.cr for c in run], [c.fr for c in run]))
+        latency = [c.latency_ms for c in candidates]
+        return cls(groups, None if all(t is None for t in latency) else latency)
 
 
 def _real(value, what: str) -> float:
@@ -251,8 +348,9 @@ def _branch_totals(per_branch, ranges) -> list[int]:
     return totals
 
 
-def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
-    """Cross per-axis factorizations with rank tuples up to ``max_rank``.
+def enumerate_configs(req: PlanRequest) -> Sweep:
+    """Cross per-axis factorizations with rank tuples up to ``max_rank``, as
+    a :class:`Sweep` with one group per shape matrix.
 
     Rank tuples exceeding a level's full-rank ceiling are dropped.  Raises
     :class:`CandidateLimitError` (never truncates silently) if the raw
@@ -262,12 +360,15 @@ def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
     Both ratios are a dense count over ``sum_k branch_k * term_k``, where
     the branch sizes depend only on the rank tuple and the terms (factor
     volumes for CR, :func:`stage_macs_per_branch` for FR) only on the shape
-    matrix.  So each shape combination's volumes, terms and rank caps
+    matrix.  So each shape matrix's volumes, terms and rank caps
     (:func:`sekron.tensor_core._rank_caps`) take one O(S) pass, and its
     denominators one nested sum over its rank tuples
     (:func:`_branch_totals`): the same integers, hence the same floats, as
-    :func:`compression_ratio` and :func:`flops_ratio`.  Candidates come out
-    in the order of the shape combinations, then of the rank tuples, both
+    :func:`compression_ratio` and :func:`flops_ratio`.  The shape matrices
+    with the same capped ranks share one :class:`RankGrid`, those with the
+    same factor volumes one CR list, and those with the same terms and
+    capped ranks one FR list, each computed once.  Candidates come out in
+    the order of the shape matrices, then of the rank tuples, both
     lexicographic.
     """
     s = req.sequence_length
@@ -280,18 +381,31 @@ def enumerate_configs(req: PlanRequest) -> list[CandidateConfig]:
             "reduce max_rank / sequence length"
         )
     per_axis = [enumerate_factorizations(dim, s) for dim in req.target_shape]
-    dense = math.prod(req.target_shape)
-    configs = []
+    dense, max_rank = math.prod(req.target_shape), req.max_rank
+    # the capped ranks, rank grid, ranges and CR list of each distinct volumes;
+    # the rank grid of each distinct capped ranks; the FR list of each
+    # distinct terms and capped ranks
+    by_volumes, grids, fr_columns, groups = {}, {}, {}, []
     for combo in itertools.product(*per_axis):
         # the enumerator's own ints, so the rows are not read again
         shapes = FactorShapeMatrix._of_ints(tuple(zip(*combo)))
         volumes = shapes.volumes
-        ranges = [range(1, min(req.max_rank, cap) + 1) for cap in _rank_caps(volumes)]
-        stored = _branch_totals(volumes, ranges)
-        macs = _branch_totals(stage_macs_per_branch(shapes), ranges)
-        for ranks, cr_den, fr_den in zip(itertools.product(*ranges), stored, macs):
-            configs.append(CandidateConfig(shapes, ranks, dense / cr_den, dense / fr_den))
-    return configs
+        column = by_volumes.get(volumes)
+        if column is None:
+            caps = tuple(map(min, _rank_caps(volumes), itertools.repeat(max_rank)))
+            grid = grids.get(caps)
+            if grid is None:
+                ranges = [range(1, cap + 1) for cap in caps]
+                grid = grids[caps] = RankGrid.of(itertools.product(*ranges)), ranges
+            cr = list(map(dense.__truediv__, _branch_totals(volumes, grid[1])))
+            column = by_volumes[volumes] = (caps, *grid, cr)
+        caps, ranks, ranges, cr = column
+        terms = stage_macs_per_branch(shapes)
+        fr = fr_columns.get((terms, caps))
+        if fr is None:
+            fr = fr_columns[terms, caps] = list(map(dense.__truediv__, _branch_totals(terms, ranges)))
+        groups.append(ShapeGroup(shapes, ranks, cr, fr))
+    return Sweep(groups)
 
 
 def _median_ms(run, trials: int) -> float:
@@ -333,12 +447,22 @@ def measure_latency(config: CandidateConfig, input_shape, trials: int = 5) -> fl
     """Latency of a candidate configuration: :func:`measure_sequence_latency`
     without padding, on a sequence whose every factor entry is 1.0, for the
     same reason the input is all ones.
+
+    Per candidate it builds one all-ones buffer of the sequence's stored
+    element count, whose consecutive slices, reshaped, are the factors, and
+    the :class:`KroneckerSequence` over them; then the all-ones input and
+    the timed calls of :func:`measure_sequence_latency`.
     """
+    shapes, ranks = config.shapes, config.ranks
+    sizes = _branch_sizes(ranks)
+    counts = list(map(operator.mul, sizes, shapes.volumes))
+    ones = np.ones(sum(counts))
+    ends = list(itertools.accumulate(counts))
     factors = [
-        np.ones((rho,) + row)
-        for rho, row in zip(_branch_sizes(config.ranks), config.shapes.rows)
+        ones[end - count : end].reshape((rho, *row))
+        for rho, row, count, end in zip(sizes, shapes.rows, counts, ends)
     ]
-    seq = KroneckerSequence(config.shapes, config.ranks, factors)
+    seq = KroneckerSequence(shapes, ranks, factors)
     return measure_sequence_latency(seq, input_shape, trials)
 
 
@@ -356,68 +480,92 @@ def select_config(
     The choice does not depend on candidate order.  ``target_cr`` must be
     finite and ``>= 1``, as in :class:`PlanRequest`, and a budget a real
     number; anything else raises ``ValueError``.
+
+    ``candidates`` is a :class:`Sweep` or an iterable of
+    :class:`CandidateConfig`, read as a sweep (:meth:`Sweep.of`).  The gaps
+    are taken group by group, a CR column at a time; only the tied
+    candidates are compared by the tie rule, and only the pick is built as
+    a :class:`CandidateConfig`.
     """
     target_cr = _check_target_cr(target_cr)
-    candidates = list(candidates)
-    if not candidates:
+    sweep = Sweep.of(candidates)
+    if not len(sweep):
         raise NoFeasibleConfigError("no candidates to select from")
-    pool = candidates
+    latency = sweep.latency_ms
     if latency_budget_ms is not None:
         latency_budget_ms = _real(latency_budget_ms, "latency budget")
-        if any(c.latency_ms is None for c in candidates):
+        if latency is None or None in latency:
             raise ValueError("a latency budget requires measured latencies")
-        pool = [c for c in candidates if c.latency_ms <= latency_budget_ms]
-        if not pool:
-            raise NoFeasibleConfigError(
-                f"no configuration within {latency_budget_ms} ms"
-            )
+    # (smallest CR gap, group, offset of its first row, its rows within the
+    # budget) per group with a row within the budget
+    pool, start = [], 0
+    for group in sweep.groups:
+        rows, cr = range(len(group.cr)), group.cr
+        if latency_budget_ms is not None:
+            times = latency[start : start + len(cr)]
+            rows = [i for i, t in enumerate(times) if t <= latency_budget_ms]
+            cr = [cr[i] for i in rows]
+        if rows:
+            pool.append((_smallest_gap(cr, target_cr), group, start, rows))
+        start += len(group.cr)
+    if not pool:
+        raise NoFeasibleConfigError(f"no configuration within {latency_budget_ms} ms")
 
-    best_gap = min(abs(c.cr - target_cr) for c in pool)
-    tied = [c for c in pool if abs(c.cr - target_cr) - best_gap <= CR_TIE_RTOL * target_cr]
+    best_gap = min(gap for gap, *_ in pool)
+    tolerance = CR_TIE_RTOL * target_cr
+    tied = []
+    for gap, group, start, rows in pool:
+        if gap - best_gap > tolerance:
+            continue
+        for i in rows:
+            if abs(group.cr[i] - target_cr) - best_gap <= tolerance:
+                measured = None if latency is None else latency[start + i]
+                order = math.inf if measured is None else measured
+                tied.append((order, group.shapes.rows, group.ranks.tuples[i], group, i, measured))
+    *_, group, i, measured = min(tied, key=operator.itemgetter(0, 1, 2))
+    return CandidateConfig(group.shapes, group.ranks.tuples[i], group.cr[i], group.fr[i], measured)
 
-    def order(c: CandidateConfig):
-        latency = c.latency_ms if c.latency_ms is not None else math.inf
-        return (latency, c.shapes.rows, c.ranks)
 
-    return min(tied, key=order)
+def _smallest_gap(cr, target_cr: float) -> float:
+    return min(map(abs, map(operator.sub, cr, itertools.repeat(target_cr))))
 
 
-def _csv_field(text: str) -> str:
-    # csv.writer's default (excel) dialect quotes a field holding a comma, a
-    # double quote or a line break and doubles its double quotes; an empty
-    # field within a row is written as nothing
-    if any(ch in text for ch in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+class _Text(dict):
+    """CSV text of each float asked for, followed by a comma; each distinct
+    value is formatted once.  CR and FR are ratios of positive counts,
+    finite positive floats, so equal values have equal text."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = repr(value) + ","
+        return text
+
+
+def _latency_field(latency_ms: float | None) -> str:
+    return "" if latency_ms is None else repr(latency_ms)
 
 
 def write_candidates_csv(candidates, path) -> None:
     """Dump a sweep as CSV with columns shapes, ranks, cr, fr, latency_ms.
 
     The bytes are those of :func:`csv.writer` with its default dialect
-    (``\\r\\n`` line ends, minimal quoting).  A sweep shares one shape matrix
-    between all of its rank tuples and one rank tuple between many shape
-    matrices, so each distinct shapes and ranks field is quoted once.  It
-    also repeats few CR and FR values, so each is formatted once: both are
-    ratios of positive counts, finite positive floats, so equal values
-    have equal text.  The rows are then joined and written in one call.
+    (``\\r\\n`` line ends, minimal quoting).  ``candidates`` is a
+    :class:`Sweep` or an iterable of :class:`CandidateConfig`, read as a
+    sweep (:meth:`Sweep.of`).  The rows are written group by group: a
+    group's shapes field is quoted once, its rank fields come with its
+    :class:`RankGrid`, each distinct CR and FR value is formatted once
+    (:class:`_Text`), and the group's rows are joined in one call.  All rows
+    are then written in one call.
     """
-    shape_fields, rank_fields, ratio_fields = {}, {}, {}
-    lines = ["shapes,ranks,cr,fr,latency_ms\r\n"]
-    for c in candidates:
-        shapes = shape_fields.get(c.shapes)
-        if shapes is None:
-            shapes = shape_fields[c.shapes] = _csv_field(c.shapes.to_string())
-        ranks = rank_fields.get(c.ranks)
-        if ranks is None:
-            ranks = rank_fields[c.ranks] = _csv_field(",".join(map(str, c.ranks)))
-        cr = ratio_fields.get(c.cr)
-        if cr is None:
-            cr = ratio_fields[c.cr] = repr(c.cr)
-        fr = ratio_fields.get(c.fr)
-        if fr is None:
-            fr = ratio_fields[c.fr] = repr(c.fr)
-        latency = "" if c.latency_ms is None else repr(c.latency_ms)
-        lines.append(f"{shapes},{ranks},{cr},{fr},{latency}\r\n")
+    sweep = Sweep.of(candidates)
+    ratios, latency, start = _Text(), sweep.latency_ms, 0
+    chunks = ["shapes,ranks,cr,fr,latency_ms\r\n"]
+    for shapes, ranks, cr, fr in sweep.groups:
+        rows = map(operator.add, ranks.fields, map(ratios.__getitem__, cr))
+        rows = map(operator.add, rows, map(ratios.__getitem__, fr))
+        if latency is not None:
+            rows = map(operator.add, rows, map(_latency_field, latency[start : start + len(cr)]))
+        shapes_field = _csv_field(shapes.to_string()) + ","
+        chunks += shapes_field, ("\r\n" + shapes_field).join(rows), "\r\n"
+        start += len(cr)
     with open(path, "w", newline="") as handle:
-        handle.write("".join(lines))
+        handle.write("".join(chunks))

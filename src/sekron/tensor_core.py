@@ -51,9 +51,9 @@ def _dims(values, ndim: int, what: str) -> tuple[int, ...]:
     """``values`` as ``ndim`` Python ints >= 1, each read through
     :func:`_as_int`; a float, a bool, a value below 1 or the wrong count
     raises :class:`ShapeError` naming ``what``."""
-    label = f"{what} dimension"
-    dims = tuple([_as_int(v, label) for v in values])
-    if len(dims) != ndim or any(d < 1 for d in dims):
+    # an int is taken as it is, without a call per value
+    dims = tuple([v if type(v) is int else _as_int(v, f"{what} dimension") for v in values])
+    if len(dims) != ndim or min(dims, default=1) < 1:
         raise ShapeError(f"{what} needs {ndim} positive dimensions, got {dims}")
     return dims
 
@@ -110,6 +110,15 @@ class FactorShapeMatrix:
                 raise ShapeError("all factor shapes must have the same axis count")
             if any(d < 1 for d in row):
                 raise ShapeError("factor dimensions must be >= 1")
+
+    def __hash__(self) -> int:
+        # the conv's memo hashes its key, this matrix among it, on every call
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of ``rows``, computed once per instance."""
+        return hash(self.rows)
 
     @property
     def num_factors(self) -> int:

@@ -248,6 +248,8 @@ def test_plan_progress_is_one_json_object_per_candidate(tmp_path, capsys):
         for i, row in enumerate(rows)
     ]
     assert len({r["shapes"] for r in records}) < len(records)
+    # each line is the bytes json.dumps writes for its record
+    assert progress == [json.dumps(record) for record in records]
     # stdout is the chosen config alone, one line as json.dumps writes it
     chosen = json.loads(captured.out)
     assert captured.out == json.dumps(chosen) + "\n"

@@ -295,6 +295,13 @@ _CHANGES = [
     ("bool rank", (1,), lambda seq: setattr(seq, "ranks", (True,)), RankError, "bool"),
     ("list of ranks", (2,), lambda seq: setattr(seq, "ranks", [2]), None, None),
     ("numpy rank", (2,), lambda seq: setattr(seq, "ranks", (np.int64(2),)), None, None),
+    # not iterable at all: refused as the ranks or the factors they are
+    ("int ranks", (2,), lambda seq: setattr(seq, "ranks", 2), RankError,
+     "ranks must be a sequence of integers, got 2"),
+    ("none ranks", (2,), lambda seq: setattr(seq, "ranks", None), RankError,
+     "ranks must be a sequence of integers, got None"),
+    ("none factors", (2,), lambda seq: setattr(seq, "factors", None), ShapeError,
+     "factors must be a list of arrays, got NoneType"),
 ]
 
 
@@ -437,6 +444,34 @@ def test_images_independent_of_batch():
             assert np.array_equal(batched[i : i + 1], alone)
 
 
+@pytest.mark.parametrize("band_bytes", [1, sekron.conv._BAND_BYTES], ids=["one-row", "default"])
+def test_only_padding_fills_a_slab(monkeypatch, band_bytes):
+    # without padding every band reads its rows straight from the image and
+    # no slab is filled; with padding every band of every image fills one
+    monkeypatch.setattr("sekron.conv._BAND_BYTES", band_bytes)
+    fill_slab = sekron.conv._fill_slab
+
+    def no_fill(*args):
+        raise AssertionError("a slab was filled without padding")
+
+    monkeypatch.setattr("sekron.conv._fill_slab", no_fill)
+    for seq, x, _ in sweep_cases():
+        got = sekron_conv2d(x, seq, padding=0)
+        want = conv2d_reference(x, reconstruct(seq), padding=0)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for i in range(x.shape[0]):
+            assert np.array_equal(got[i : i + 1], sekron_conv2d(x[i : i + 1], seq, padding=0))
+        # the windows are views of x, which may be read-only
+        x.setflags(write=False)
+        assert np.array_equal(got, sekron_conv2d(x, seq, padding=0))
+    fills = []
+    monkeypatch.setattr("sekron.conv._fill_slab", lambda *args: fills.append(fill_slab(*args)))
+    for seq, x, _ in sweep_cases():
+        before = len(fills)
+        sekron_conv2d(x, seq, padding=1)
+        assert len(fills) - before == x.shape[0] * len(geometry(seq, x, 1)[1])
+
+
 def geometry(seq, x, padding):
     """The conv's memoized :func:`sekron.conv._geometry` for ``seq`` on ``x``."""
     return sekron.conv._geometry(
@@ -458,6 +493,21 @@ class CountingNumpy:
         stack = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
         self.macs += stack * a.shape[-2] * a.shape[-1] * b.shape[-1]
         return np.matmul(a, b, **kwargs)
+
+
+class RecordingNumpy:
+    """numpy, with the ``out`` array of every ``matmul`` appended to
+    ``outs``."""
+
+    def __init__(self, outs):
+        self.outs = outs
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out):
+        self.outs.append(out)
+        return np.matmul(a, b, out=out)
 
 
 class TestBands:
@@ -674,14 +724,35 @@ class TestStageOrder:
     ):
         # in every stage of every slab height the conv builds, the stage has
         # no window, is not scheduled to copy, and reads its columns from its
-        # input's memory, or none of the three
+        # input's memory, or none of the three.  Without padding there is no
+        # slab and the first stage reads each band's rows of the image,
+        # copying them too where the band is shorter than the image and the
+        # stage carries planes (whose rows are then apart); its window or
+        # columns are made per band from its view.
         monkeypatch.setattr("sekron.conv._BAND_BYTES", band_bytes)
         for seq, x, padding in itertools.chain(sweep_cases(), factor0_first_cases()):
             stages, bands, slabs = geometry(seq, x, padding)
+            kh = seq.target_shape[2]
+            assert [in_h for in_h, _, _ in slabs] == sorted({rows + kh - 1 for _, rows in bands})
             plans = sekron.conv._plans(seq, stages, slabs)
-            assert plans.keys() == {rows + seq.target_shape[2] - 1 for _, rows in bands}
-            for slab, plan in plans.values():
+            assert plans.keys() == {rows + kh - 1 for _, rows in bands}
+            for in_h, (slab, first, plan) in plans.items():
+                assert (slab is None) == (padding == 0)
                 source = slab
                 for stage, (_, win, cols, t) in zip(stages, plan):
-                    assert (win is None) == (not stage[5]) == np.shares_memory(cols, source)
+                    apart = stage.n > 1 and in_h < x.shape[2]
+                    if source is None:
+                        assert first[0] == (stage.copy or apart)
+                        assert (win is None) and (cols is None) == (not first[0])
+                    else:
+                        assert (win is None) == (not stage.copy) == np.shares_memory(cols, source)
                     source = t
+            # the last GEMM of each image writes into the result exactly where
+            # one band covers the image
+            outs = []
+            with monkeypatch.context() as recording:
+                recording.setattr("sekron.conv.np", RecordingNumpy(outs))
+                result = sekron_conv2d(x, seq, padding=padding)
+            last = outs[len(stages) - 1 :: len(stages)]
+            assert len(last) == x.shape[0] * len(bands)
+            assert [np.shares_memory(t, result) for t in last] == [len(bands) == 1] * len(last)

@@ -13,6 +13,8 @@ from sekron import (
     KroneckerSequence,
     RankError,
     ShapeError,
+    compression_ratio,
+    flops_ratio,
     reconstruct,
     read_sequence,
     sekron_decompose,
@@ -323,6 +325,23 @@ class TestSequenceValidation:
         ]
         for call in calls:
             with pytest.raises(RankError, match="rank"):
+                call()
+
+    # ranks that are not iterable at all, as a caller passing one rank for
+    # a one-level sequence might write them
+    @pytest.mark.parametrize("ranks", [2, None, 2.0], ids=["int", "none", "float"])
+    def test_non_iterable_ranks_are_a_rank_error(self, ranks):
+        shapes = FactorShapeMatrix(((2, 2), (2, 2)))
+        w = np.random.default_rng(5).standard_normal((4, 4))
+        calls = [
+            lambda: stored_param_count(shapes, ranks),
+            lambda: sekron_decompose(w, shapes, ranks),
+            lambda: compression_ratio(shapes, ranks),
+            lambda: flops_ratio(FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3))), ranks),
+            lambda: KroneckerSequence(shapes, ranks, [np.ones((2, 2, 2))] * 2),
+        ]
+        for call in calls:
+            with pytest.raises(RankError, match="ranks must be a sequence of integers"):
                 call()
 
     def test_numpy_integer_ranks_become_ints(self):

@@ -30,7 +30,7 @@ from sekron import (
 )
 from sekron.cli import run_cli
 from sekron.decompose import _branch_sizes, _branch_total
-from sekron.planner import _branch_totals, _count_factorizations
+from sekron.planner import CR_TIE_RTOL, _branch_totals, _count_factorizations
 from oracles import random_sequence, write_candidates_csv_per_row
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -111,7 +111,7 @@ class TestEnumerateConfigs:
 
     def test_single_factor_is_identity_config(self):
         req = PlanRequest((4, 4, 3, 3), 1, target_cr=1.0)
-        configs = enumerate_configs(req)
+        configs = list(enumerate_configs(req))
         assert len(configs) == 1
         assert configs[0].cr == 1.0
         assert configs[0].fr == 1.0
@@ -375,12 +375,15 @@ class TestLatency:
         assert [x.shape for x, _, _ in calls] == [(2, 4, 8, 8)] * 4 + [(1, 4, 6, 6)] * 4
         assert [padding for _, _, padding in calls] == [0] * 4 + [1] * 4
         assert all(np.all(f == 1.0) for _, seq, _ in calls[:4] for f in seq.factors)
+        # the candidate's factors are slices of one buffer
+        _, seq, _ = calls[0]
+        assert all(np.shares_memory(f, seq.factors[0].base) for f in seq.factors)
 
 
 class TestCsv:
     def test_sweep_round_trips_through_csv(self, tmp_path):
         req = PlanRequest((4, 4, 1, 1), 2, target_cr=2.0, max_rank=1)
-        configs = enumerate_configs(req)
+        configs = list(enumerate_configs(req))
         configs[0] = configs[0].with_latency(1.25)
         path = tmp_path / "sweep.csv"
         write_candidates_csv(configs, path)
@@ -424,11 +427,42 @@ class TestCsv:
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def tie_rule_pick(candidates, target_cr, latency_budget_ms=None):
+    """select_config's documented rule applied candidate by candidate."""
+    if latency_budget_ms is not None:
+        candidates = [c for c in candidates if c.latency_ms <= latency_budget_ms]
+    best = min(abs(c.cr - target_cr) for c in candidates)
+    tied = [c for c in candidates if abs(c.cr - target_cr) - best <= CR_TIE_RTOL * target_cr]
+    return min(tied, key=lambda c: (math.inf if c.latency_ms is None else c.latency_ms,
+                                    c.shapes.rows, c.ranks))
+
+
+def test_a_full_sweep_writes_and_picks_as_the_per_row_forms(tmp_path):
+    # the S=3 sweep of a 128x64 1x1 layer up to rank 4: groups of one shape
+    # matrix share rank grids and CR lists, which the writer and the
+    # selector read once each
+    sweep = enumerate_configs(PlanRequest((128, 64, 1, 1), 3, 10.0, max_rank=4))
+    assert (len(sweep), len(sweep.groups)) == (11_947, 1_008)
+    rng = random.Random(9)
+    timed = sweep.with_latency([rng.uniform(0.5, 2.0) for _ in range(len(sweep))])
+    for name, candidates in [("untimed", sweep), ("timed", timed)]:
+        rows = list(candidates)
+        write_candidates_csv(candidates, tmp_path / f"{name}.csv")
+        write_candidates_csv_per_row(rows, tmp_path / f"{name}-oracle.csv")
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}-oracle.csv").read_bytes(), name
+        for target in (1.0, 3.0, 10.0, 37.5, 1e6):
+            assert select_config(candidates, target) == tie_rule_pick(rows, target)
+    for budget in (0.6, 1.0, 1.9):
+        want = tie_rule_pick(list(timed), 10.0, budget)
+        assert select_config(timed, 10.0, budget) == want
+
+
 def test_cr_identity_on_enumerated_configs_with_decomposition():
     rng = np.random.default_rng(17)
     w = rng.standard_normal((8, 8, 3, 3))
     req = PlanRequest((8, 8, 3, 3), 2, target_cr=4.0, max_rank=2)
-    configs = enumerate_configs(req)
+    configs = list(enumerate_configs(req))
     dense = w.size
     sample = configs[:: max(1, len(configs) // 12)]
     for config in sample:
