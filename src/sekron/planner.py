@@ -3,15 +3,17 @@ latency measurement, and configuration selection for factorized conv layers.
 
 A sweep is stored as columns, one group per shape matrix (:class:`Sweep`):
 the matrix, its rank tuples, a list of CR and a list of FR values, and, once
-timed, one list of latencies for the whole sweep.  A sweep shares each shape
-matrix among all of its rank tuples, each grid of rank tuples, with its CSV
-text, among all of its shape matrices that have the same capped ranks, and
-each CR or FR list among the shape matrices whose counts give equal lists.
-Enumeration (:func:`enumerate_configs`), the CSV writer
+timed, a list of the group's own latencies, one per row.  A sweep shares
+each shape matrix among all of its rank tuples, each grid of rank tuples,
+with its CSV text, among all of its shape matrices that have the same capped
+ranks, and each CR or FR list among the shape matrices whose counts give
+equal lists.  Enumeration (:func:`enumerate_configs`), the CSV writer
 (:func:`write_candidates_csv`) and the selector (:func:`select_config`) work
 one group at a time, so none of them builds an object per candidate;
 :class:`CandidateConfig` is the record of one candidate, built only where one
 is asked for: by iterating a sweep, for a latency probe, and for the pick.
+A latency probe (:func:`measure_latency`) times the conv on an all-ones
+input with each factor an all-ones array of its own.
 """
 
 import itertools
@@ -89,12 +91,16 @@ class RankGrid(NamedTuple):
 
 class ShapeGroup(NamedTuple):
     """The candidates of one shape matrix in a :class:`Sweep`: row ``i`` has
-    the rank tuple ``ranks.tuples[i]``, CR ``cr[i]`` and FR ``fr[i]``."""
+    the rank tuple ``ranks.tuples[i]``, CR ``cr[i]`` and FR ``fr[i]``.
+
+    ``latency_ms`` is ``None`` for a group that was not timed, else one
+    entry per row, ``None`` where a row has no measured latency."""
 
     shapes: FactorShapeMatrix
     ranks: RankGrid
     cr: list[float]
     fr: list[float]
+    latency_ms: list[float | None] | None = None
 
 
 @dataclass
@@ -102,49 +108,50 @@ class Sweep:
     """A compression sweep as columns: one :class:`ShapeGroup` per shape
     matrix, the candidates in group order, then row order.
 
-    ``latency_ms`` is ``None`` for a sweep that was not timed, else one
-    entry per candidate in that order, ``None`` where a candidate has no
-    measured latency.  ``len`` is the candidate count, and iterating yields
-    each candidate as a :class:`CandidateConfig`, built as it is asked for.
-    Groups may share their :class:`RankGrid`, CR list and FR list, so the
-    columns are not to be changed in place; :meth:`with_latency` gives a
-    timed sweep that shares the groups.
+    Each group holds its own rows' latencies (:class:`ShapeGroup`).  ``len``
+    is the candidate count, and iterating yields each candidate as a
+    :class:`CandidateConfig`, built as it is asked for.  Groups may share
+    their :class:`RankGrid`, CR list and FR list, so the columns are not to
+    be changed in place; :meth:`with_latency` gives a timed sweep whose
+    groups share them.
     """
 
     groups: list[ShapeGroup]
-    latency_ms: list[float | None] | None = None
 
     def __len__(self) -> int:
         return sum(len(group.cr) for group in self.groups)
 
     def __iter__(self):
-        latency = iter(self.latency_ms or ())
-        for shapes, ranks, cr, fr in self.groups:
-            for row in zip(ranks.tuples, cr, fr):
-                yield CandidateConfig(shapes, *row, next(latency, None))
+        for shapes, ranks, cr, fr, latency in self.groups:
+            for row in zip(ranks.tuples, cr, fr, latency or itertools.repeat(None)):
+                yield CandidateConfig(shapes, *row)
 
     def with_latency(self, latency_ms) -> "Sweep":
-        """The same candidates with one measured latency each, in order."""
+        """The same candidates with one measured latency each, in order,
+        split across the groups."""
         latency_ms = list(latency_ms)
         if len(latency_ms) != len(self):
             raise ValueError(f"need {len(self)} latencies, got {len(latency_ms)}")
-        return Sweep(self.groups, latency_ms)
+        latency = iter(latency_ms)
+        return Sweep([group._replace(latency_ms=list(itertools.islice(latency, len(group.cr))))
+                      for group in self.groups])
 
     @classmethod
     def of(cls, candidates) -> "Sweep":
         """``candidates`` as a sweep: a :class:`Sweep` as it is, any other
         iterable of :class:`CandidateConfig` as one group per run of
-        consecutive candidates with equal shapes, in order."""
+        consecutive candidates with equal shapes, in order.  A group none of
+        whose candidates has a latency is untimed."""
         if isinstance(candidates, cls):
             return candidates
-        candidates = list(candidates)
         groups = []
         for shapes, run in itertools.groupby(candidates, operator.attrgetter("shapes")):
             run = list(run)
+            latency = [c.latency_ms for c in run]
             groups.append(ShapeGroup(shapes, RankGrid.of(c.ranks for c in run),
-                                     [c.cr for c in run], [c.fr for c in run]))
-        latency = [c.latency_ms for c in candidates]
-        return cls(groups, None if all(t is None for t in latency) else latency)
+                                     [c.cr for c in run], [c.fr for c in run],
+                                     None if all(t is None for t in latency) else latency))
+        return cls(groups)
 
 
 def _real(value, what: str) -> float:
@@ -165,6 +172,13 @@ def _check_target_cr(target_cr) -> float:
             f"target compression ratio must be finite and >= 1, got {target_cr}"
         )
     return target_cr
+
+
+def _check_budget(latency_budget_ms) -> float:
+    budget = _real(latency_budget_ms, "latency budget")
+    if math.isnan(budget):
+        raise ValueError("latency budget must be a number of milliseconds, got nan")
+    return budget
 
 
 def _count(value, what: str) -> int:
@@ -205,10 +219,7 @@ class PlanRequest:
         object.__setattr__(self, "max_rank", _count(self.max_rank, "max rank"))
         object.__setattr__(self, "target_cr", _check_target_cr(self.target_cr))
         if self.latency_budget_ms is not None:
-            budget = _real(self.latency_budget_ms, "latency budget")
-            if math.isnan(budget):
-                raise ValueError("latency budget must be a number of milliseconds, got nan")
-            object.__setattr__(self, "latency_budget_ms", budget)
+            object.__setattr__(self, "latency_budget_ms", _check_budget(self.latency_budget_ms))
 
 
 def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:
@@ -448,20 +459,13 @@ def measure_latency(config: CandidateConfig, input_shape, trials: int = 5) -> fl
     without padding, on a sequence whose every factor entry is 1.0, for the
     same reason the input is all ones.
 
-    Per candidate it builds one all-ones buffer of the sequence's stored
-    element count, whose consecutive slices, reshaped, are the factors, and
-    the :class:`KroneckerSequence` over them; then the all-ones input and
-    the timed calls of :func:`measure_sequence_latency`.
+    Per candidate it builds each factor as its own all-ones array of shape
+    ``(branches, *row)`` and the :class:`KroneckerSequence` over them; then
+    the all-ones input and the timed calls of
+    :func:`measure_sequence_latency`.
     """
     shapes, ranks = config.shapes, config.ranks
-    sizes = _branch_sizes(ranks)
-    counts = list(map(operator.mul, sizes, shapes.volumes))
-    ones = np.ones(sum(counts))
-    ends = list(itertools.accumulate(counts))
-    factors = [
-        ones[end - count : end].reshape((rho, *row))
-        for rho, row, count, end in zip(sizes, shapes.rows, counts, ends)
-    ]
+    factors = [np.ones((rho, *row)) for rho, row in zip(_branch_sizes(ranks), shapes.rows)]
     seq = KroneckerSequence(shapes, ranks, factors)
     return measure_sequence_latency(seq, input_shape, trials)
 
@@ -478,8 +482,8 @@ def select_config(
     ``latency_ms=None`` after every measured latency, then toward
     lexicographically smaller shapes (``shapes.rows``), then smaller ranks.
     The choice does not depend on candidate order.  ``target_cr`` must be
-    finite and ``>= 1``, as in :class:`PlanRequest`, and a budget a real
-    number; anything else raises ``ValueError``.
+    finite and ``>= 1`` and a budget a real number, not NaN, as in
+    :class:`PlanRequest`; anything else raises ``ValueError``.
 
     ``candidates`` is a :class:`Sweep` or an iterable of
     :class:`CandidateConfig`, read as a sweep (:meth:`Sweep.of`).  The gaps
@@ -488,38 +492,35 @@ def select_config(
     a :class:`CandidateConfig`.
     """
     target_cr = _check_target_cr(target_cr)
+    if latency_budget_ms is not None:
+        latency_budget_ms = _check_budget(latency_budget_ms)
     sweep = Sweep.of(candidates)
     if not len(sweep):
         raise NoFeasibleConfigError("no candidates to select from")
-    latency = sweep.latency_ms
-    if latency_budget_ms is not None:
-        latency_budget_ms = _real(latency_budget_ms, "latency budget")
-        if latency is None or None in latency:
-            raise ValueError("a latency budget requires measured latencies")
-    # (smallest CR gap, group, offset of its first row, its rows within the
-    # budget) per group with a row within the budget
-    pool, start = [], 0
+    # (smallest CR gap, group, its rows within the budget) per group with a
+    # row within the budget
+    pool = []
     for group in sweep.groups:
         rows, cr = range(len(group.cr)), group.cr
         if latency_budget_ms is not None:
-            times = latency[start : start + len(cr)]
-            rows = [i for i, t in enumerate(times) if t <= latency_budget_ms]
+            if group.latency_ms is None or None in group.latency_ms:
+                raise ValueError("a latency budget requires measured latencies")
+            rows = [i for i, t in enumerate(group.latency_ms) if t <= latency_budget_ms]
             cr = [cr[i] for i in rows]
         if rows:
-            pool.append((_smallest_gap(cr, target_cr), group, start, rows))
-        start += len(group.cr)
+            pool.append((_smallest_gap(cr, target_cr), group, rows))
     if not pool:
         raise NoFeasibleConfigError(f"no configuration within {latency_budget_ms} ms")
 
     best_gap = min(gap for gap, *_ in pool)
     tolerance = CR_TIE_RTOL * target_cr
     tied = []
-    for gap, group, start, rows in pool:
+    for gap, group, rows in pool:
         if gap - best_gap > tolerance:
             continue
         for i in rows:
             if abs(group.cr[i] - target_cr) - best_gap <= tolerance:
-                measured = None if latency is None else latency[start + i]
+                measured = None if group.latency_ms is None else group.latency_ms[i]
                 order = math.inf if measured is None else measured
                 tied.append((order, group.shapes.rows, group.ranks.tuples[i], group, i, measured))
     *_, group, i, measured = min(tied, key=operator.itemgetter(0, 1, 2))
@@ -557,15 +558,15 @@ def write_candidates_csv(candidates, path) -> None:
     are then written in one call.
     """
     sweep = Sweep.of(candidates)
-    ratios, latency, start = _Text(), sweep.latency_ms, 0
+    ratios = _Text()
     chunks = ["shapes,ranks,cr,fr,latency_ms\r\n"]
-    for shapes, ranks, cr, fr in sweep.groups:
+    for shapes, ranks, cr, fr, latency in sweep.groups:
         rows = map(operator.add, ranks.fields, map(ratios.__getitem__, cr))
         rows = map(operator.add, rows, map(ratios.__getitem__, fr))
+        # an untimed group's rows end with the empty latency field as they are
         if latency is not None:
-            rows = map(operator.add, rows, map(_latency_field, latency[start : start + len(cr)]))
+            rows = map(operator.add, rows, map(_latency_field, latency))
         shapes_field = _csv_field(shapes.to_string()) + ","
         chunks += shapes_field, ("\r\n" + shapes_field).join(rows), "\r\n"
-        start += len(cr)
     with open(path, "w", newline="") as handle:
         handle.write("".join(chunks))

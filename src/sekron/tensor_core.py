@@ -111,15 +111,6 @@ class FactorShapeMatrix:
             if any(d < 1 for d in row):
                 raise ShapeError("factor dimensions must be >= 1")
 
-    def __hash__(self) -> int:
-        # the conv's memo hashes its key, this matrix among it, on every call
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The hash of ``rows``, computed once per instance."""
-        return hash(self.rows)
-
     @property
     def num_factors(self) -> int:
         return len(self.rows)

@@ -12,10 +12,12 @@ import sekron.conv
 from sekron import (
     FactorShapeMatrix,
     KroneckerSequence,
+    PlanRequest,
     RankError,
     ShapeError,
     conv2d_reference,
     conv_macs,
+    enumerate_configs,
     flops_denominator,
     measure_sequence_latency,
     reconstruct,
@@ -371,6 +373,24 @@ def test_memo_holds_no_values(text, ranks):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     info = sekron.conv._geometry.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (4, 4, 1024)
+
+
+def test_enumerated_and_parsed_matrices_share_a_memo_entry():
+    # the enumeration builds its matrices without re-reading the rows
+    # (FactorShapeMatrix._of_ints); they must equal and hash as parsed ones
+    # do, so the conv's memo keeps one entry for both
+    text = "2x2x1x1,2x2x3x3"
+    sweep = enumerate_configs(PlanRequest((4, 4, 3, 3), 2, 2.0, max_rank=1))
+    enumerated = next(g.shapes for g in sweep.groups if g.shapes.to_string() == text)
+    parsed = FactorShapeMatrix.from_string(text)
+    assert enumerated is not parsed
+    assert enumerated == parsed and hash(enumerated) == hash(parsed)
+    x = np.ones((1, 4, 5, 5))
+    sekron.conv._geometry.cache_clear()
+    for shapes in (enumerated, parsed):
+        sekron_conv2d(x, random_sequence(shapes, (1,), rng=32), padding=1)
+    info = sekron.conv._geometry.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize(
