@@ -66,7 +66,7 @@ def _conv_shape(x_shape, w_shape, padding, what: str = "input"):
     """
     if len(w_shape) != 4:
         raise ShapeError(f"weights must be (F, C, K_h, K_w), got {len(w_shape)} axes")
-    _, channels, h, w = _dims(x_shape, 4, what)
+    _, channels, h, w = _dims(x_shape, 4, f"{what} dimensions")
     if channels != w_shape[1]:
         raise ShapeError(
             f"channel mismatch: {what} has {channels} channels, weights expect {w_shape[1]}"
@@ -284,10 +284,10 @@ def _bands(stages, kh: int, out_h: int, in_w: int, band_bytes: int):
     elements in the slab's order.
     """
     fit = out_h
-    for _, batch, m, kdim, n, copy, _, _, cut_h, cut_w, *_ in stages:
-        per_row = max(batch * m, batch * kdim if copy else 0) * n * (in_w - cut_w) * _ITEM
+    for s in stages:
+        per_row = max(s.m, s.kdim if s.copy else 0) * s.batch * s.n * (in_w - s.cut_w) * _ITEM
         # the stage's border: its output rows for a one-row band, less one
-        fit = min(fit, band_bytes // per_row - (kh - 1 - cut_h))
+        fit = min(fit, band_bytes // per_row - (kh - 1 - s.cut_h))
     step = -(-out_h // -(-out_h // max(fit, 1)))
     return tuple((y, min(step, out_h - y)) for y in range(0, out_h, step))
 
@@ -334,15 +334,15 @@ def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, ba
         views = []
         # the rows and columns of the planes of the stage's input
         stage_h, stage_w = in_h if padding else h, in_w
-        for k, _, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w, sizes, planes, batch, *_ in stages:
-            out_h, out_w = in_h - cut_h, in_w - cut_w
+        for s in stages:
+            out_h, out_w = in_h - s.cut_h, in_w - s.cut_w
             s_h = stage_w * _ITEM
             s_f = stage_h * s_h
-            shape = sizes + shapes.rows[k][2:] + (n, out_h, out_w)
-            strides = tuple(p * s_f for p in planes) + (dil_h * s_h, dil_w * _ITEM, s_f, s_h, _ITEM)
-            cols_shape = batch + (kdim, n * out_h * out_w)
-            copy = copy or (n > 1 and stage_h * stage_w != out_h * out_w)
-            views.append((copy, shape, strides, cols_shape, batch + (m, cols_shape[-1])))
+            shape = s.sizes + shapes.rows[s.k][2:] + (s.n, out_h, out_w)
+            strides = (*(p * s_f for p in s.planes), s.dil_h * s_h, s.dil_w * _ITEM, s_f, s_h, _ITEM)
+            cols_shape = s.batch_shape + (s.kdim, s.n * out_h * out_w)
+            copy = s.copy or (s.n > 1 and stage_h * stage_w != out_h * out_w)
+            views.append((copy, shape, strides, cols_shape, s.batch_shape + (s.m, cols_shape[-1])))
             stage_h, stage_w = out_h, out_w
         slab = (shapes.target_shape[1], in_h, in_w) if padding else None
         slabs.append((in_h, slab, tuple(views)))
@@ -491,17 +491,19 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     :func:`_bands` and, in each band, the stages of :func:`_schedule` on its
     slab of ``rows + K_h - 1`` input rows, each at its own output size,
     border included, for the given spatial input size ``(H, W)``, two
-    positive integers; anything else, and a sequence whose factors do not
-    have the four axes ``(f, c, h, w)``, raises :class:`ShapeError`.  The
-    sequence is checked as in :func:`sekron_conv2d`, so it accepts exactly
-    the sequences :func:`sekron.decompose.reconstruct` and
+    positive integers (:func:`sekron.tensor_core._dims`); anything else, a
+    size that is not iterable included, a bad ``padding``, and a sequence
+    whose factors do not have the four axes ``(f, c, h, w)``, raises
+    :class:`ShapeError`.  The sequence is checked as in
+    :func:`sekron_conv2d`, so it accepts exactly the sequences
+    :func:`sekron.decompose.reconstruct` and
     :func:`sekron.fileio.write_sequence` accept and raises
     :class:`RankError` or :class:`ShapeError` for the rest.  A stage before
     a tapped stage writes, in every band, the border rows the taps read, so
     splitting an image into bands adds MACs when a factor that runs after
     another has taps.  These are the MACs the GEMMs run.
     """
-    h, w = _dims(input_hw, 2, "input size")
+    h, w = _dims(input_hw, 2, "input size dimensions")
     # a weight without a channel axis fails _conv_shape's weight check
     x_shape = (1, *seq.target_shape[1:2], h, w)
     padding, _, _ = _conv_shape(x_shape, seq.target_shape, padding)
@@ -509,7 +511,7 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     in_w = w + 2 * padding
     stages, bands, _ = _geometry(seq.shapes, _check_sequence(seq), h, w, padding, _BAND_BYTES)
     return sum(
-        batch * m * kdim * n * (rows + kh - 1 - cut_h) * (in_w - cut_w)
+        s.batch * s.m * s.kdim * s.n * (rows + kh - 1 - s.cut_h) * (in_w - s.cut_w)
         for _, rows in bands
-        for _, batch, m, kdim, n, _, _, _, cut_h, cut_w, *_ in stages
+        for s in stages
     )

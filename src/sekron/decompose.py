@@ -42,7 +42,7 @@ import numpy as np
 
 from sekron.errors import RankError, ShapeError
 from sekron.linalg import truncated_svd
-from sekron.tensor_core import FactorShapeMatrix, _as_int, as_tensor
+from sekron.tensor_core import FactorShapeMatrix, _dims, as_tensor
 
 
 def _branch_sizes(ranks: tuple[int, ...]) -> tuple[int, ...]:
@@ -72,21 +72,9 @@ def _digit_major(shapes: FactorShapeMatrix):
 
 
 def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
-    """``ranks`` as a tuple of Python ints, one per level of ``shapes``, each
-    >= 1; anything else, a value that is not iterable among it, raises
-    :class:`RankError`."""
-    try:
-        ranks = tuple([_as_int(r, "rank", RankError) for r in ranks])
-    except TypeError:
-        raise RankError(f"ranks must be a sequence of integers, got {ranks!r}") from None
-    if len(ranks) != len(shapes.rows) - 1:
-        raise RankError(
-            f"need {shapes.num_factors - 1} ranks for {shapes.num_factors} factors, "
-            f"got {len(ranks)}"
-        )
-    if ranks and min(ranks) < 1:
-        raise RankError("ranks must be >= 1")
-    return ranks
+    """``ranks`` as one Python int >= 1 per level of ``shapes``, read by
+    :func:`sekron.tensor_core._dims`; anything else raises :class:`RankError`."""
+    return _dims(ranks, len(shapes.rows) - 1, "ranks", RankError)
 
 
 def _check_sequence(seq: "KroneckerSequence") -> tuple[int, ...]:
@@ -101,9 +89,10 @@ def _check_sequence(seq: "KroneckerSequence") -> tuple[int, ...]:
     it, since a caller may change a sequence's fields after construction;
     the conv keys its memo on the ranks it returns.
     """
-    shapes, factors = seq.shapes, seq.factors
-    ranks = _validate_ranks(shapes, seq.ranks)
-    rows, extended, rho = shapes.rows, (*ranks, 1), 1
+    rows, factors = seq.shapes.rows, seq.factors
+    # _validate_ranks' check, called directly: the conv runs this on every call
+    ranks = _dims(seq.ranks, len(rows) - 1, "ranks", RankError)
+    extended, rho = (*ranks, 1), 1
     try:
         count = len(factors)
     except TypeError:

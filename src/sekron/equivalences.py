@@ -6,6 +6,9 @@ reconstruction equals the format's own scalar-formula reconstruction.  The
 embeddings trade parameters for uniformity: factor slices that a format
 shares across rank indices are stored replicated, and structural ones/zeros
 are stored densely.
+
+Each format holds its arrays in a tuple; any iterable of arrays is read
+into one, and a container that is not iterable raises :class:`ShapeError`.
 """
 
 import math
@@ -15,7 +18,7 @@ import numpy as np
 
 from sekron.decompose import KroneckerSequence
 from sekron.errors import RankError, ShapeError
-from sekron.tensor_core import FactorShapeMatrix, as_tensor
+from sekron.tensor_core import FactorShapeMatrix, _tuple, as_tensor
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,7 @@ class CpFactors:
     matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(as_tensor(m) for m in self.matrices)
+        mats = tuple(map(as_tensor, _tuple(self.matrices, "CP factor matrices", "arrays")))
         object.__setattr__(self, "matrices", mats)
         if not mats:
             raise ShapeError("CP needs at least one factor matrix")
@@ -53,7 +56,7 @@ class TuckerFactors:
 
     def __post_init__(self):
         core = as_tensor(self.core)
-        mats = tuple(as_tensor(m) for m in self.matrices)
+        mats = tuple(map(as_tensor, _tuple(self.matrices, "Tucker factor matrices", "arrays")))
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "matrices", mats)
         if core.ndim != len(mats):
@@ -83,7 +86,7 @@ class TrCores:
     cores: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        cores = tuple(as_tensor(c) for c in self.cores)
+        cores = tuple(map(as_tensor, _tuple(self.cores, "ring cores", "arrays")))
         object.__setattr__(self, "cores", cores)
         if not cores:
             raise ShapeError("ring needs at least one core")

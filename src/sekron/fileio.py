@@ -35,10 +35,11 @@ from sekron.errors import (
     BadMagicError,
     MalformedHeaderError,
     NonFinitePayloadError,
+    ShapeError,
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from sekron.tensor_core import FactorShapeMatrix, as_tensor
+from sekron.tensor_core import FactorShapeMatrix, _dims, as_tensor
 
 TENSOR_MAGIC = b"SKTN"
 SEQUENCE_MAGIC = b"SKSQ"
@@ -96,17 +97,6 @@ def _read_header(handle, magic: bytes, path) -> dict:
     return header
 
 
-def _positive_ints(value, path, what, allow_empty=False) -> tuple[int, ...]:
-    # bool is an int subclass, so isinstance() would read true as 1
-    if (
-        not isinstance(value, list)
-        or not (value or allow_empty)
-        or not all(type(d) is int and d >= 1 for d in value)
-    ):
-        raise MalformedHeaderError(f"{path}: {what} must be a list of positive ints")
-    return tuple(value)
-
-
 def _read_payload(handle, count: int, path) -> np.ndarray:
     expected = 8 * count
     size = _remaining(handle)
@@ -143,7 +133,7 @@ def read_tensor(path) -> np.ndarray:
             raise MalformedHeaderError(
                 f"{path}: unsupported dtype {header.get('dtype')!r}, expected 'f64'"
             )
-        shape = _positive_ints(header.get("shape"), path, "'shape'")
+        shape = _dims(header.get("shape"), None, f"'shape' values in {path}", MalformedHeaderError)
         return _read_payload(handle, math.prod(shape), path).reshape(shape)
 
 
@@ -175,24 +165,19 @@ def _sequence_layout(header: dict, path) -> tuple[FactorShapeMatrix, tuple[int, 
         raise MalformedHeaderError(
             f"{path}: unsupported layout {header.get('layout')!r}"
         )
-    rows = header.get("factor_shapes")
-    if not isinstance(rows, list) or not rows:
-        raise MalformedHeaderError(f"{path}: 'factor_shapes' must be a list of rows")
-    parsed_rows = tuple(_positive_ints(row, path, "factor shape rows") for row in rows)
-    if len({len(row) for row in parsed_rows}) != 1:
-        raise MalformedHeaderError(f"{path}: factor shape rows differ in length")
-    shapes = FactorShapeMatrix(parsed_rows)
-    counts = (header.get("S"), header.get("N"))
-    # true == 1.0 == 1, so the type must be exactly int as well
-    if counts != (shapes.num_factors, shapes.num_axes) or not all(
-        type(v) is int for v in counts
-    ):
+    try:
+        shapes = FactorShapeMatrix(header.get("factor_shapes"))
+    except ShapeError as exc:
+        raise MalformedHeaderError(f"{path}: 'factor_shapes': {exc}") from None
+    # read as ints: true == 1.0 == 1 would compare equal
+    counts = _dims((header.get("S"), header.get("N")), 2, f"S and N in {path}", MalformedHeaderError)
+    if counts != (shapes.num_factors, shapes.num_axes):
         raise MalformedHeaderError(f"{path}: S/N disagree with 'factor_shapes'")
-    ranks = _positive_ints(header.get("ranks"), path, "'ranks'", allow_empty=True)
-    if len(ranks) != shapes.num_factors - 1:
-        raise MalformedHeaderError(
-            f"{path}: {len(ranks)} ranks for {shapes.num_factors} factors"
-        )
+    ranks = header.get("ranks")
+    # a JSON list only: "" or {} would read as no ranks
+    if not isinstance(ranks, list):
+        raise MalformedHeaderError(f"{path}: 'ranks' must be a list, got {ranks!r}")
+    ranks = _dims(ranks, shapes.num_factors - 1, f"ranks in {path}", MalformedHeaderError)
     return shapes, ranks
 
 

@@ -17,6 +17,7 @@ the same bits as a call on that matrix alone.
 import numpy as np
 
 from sekron.errors import RankError, ShapeError, SvdConvergenceError
+from sekron.tensor_core import _as_int
 
 # elements per matrix in one row block of the residual: 2**17 float64, 1 MB
 _RESIDUAL_BLOCK = 2**17
@@ -73,6 +74,12 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     magnitude and scaled back (:func:`_rescaled`); only such stacks pay for
     the second pass.  Non-convergence of the underlying LAPACK
     driver is reported as :class:`SvdConvergenceError`.
+
+    ``r_hat`` is read as a Python int (:func:`sekron.tensor_core._as_int`):
+    a float, a string or a bool, which would read as 0 or 1, raises
+    :class:`RankError`, as does a rank outside ``[1, min(rows, cols)]``.
+    An ``m`` with fewer than two axes raises :class:`ShapeError`, and one
+    holding NaN or an infinity ``ValueError``.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2:
@@ -81,6 +88,7 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("svd input must be finite")
     rows, cols = m.shape[-2:]
     full = min(rows, cols)
+    r_hat = _as_int(r_hat, "rank", RankError)
     if not 1 <= r_hat <= full:
         raise RankError(f"rank {r_hat} out of range [1, {full}]")
     m_t = np.swapaxes(m, -1, -2)

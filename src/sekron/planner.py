@@ -195,10 +195,14 @@ class PlanRequest:
     """What to enumerate: a conv weight shape, a sequence length, and a
     compression target.
 
+    ``target_shape`` is read as four Python ints >= 1
+    (:func:`sekron.tensor_core._dims`): a shape that is not iterable, a
+    value that is not an int (a bool included) or below 1, the wrong count,
+    and a dimension above ``2**20``, raise :class:`ShapeError` before any
+    factorization is counted.  ``sequence_length`` and ``max_rank`` are read
+    as Python ints >= 1; anything else raises ``ValueError``.
     ``target_cr`` and ``latency_budget_ms`` are stored as floats; a bool, a
-    string or another non-real value raises ``ValueError``.  A target
-    dimension above ``2**20`` raises :class:`ShapeError` before any
-    factorization is counted."""
+    string or another non-real value raises ``ValueError``."""
 
     target_shape: tuple[int, int, int, int]
     sequence_length: int
@@ -207,7 +211,7 @@ class PlanRequest:
     max_rank: int = 4
 
     def __post_init__(self):
-        shape = _dims(self.target_shape, 4, "target shape")
+        shape = _dims(self.target_shape, 4, "target shape dimensions")
         if max(shape) > _MAX_DIMENSION:
             raise ShapeError(
                 f"target shape dimensions must be at most {_MAX_DIMENSION}, got {shape}"
@@ -327,9 +331,11 @@ def enumerate_factorizations(n: int, s: int) -> list[tuple[int, ...]]:
     ``n`` is completed with ones at once, so every prefix the walk extends
     has at least two completions, and the walk costs O(s) per tuple it
     returns.
+
+    ``n`` and ``s`` are read as Python ints >= 1 (:func:`_count`): a bool,
+    a float, a string or a value below 1 raises ``ValueError``.
     """
-    if n < 1 or s < 1:
-        raise ValueError("n and s must be >= 1")
+    n, s = _count(n, "n"), _count(s, "s")
     out = []
     stack = [((), n)]
     while stack:
@@ -449,8 +455,14 @@ def measure_sequence_latency(seq, input_shape, trials: int = 5, padding: int = 0
     the median is of calls that only build their buffers and run.
     Benchmarks should not run concurrently with other work; numbers are
     only comparable within one process.
+
+    ``input_shape`` is read as four Python ints >= 1
+    (:func:`sekron.tensor_core._dims`); a shape that is not iterable, such
+    as ``None``, or any other bad shape raises :class:`ShapeError`, as does
+    one that does not fit ``seq`` (:func:`sekron.conv.sekron_conv2d`).  A
+    bad ``trials`` raises ``ValueError`` (:func:`_median_ms`).
     """
-    x = np.ones(_dims(input_shape, 4, "input shape"))
+    x = np.ones(_dims(input_shape, 4, "input shape dimensions"))
     return _median_ms(lambda: sekron_conv2d(x, seq, padding=padding), trials)
 
 

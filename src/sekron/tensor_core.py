@@ -14,6 +14,28 @@ Conventions used throughout the package:
   R_k + r_k``), and the last factor shares the count of the one before it;
   so factor ``k`` has ``R_0 * ... * R_k`` branches, the prefix products of
   ``(*ranks, 1)``.
+
+Every integer argument the package reads, from a library caller, the CLI or
+a file header, goes through one of two checks here, and a bad value raises
+the error type its caller passes, never a raw ``TypeError``:
+
+* :func:`_as_int` reads one int, refusing floats, strings and bools: the
+  conv padding (:class:`ShapeError`), the rank
+  :func:`sekron.linalg.truncated_svd` keeps (:class:`RankError`), and the
+  planner's counts and trials (``ValueError``);
+* :func:`_dims` reads a tuple of ints >= 1, each through :func:`_as_int`:
+  the rows of a :class:`FactorShapeMatrix` and a target shape for it, a
+  conv input shape, ``conv_macs``' input size and a plan request's target
+  shape (:class:`ShapeError`); a sequence's ranks (:class:`RankError`,
+  :func:`sekron.decompose._check_sequence`); and the ``shape`` of a
+  ``.skt`` header and the ``S``, ``N`` and ``ranks`` of a ``.sks`` header
+  (:class:`MalformedHeaderError`), whose reader also turns the
+  :class:`ShapeError` of its ``factor_shapes`` rows into that type.
+
+:func:`_tuple`, which :func:`_dims` calls, reads a container into a tuple
+and refuses one that is not iterable; it also reads the rows of a
+:class:`FactorShapeMatrix` and the arrays of each format in
+:mod:`sekron.equivalences` (:class:`ShapeError`).
 """
 
 import itertools
@@ -43,18 +65,32 @@ def _as_int(value, what: str, error=ShapeError) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
-def _dim(value) -> int:
-    return _as_int(value, "dimension")
+def _tuple(values, what: str, items: str, error=ShapeError) -> tuple:
+    """``tuple(values)``; a value that is not iterable raises ``error``,
+    naming it ``what``, a sequence of ``items``."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise error(f"{what} must be a sequence of {items}, got {values!r}") from None
 
 
-def _dims(values, ndim: int, what: str) -> tuple[int, ...]:
-    """``values`` as ``ndim`` Python ints >= 1, each read through
-    :func:`_as_int`; a float, a bool, a value below 1 or the wrong count
-    raises :class:`ShapeError` naming ``what``."""
-    # an int is taken as it is, without a call per value
-    dims = tuple([v if type(v) is int else _as_int(v, f"{what} dimension") for v in values])
-    if len(dims) != ndim or min(dims, default=1) < 1:
-        raise ShapeError(f"{what} needs {ndim} positive dimensions, got {dims}")
+def _dims(values, ndim: int | None, what: str, error=ShapeError) -> tuple[int, ...]:
+    """``values`` as ``ndim`` Python ints >= 1, or at least one where ``ndim``
+    is ``None``, each read through :func:`_as_int`.  A value that is not
+    iterable (:func:`_tuple`), a float, a bool or a string among it, a value
+    below 1 or the wrong count raises ``error``, its message naming the
+    values ``what``: a plural, such as ``"ranks"``."""
+    dims = _tuple(values, what, "integers", error)
+    # the conv reads its ranks here on every call, so ints are taken as they
+    # are, without a call per value, and neither a comprehension over this
+    # function's names nor min() with a default, each slower, is used
+    for v in dims:
+        if type(v) is not int:
+            each = itertools.repeat(f"each of the {what}")
+            dims = tuple(map(_as_int, dims, each, itertools.repeat(error)))
+            break
+    if (not dims if ndim is None else len(dims) != ndim) or dims and min(dims) < 1:
+        raise error(f"need {'1 or more' if ndim is None else ndim} {what}, each >= 1, got {dims}")
     return dims
 
 
@@ -84,6 +120,13 @@ class FactorShapeMatrix:
 
     ``rows[k]`` holds the shape of factor ``k``; the elementwise product of
     all rows recovers the shape of the composed tensor.
+
+    ``rows`` may be any iterable of rows, each an iterable of ints >= 1,
+    Python or numpy, such as a list or a 2-D numpy array; they are stored as
+    a tuple of tuples of Python ints.  No row, a row with no value or a
+    different length, a value that is not an int (a bool included) or below
+    1, and ``rows`` or a row that is not iterable raise :class:`ShapeError`
+    (:func:`_dims`).
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -98,18 +141,11 @@ class FactorShapeMatrix:
         return matrix
 
     def __post_init__(self):
-        rows = tuple(tuple(map(_dim, row)) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = _tuple(self.rows, "factor shapes", "rows")
         if not rows:
             raise ShapeError("factor shape matrix needs at least one row")
-        n = len(rows[0])
-        if n == 0:
-            raise ShapeError("factor shapes need at least one axis")
-        for row in rows:
-            if len(row) != n:
-                raise ShapeError("all factor shapes must have the same axis count")
-            if any(d < 1 for d in row):
-                raise ShapeError("factor dimensions must be >= 1")
+        n = len(_dims(rows[0], None, "factor dimensions"))
+        object.__setattr__(self, "rows", tuple(_dims(row, n, "factor dimensions") for row in rows))
 
     @property
     def num_factors(self) -> int:
@@ -138,11 +174,9 @@ class FactorShapeMatrix:
         return _rank_caps(self.volumes)
 
     def validate_target(self, shape) -> None:
-        shape = tuple(map(_dim, shape))
-        if len(shape) != self.num_axes:
-            raise ShapeError(
-                f"target has {len(shape)} axes, factor shapes have {self.num_axes}"
-            )
+        """Raise :class:`ShapeError` unless ``shape`` is :attr:`target_shape`,
+        read through :func:`_dims`."""
+        shape = _dims(shape, self.num_axes, "target dimensions")
         if self.target_shape != shape:
             raise ShapeError(
                 f"per-axis factor products {self.target_shape} != target shape {shape}"

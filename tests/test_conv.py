@@ -736,7 +736,7 @@ class TestStageOrder:
         ]:
             shapes = FactorShapeMatrix.from_string(text)
             first, stages = sekron.conv._cheaper_schedule(shapes, ranks)
-            assert first and [stage[5] for stage in stages] == copies
+            assert first and [stage.copy for stage in stages] == copies
 
     @pytest.mark.parametrize("band_bytes", [1, sekron.conv._BAND_BYTES], ids=["one-row", "default"])
     def test_columns_are_a_view_exactly_where_nothing_is_copied(

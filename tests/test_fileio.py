@@ -47,7 +47,8 @@ class TestTensorHeader:
         write_raw(path, b"SKTN", {"dtype": "f64", "shape": [3, 2]}, 6)
         assert np.array_equal(read_tensor(path), np.arange(6.0).reshape(3, 2))
 
-    @pytest.mark.parametrize("shape", [[True, 2], [], [0, 2], [2.0, 3], "3,2", None])
+    # "23" and 5 are no JSON list of dimensions: not read as (2, 3) or (5,)
+    @pytest.mark.parametrize("shape", [[True, 2], [], [0, 2], [2.0, 3], "3,2", None, "23", 5])
     def test_bad_shape_is_malformed_header(self, tmp_path, shape):
         path = tmp_path / "t.skt"
         write_raw(path, b"SKTN", {"dtype": "f64", "shape": shape}, 2)
@@ -72,6 +73,10 @@ class TestSequenceHeader:
             ([[True, 2], [2, 2]], [1]),
             ([[2, 2], []], [1]),
             ([[2, 2], [2, 2, 1]], [1]),
+            # one factor takes no ranks, but only as a JSON list: an empty
+            # string or object would otherwise read as none
+            ([[2, 3]], ""),
+            ([[2, 3]], {}),
         ],
     )
     def test_bad_ints_are_malformed_header(self, tmp_path, factor_shapes, ranks):

@@ -10,13 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sekron import (
+    CpFactors,
     FactorShapeMatrix,
     KroneckerSequence,
+    PlanRequest,
+    RankError,
     ShapeError,
+    TrCores,
+    TuckerFactors,
+    conv_macs,
+    enumerate_factorizations,
+    measure_sequence_latency,
     reconstruct,
+    truncated_svd,
 )
 from sekron.decompose import _digit_major
-from oracles import seq_index_compose, seq_index_decompose
+from oracles import random_sequence, seq_index_compose, seq_index_decompose
 
 
 def compose(*factors):
@@ -239,6 +248,58 @@ class TestFactorShapeMatrix:
         assert shapes.rows == ((2, 3), (3, 2))
         assert all(type(d) is int for row in shapes.rows for d in row)
         shapes.validate_target((np.int64(6), 6))
+
+
+def _sequence():
+    return random_sequence(FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3))), (1,), rng=40)
+
+
+# every integer argument, or container of them or of arrays, that is not
+# iterable or not an int raises its documented error type, never a raw
+# TypeError, and a bool is not read as 0 or 1
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: conv_macs(_sequence(), 7), ShapeError),
+        (lambda: PlanRequest(5, 2, 4.0), ShapeError),
+        (lambda: measure_sequence_latency(_sequence(), None, trials=3), ShapeError),
+        (lambda: FactorShapeMatrix(5), ShapeError),
+        (lambda: FactorShapeMatrix((5,)), ShapeError),
+        (lambda: FactorShapeMatrix(((2, 2), (2, 2))).validate_target(4), ShapeError),
+        (lambda: truncated_svd(np.ones((3, 4)), 1.5), RankError),
+        (lambda: truncated_svd(np.ones((3, 4)), True), RankError),
+        (lambda: enumerate_factorizations(6.0, 2), ValueError),
+        (lambda: enumerate_factorizations("6", 2), ValueError),
+        (lambda: enumerate_factorizations(6, True), ValueError),
+        (lambda: CpFactors(5), ShapeError),
+        (lambda: TuckerFactors(np.ones((2, 2)), 5), ShapeError),
+        (lambda: TrCores(5), ShapeError),
+    ],
+    ids=[
+        "conv_macs-int-size", "plan-request-int-shape", "latency-none-shape",
+        "matrix-int-rows", "matrix-int-row", "validate-target-int", "svd-float-rank",
+        "svd-bool-rank", "factorizations-float-n", "factorizations-str-n",
+        "factorizations-bool-s", "cp-int-matrices", "tucker-int-matrices", "tr-int-cores",
+    ],
+)
+def test_bad_integer_argument_raises_its_documented_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_integer_arguments_accept_numpy_ints_and_any_iterable_of_rows():
+    rows = ((2, 3), (3, 1))
+    for given_rows in (rows, [list(row) for row in rows], np.array(rows), iter(rows)):
+        shapes = FactorShapeMatrix(given_rows)
+        assert shapes.rows == rows and all(type(d) is int for row in shapes.rows for d in row)
+    seq = _sequence()
+    assert conv_macs(seq, np.array([5, 5]), np.int64(1)) == conv_macs(seq, (5, 5), 1)
+    assert enumerate_factorizations(np.int64(6), np.int32(2)) == enumerate_factorizations(6, 2)
+    m = np.random.default_rng(41).standard_normal((3, 4))
+    for got, want in zip(truncated_svd(m, np.int64(2)), truncated_svd(m, 2)):
+        assert np.array_equal(got, want)
+    matrices = [np.ones((2, 3)), np.ones((2, 4))]
+    assert CpFactors(matrices).dims == CpFactors(iter(matrices)).dims == (3, 4)
 
 
 @settings(max_examples=60, deadline=None)
