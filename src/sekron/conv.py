@@ -431,13 +431,14 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     covers the image, the last GEMM writes straight into the image's rows of
     the result; otherwise each band's last output is copied there.
 
-    After ``x`` and ``padding`` are checked, ``seq`` is checked as
-    :func:`sekron.decompose.reconstruct` and
+    After ``x`` is read, and before any field of it is, ``seq`` is checked
+    as :func:`sekron.decompose.reconstruct` and
     :func:`sekron.fileio.write_sequence` check it
     (:func:`sekron.decompose._check_sequence`), so it accepts exactly the
     sequences they accept and raises :class:`RankError` or
-    :class:`ShapeError` for the rest, say one whose ranks or factors were
-    changed after construction.  Everything the factor values do not decide
+    :class:`ShapeError` for the rest, say one that is no sequence or one
+    whose ranks or factors were changed after construction; then
+    ``padding``.  Everything the factor values do not decide
     (stage order, bands, window and buffer shapes and strides) is then read
     from a memo keyed on ``seq.shapes``, the checked ranks, the input's
     height and width, the padding and :data:`_BAND_BYTES` (:func:`_geometry`,
@@ -450,8 +451,8 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     as the weight shape.
     """
     x = as_tensor(x)
-    padding, out_h, out_w = _conv_shape(x.shape, seq.target_shape, padding)
     ranks = _check_sequence(seq)
+    padding, out_h, out_w = _conv_shape(x.shape, seq.target_shape, padding)
     kh = seq.target_shape[2]
     stages, bands, slabs = _geometry(seq.shapes, ranks, *x.shape[2:], padding, _BAND_BYTES)
     plans = _plans(seq, stages, slabs)
@@ -504,12 +505,13 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     another has taps.  These are the MACs the GEMMs run.
     """
     h, w = _dims(input_hw, 2, "input size dimensions")
+    ranks = _check_sequence(seq)
     # a weight without a channel axis fails _conv_shape's weight check
     x_shape = (1, *seq.target_shape[1:2], h, w)
     padding, _, _ = _conv_shape(x_shape, seq.target_shape, padding)
     kh = seq.target_shape[2]
     in_w = w + 2 * padding
-    stages, bands, _ = _geometry(seq.shapes, _check_sequence(seq), h, w, padding, _BAND_BYTES)
+    stages, bands, _ = _geometry(seq.shapes, ranks, h, w, padding, _BAND_BYTES)
     return sum(
         s.batch * s.m * s.kdim * s.n * (rows + kh - 1 - s.cut_h) * (in_w - s.cut_w)
         for _, rows in bands

@@ -71,25 +71,42 @@ def _digit_major(shapes: FactorShapeMatrix):
     return split, order
 
 
+def _check_shapes(shapes) -> FactorShapeMatrix:
+    """``shapes``, after the one check that factor shapes are a
+    :class:`FactorShapeMatrix`: anything else, such as its string form,
+    raises :class:`ShapeError`.  :func:`sekron_decompose`,
+    :func:`_validate_ranks` (so :func:`stored_param_count` and the
+    planner's ratios), :func:`_check_sequence` and
+    :func:`sekron.planner.stage_macs_per_branch` run it before they read
+    the shapes."""
+    if not isinstance(shapes, FactorShapeMatrix):
+        raise ShapeError(f"factor shapes must be a FactorShapeMatrix, got {type(shapes).__name__}")
+    return shapes
+
+
 def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
     """``ranks`` as one Python int >= 1 per level of ``shapes``, read by
-    :func:`sekron.tensor_core._dims`; anything else raises :class:`RankError`."""
-    return _dims(ranks, len(shapes.rows) - 1, "ranks", RankError)
+    :func:`sekron.tensor_core._dims`; anything else raises :class:`RankError`,
+    and ``shapes`` that fail :func:`_check_shapes` :class:`ShapeError`."""
+    return _dims(ranks, len(_check_shapes(shapes).rows) - 1, "ranks", RankError)
 
 
 def _check_sequence(seq: "KroneckerSequence") -> tuple[int, ...]:
     """The ranks of ``seq`` as a tuple of Python ints, after the one check
-    of a sequence: its ranks pass :func:`_validate_ranks`, else
-    :class:`RankError`, and ``seq.factors`` holds one array of shape
-    ``(branch_sizes[k], *shapes.rows[k])`` per factor ``k``, else
-    :class:`ShapeError`, also where it is no sequence at all.
+    of a sequence: ``seq`` is a :class:`KroneckerSequence` and ``seq.shapes``
+    passes :func:`_check_shapes`, else :class:`ShapeError`; its ranks pass
+    :func:`_validate_ranks`, else :class:`RankError`; and ``seq.factors``
+    holds one array of shape ``(branch_sizes[k], *shapes.rows[k])`` per
+    factor ``k``, else :class:`ShapeError`, also where it is no list at all.
 
     The constructor, :func:`reconstruct`, :func:`sekron.fileio.write_sequence`,
     :func:`sekron.conv.sekron_conv2d` and :func:`sekron.conv.conv_macs` run
     it, since a caller may change a sequence's fields after construction;
     the conv keys its memo on the ranks it returns.
     """
-    rows, factors = seq.shapes.rows, seq.factors
+    if not isinstance(seq, KroneckerSequence):
+        raise ShapeError(f"expected a KroneckerSequence, got {type(seq).__name__}")
+    rows, factors = _check_shapes(seq.shapes).rows, seq.factors
     # _validate_ranks' check, called directly: the conv runs this on every call
     ranks = _dims(seq.ranks, len(rows) - 1, "ranks", RankError)
     extended, rho = (*ranks, 1), 1
@@ -177,7 +194,7 @@ def sekron_decompose(w, shapes: FactorShapeMatrix, ranks) -> KroneckerSequence:
     the exact squared reconstruction error.
     """
     w = as_tensor(w)
-    shapes.validate_target(w.shape)
+    _check_shapes(shapes).validate_target(w.shape)
     ranks = _validate_ranks(shapes, ranks)
     split, order = _digit_major(shapes)
     # leading branch axis, initially a single branch
@@ -211,7 +228,8 @@ def reconstruct(seq: KroneckerSequence) -> np.ndarray:
     :class:`ShapeError` for a sequence that fails :func:`_check_sequence`,
     say one whose ranks or factors were changed after construction.
     """
-    shapes, ranks, factors = seq.shapes, _check_sequence(seq), seq.factors
+    ranks = _check_sequence(seq)
+    shapes, factors = seq.shapes, seq.factors
     work = factors[-1]
     for k in reversed(range(shapes.num_factors - 1)):
         r = ranks[k]

@@ -7,11 +7,30 @@ embeddings trade parameters for uniformity: factor slices that a format
 shares across rank indices are stored replicated, and structural ones/zeros
 are stored densely.
 
+Factor ``k`` of a sequence keeps one slice per branch ``(r_0, ..., r_k)``
+(see :mod:`sekron.tensor_core`), and each format's slice depends on only
+some of those rank digits:
+
+* CP, ranks ``(R, 1, ..., 1)``: every factor on ``r_0``, the CP rank, so
+  each has ``R`` branches and is a plain reshape of its matrix; a single
+  axis sums its matrix over the rank instead;
+* Tucker, ranks the core's shape: factor ``k < N`` on ``r_k``, a column of
+  matrix ``k``, and the last, all-singleton factor on every digit, one core
+  entry per branch, a plain reshape of the core;
+* TR, ranks the ring ranks ``(R_0, ..., R_{N-1})``: factor 0, all ones, on
+  ``r_0``; factor ``k`` in ``1 .. N-1`` on ``(r_{k-1}, r_k)``, the slice
+  ``cores[k-1][:, r_{k-1}, r_k]``; and the last factor, which closes the
+  ring, on ``(r_0, r_{N-1})``, the slice ``cores[N-1][:, r_{N-1}, r_0]``;
+  a single core takes its rank diagonal instead;
+* TT, a ring whose boundary ranks are one, as TR.
+
+:func:`_branched` is the one place a factor is copied across the digits its
+slices do not depend on; it takes those digits as one argument.
+
 Each format holds its arrays in a tuple; any iterable of arrays is read
 into one, and a container that is not iterable raises :class:`ShapeError`.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +79,7 @@ class TuckerFactors:
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "matrices", mats)
         if core.ndim != len(mats):
-            raise ShapeError(
-                f"core has {core.ndim} axes but {len(mats)} factor matrices given"
-            )
+            raise ShapeError(f"core has {core.ndim} axes but {len(mats)} factor matrices given")
         for n, m in enumerate(mats):
             if m.ndim != 2:
                 raise ShapeError("Tucker factor matrices must be 2-D (dim x rank)")
@@ -110,21 +127,32 @@ class TrCores:
         return tuple(c.shape[0] for c in self.cores)
 
 
-def _one_hot_row(n_axes: int, axis: int, dim: int) -> tuple[int, ...]:
-    return tuple(dim if n == axis else 1 for n in range(n_axes))
+def _axis_rows(dims) -> tuple[tuple[int, ...], ...]:
+    # row k holds dims[k] on axis k and 1 on every other axis
+    return tuple(tuple(d if n == k else 1 for n in range(len(dims))) for k, d in enumerate(dims))
+
+
+def _branched(slices: np.ndarray, ranks, digits) -> np.ndarray:
+    """The factor of the branch tree with these ``ranks`` whose slice for
+    branch ``(r_0, ..., r_k)`` is ``slices[r_d for d in digits]``: shape
+    ``(prod(ranks), *row)``, where ``slices`` has shape ``(*(ranks[d] for d
+    in digits), *row)`` and ``digits`` ascend.  The one place a factor is
+    copied across the rank digits its slices do not depend on."""
+    row = slices.shape[len(digits) :]
+    native = tuple(r if j in digits else 1 for j, r in enumerate(ranks))
+    spread = np.broadcast_to(slices.reshape(native + row), tuple(ranks) + row)
+    return np.ascontiguousarray(spread).reshape((-1,) + row)
 
 
 def from_cp(f: CpFactors) -> KroneckerSequence:
     """Embed CP factors: one Kronecker factor per axis, CP rank at the first
     level and rank one everywhere after."""
     n = len(f.matrices)
-    dims = f.dims
-    rows = tuple(_one_hot_row(n, k, dims[k]) for k in range(n))
+    rows = _axis_rows(f.dims)
     shapes = FactorShapeMatrix(rows)
     if n == 1:
         # the rank sum collapses into the single factor
-        merged = f.matrices[0].sum(axis=0)
-        return KroneckerSequence(shapes=shapes, ranks=(), factors=[merged[None]])
+        return KroneckerSequence(shapes=shapes, ranks=(), factors=[f.matrices[0].sum(axis=0)[None]])
     ranks = (f.rank,) + (1,) * (n - 2)
     factors = [f.matrices[k].reshape((f.rank,) + rows[k]) for k in range(n)]
     return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)
@@ -134,60 +162,39 @@ def from_tucker(f: TuckerFactors) -> KroneckerSequence:
     """Embed Tucker factors: one Kronecker factor per axis plus a final
     all-singleton factor absorbing the core."""
     n = len(f.matrices)
-    dims = f.dims
-    core_ranks = f.core.shape
-    rows = tuple(_one_hot_row(n, k, dims[k]) for k in range(n)) + ((1,) * n,)
-    shapes = FactorShapeMatrix(rows)
-    factors = []
-    for k in range(n):
-        base = f.matrices[k].T.reshape((core_ranks[k],) + rows[k])
-        prefix = math.prod(core_ranks[:k])
-        factors.append(np.tile(base, (prefix,) + (1,) * n))
+    rows = _axis_rows(f.dims)
+    ranks = f.core.shape
+    shapes = FactorShapeMatrix(rows + ((1,) * n,))
+    factors = [_branched(m.T.reshape((ranks[k],) + rows[k]), ranks[: k + 1], (k,))
+               for k, m in enumerate(f.matrices)]
     factors.append(f.core.reshape((f.core.size,) + (1,) * n))
-    return KroneckerSequence(shapes=shapes, ranks=core_ranks, factors=factors)
+    return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)
 
 
 def from_tr(f: TrCores) -> KroneckerSequence:
     """Embed ring cores: an all-ones factor carrying the closing rank index,
     then one Kronecker factor per axis."""
     n = len(f.cores)
-    dims = f.dims
+    rows = _axis_rows(f.dims)
     ranks = f.ring_ranks
-    rows = ((1,) * n,) + tuple(_one_hot_row(n, k, dims[k]) for k in range(n))
-    shapes = FactorShapeMatrix(rows)
+    shapes = FactorShapeMatrix(((1,) * n,) + rows)
     factors = [np.ones((ranks[0],) + (1,) * n)]
     if n == 1:
         # single core closes on itself: take the rank diagonal
-        diag = np.einsum("irr->ri", f.cores[0])
-        factors.append(np.ascontiguousarray(diag).reshape((ranks[0],) + rows[1]))
+        factors.append(np.einsum("irr->ri", f.cores[0]).reshape((ranks[0],) + rows[0]))
         return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)
     for k in range(1, n):
-        # slice for branch (.., r_prev, r_k) is cores[k-1][:, r_prev, r_k]
-        base = f.cores[k - 1].transpose(1, 2, 0)
-        prefix = math.prod(ranks[: k - 1])
-        block = base.reshape((ranks[k - 1] * ranks[k],) + rows[k])
-        factors.append(np.tile(block, (prefix,) + (1,) * n))
-    # last factor depends on the first and last rank digits (ring closure)
-    last = f.cores[n - 1].transpose(2, 1, 0)  # (R_1, R_N, w_N)
-    spread = np.broadcast_to(
-        last.reshape((ranks[0],) + (1,) * (n - 2) + last.shape[1:]),
-        tuple(ranks) + (dims[n - 1],),
-    )
-    factors.append(
-        np.ascontiguousarray(spread).reshape((math.prod(ranks),) + rows[n])
-    )
+        slices = f.cores[k - 1].transpose(1, 2, 0).reshape(ranks[k - 1 : k + 1] + rows[k - 1])
+        factors.append(_branched(slices, ranks[: k + 1], (k - 1, k)))
+    # the ring closes on the first and the last rank digit
+    slices = f.cores[n - 1].transpose(2, 1, 0).reshape((ranks[0], ranks[n - 1]) + rows[n - 1])
+    factors.append(_branched(slices, ranks, (0, n - 1)))
     return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)
-
-
-def _check_tt_boundary(f: TrCores) -> None:
-    if f.cores[0].shape[1] != 1 or f.cores[-1].shape[2] != 1:
-        raise RankError(
-            "tensor-train cores must have boundary ranks 1, got "
-            f"{f.cores[0].shape[1]} and {f.cores[-1].shape[2]}"
-        )
 
 
 def from_tt(f: TrCores) -> KroneckerSequence:
     """Tensor-train embedding: a ring whose boundary ranks are one."""
-    _check_tt_boundary(f)
+    if f.cores[0].shape[1] != 1 or f.cores[-1].shape[2] != 1:
+        got = f"{f.cores[0].shape[1]} and {f.cores[-1].shape[2]}"
+        raise RankError(f"tensor-train cores must have boundary ranks 1, got {got}")
     return from_tr(f)

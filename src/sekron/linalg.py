@@ -17,7 +17,7 @@ the same bits as a call on that matrix alone.
 import numpy as np
 
 from sekron.errors import RankError, ShapeError, SvdConvergenceError
-from sekron.tensor_core import _as_int
+from sekron.tensor_core import _as_int, _floats
 
 # elements per matrix in one row block of the residual: 2**17 float64, 1 MB
 _RESIDUAL_BLOCK = 2**17
@@ -78,10 +78,11 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``r_hat`` is read as a Python int (:func:`sekron.tensor_core._as_int`):
     a float, a string or a bool, which would read as 0 or 1, raises
     :class:`RankError`, as does a rank outside ``[1, min(rows, cols)]``.
-    An ``m`` with fewer than two axes raises :class:`ShapeError`, and one
-    holding NaN or an infinity ``ValueError``.
+    An ``m`` that is not numeric (:func:`sekron.tensor_core._floats`) or
+    has fewer than two axes raises :class:`ShapeError`, and one holding NaN
+    or an infinity ``ValueError``.
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = _floats(m)
     if m.ndim < 2:
         raise ShapeError(f"svd expects a matrix or a stack of them, got {m.ndim} axes")
     if not np.all(np.isfinite(m)):

@@ -32,6 +32,7 @@ from sekron.decompose import (
     KroneckerSequence,
     _branch_sizes,
     _branch_total,
+    _check_shapes,
     _validate_ranks,
     stored_param_count,
 )
@@ -228,8 +229,9 @@ class PlanRequest:
 
 def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:
     """Dense element count divided by stored element count."""
-    dense = math.prod(shapes.target_shape)
-    return dense / stored_param_count(shapes, ranks)
+    # first: it refuses shapes that are no FactorShapeMatrix
+    stored = stored_param_count(shapes, ranks)
+    return math.prod(shapes.target_shape) / stored
 
 
 def stage_macs_per_branch(shapes: FactorShapeMatrix) -> tuple[int, ...]:
@@ -243,10 +245,11 @@ def stage_macs_per_branch(shapes: FactorShapeMatrix) -> tuple[int, ...]:
     :func:`sekron.conv._schedule` run last factor first at rank 1, where
     every factor has a single branch.  The terms depend only on the shapes,
     so a sweep over rank tuples computes them once per shape matrix.
-    Raises :class:`ShapeError` unless the factors have the four axes ``(f,
-    c, h, w)``.
+    Raises :class:`ShapeError` unless ``shapes`` is a
+    :class:`FactorShapeMatrix` (:func:`sekron.decompose._check_shapes`)
+    whose factors have the four axes ``(f, c, h, w)``.
     """
-    if shapes.num_axes != 4:
+    if _check_shapes(shapes).num_axes != 4:
         raise ShapeError("FLOP accounting needs factor axes (f, c, h, w)")
     f_from = math.prod(row[0] for row in shapes.rows)
     c_upto = 1
@@ -291,8 +294,9 @@ def flops_ratio(shapes: FactorShapeMatrix, ranks) -> float:
     :func:`sekron.conv.conv_macs` is the exact count a conv on a given input
     size runs, in the order it runs.
     """
-    dense = math.prod(shapes.target_shape)
-    return dense / flops_denominator(shapes, ranks)
+    # first: it refuses shapes that are no FactorShapeMatrix
+    denominator = flops_denominator(shapes, ranks)
+    return math.prod(shapes.target_shape) / denominator
 
 
 def _divisors(n: int) -> list[int]:

@@ -36,6 +36,16 @@ the error type its caller passes, never a raw ``TypeError``:
 and refuses one that is not iterable; it also reads the rows of a
 :class:`FactorShapeMatrix` and the arrays of each format in
 :mod:`sekron.equivalences` (:class:`ShapeError`).
+
+Every array argument goes through one conversion, :func:`as_tensor`: the
+tensor to decompose or write, a conv input and weight, each factor of a
+:class:`sekron.decompose.KroneckerSequence` and each array of a format in
+:mod:`sekron.equivalences`.  It gives a C-contiguous float64 array, and
+data numpy cannot read as float64 values (a string, a dict, ragged nested
+lists) or an array with a zero-length axis raises :class:`ShapeError`,
+never numpy's ``TypeError`` or ``ValueError``.  The one array argument read
+in place, the stack :func:`sekron.linalg.truncated_svd` truncates, goes
+through the same mapping (:func:`_floats`) without the copy.
 """
 
 import itertools
@@ -94,9 +104,21 @@ def _dims(values, ndim: int | None, what: str, error=ShapeError) -> tuple[int, .
     return dims
 
 
+def _floats(data, convert=np.asarray) -> np.ndarray:
+    """``convert(data, dtype=np.float64)``; data numpy cannot read as
+    float64 values, such as a string, a dict or ragged nested lists, raises
+    :class:`ShapeError` instead of numpy's ``TypeError`` or ``ValueError``."""
+    try:
+        return convert(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"cannot read {type(data).__name__} as float64 values: {exc}") from None
+
+
 def as_tensor(data) -> np.ndarray:
-    """Coerce ``data`` to a C-contiguous float64 array with at least one axis."""
-    arr = np.ascontiguousarray(data, dtype=np.float64)
+    """Coerce ``data`` to a C-contiguous float64 array with at least one axis;
+    data that is not numeric, or a zero-length axis, raises
+    :class:`ShapeError` (:func:`_floats`)."""
+    arr = _floats(data, np.ascontiguousarray)
     if arr.ndim == 0:
         raise ShapeError("tensors must have at least one axis")
     if arr.size == 0:

@@ -10,15 +10,22 @@ import pytest
 
 import sekron.conv
 from sekron import (
+    CpFactors,
     FactorShapeMatrix,
     KroneckerSequence,
     PlanRequest,
     RankError,
     ShapeError,
+    TrCores,
+    TuckerFactors,
     conv2d_reference,
     conv_macs,
     enumerate_configs,
     flops_denominator,
+    from_cp,
+    from_tr,
+    from_tt,
+    from_tucker,
     measure_sequence_latency,
     reconstruct,
     sekron_conv2d,
@@ -641,6 +648,40 @@ def stage_order(request, monkeypatch):
     """Each test that takes it runs once in each stage order (:func:`force_order`)."""
     force_order(monkeypatch, request.param)
     return request.param
+
+
+def embedding(fmt):
+    """4-D CP, Tucker, TT or TR factors of a ``(4, 3, 3, 3)`` weight,
+    embedded as a Kronecker sequence."""
+    rng = np.random.default_rng(61)
+    dims = (4, 3, 3, 3)
+
+    def ring(ranks):
+        closed = ranks + ranks[:1]
+        return TrCores(tuple(rng.standard_normal((d, closed[n], closed[n + 1]))
+                             for n, d in enumerate(dims)))
+
+    if fmt == "cp":
+        return from_cp(CpFactors(tuple(rng.standard_normal((3, d)) for d in dims)))
+    if fmt == "tucker":
+        core = rng.standard_normal((2, 3, 2, 2))
+        mats = tuple(rng.standard_normal((d, r)) for d, r in zip(dims, core.shape))
+        return from_tucker(TuckerFactors(core, mats))
+    return from_tt(ring((1, 2, 3, 2))) if fmt == "tt" else from_tr(ring((2, 3, 2, 2)))
+
+
+# the one factorized conv runs every structure the sequences embed
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("fmt", ["cp", "tucker", "tt", "tr"])
+def test_conv_runs_every_embedding(monkeypatch, fmt, padding):
+    seq = embedding(fmt)
+    x = np.random.default_rng(62).standard_normal((2, 3, 7, 6))
+    want = conv2d_reference(x, reconstruct(seq), padding)
+    counter = CountingNumpy()
+    monkeypatch.setattr("sekron.conv.np", counter)
+    got = sekron_conv2d(x, seq, padding)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert conv_macs(seq, x.shape[2:], padding) * x.shape[0] == counter.macs
 
 
 class TestStageOrder:

@@ -18,11 +18,20 @@ from sekron import (
     ShapeError,
     TrCores,
     TuckerFactors,
+    compression_ratio,
+    conv2d_reference,
     conv_macs,
     enumerate_factorizations,
+    flops_ratio,
     measure_sequence_latency,
     reconstruct,
+    sekron_conv2d,
+    sekron_decompose,
+    stage_macs_per_branch,
+    stored_param_count,
     truncated_svd,
+    write_sequence,
+    write_tensor,
 )
 from sekron.decompose import _digit_major
 from oracles import random_sequence, seq_index_compose, seq_index_decompose
@@ -300,6 +309,59 @@ def test_integer_arguments_accept_numpy_ints_and_any_iterable_of_rows():
         assert np.array_equal(got, want)
     matrices = [np.ones((2, 3)), np.ones((2, 4))]
     assert CpFactors(matrices).dims == CpFactors(iter(matrices)).dims == (3, 4)
+
+
+# an array argument numpy cannot read as floats, a sequence argument that
+# is no KroneckerSequence and factor shapes that are no FactorShapeMatrix
+# raise ShapeError, never numpy's TypeError or ValueError or a raw
+# AttributeError
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CpFactors(({},)),
+        lambda: KroneckerSequence(FactorShapeMatrix(((2, 2),)), (), [{}]),
+        lambda: sekron_conv2d("x", _sequence()),
+        lambda: sekron_conv2d([[1], [1, 2]], _sequence()),
+        lambda: conv2d_reference("x", np.ones((2, 2, 3, 3))),
+        lambda: truncated_svd("x", 1),
+        lambda: sekron_decompose(np.ones((4, 4)), "2x2,2x2", (1,)),
+        lambda: conv_macs(None, (5, 5)),
+        lambda: sekron_conv2d(np.ones((1, 4, 5, 5)), None),
+        lambda: reconstruct(None),
+        lambda: KroneckerSequence("2x2", (), [[1.0]]),
+        lambda: stored_param_count("2x2", (1,)),
+        lambda: compression_ratio("2x2", (1,)),
+        lambda: stage_macs_per_branch("2x2"),
+        lambda: flops_ratio("2x2", (1,)),
+        lambda: measure_sequence_latency(None, (1, 1, 3, 3)),
+    ],
+    ids=[
+        "cp-dict-matrix", "sequence-dict-factor", "conv-str-input", "conv-ragged-input",
+        "reference-str-input", "svd-str-matrix", "decompose-str-shapes", "conv_macs-none",
+        "conv-none", "reconstruct-none", "sequence-str-shapes", "param-count-str-shapes",
+        "cr-str-shapes", "stage-macs-str-shapes", "fr-str-shapes", "latency-none",
+    ],
+)
+def test_bad_array_sequence_or_shapes_argument_is_a_shape_error(call):
+    with pytest.raises(ShapeError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "write, arg",
+    [(write_tensor, {"a": 1}), (write_sequence, None)],
+    ids=["tensor-dict", "sequence-none"],
+)
+def test_a_bad_argument_to_a_writer_creates_no_file(tmp_path, write, arg):
+    path = tmp_path / "never"
+    with pytest.raises(ShapeError):
+        write(path, arg)
+    assert not path.exists()
+
+
+def test_a_nan_matrix_is_still_a_value_error():
+    with pytest.raises(ValueError, match="finite"):
+        truncated_svd([[np.nan, 1.0], [1.0, 2.0]], 1)
 
 
 @settings(max_examples=60, deadline=None)
