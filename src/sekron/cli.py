@@ -3,9 +3,9 @@
 Machine-readable results go to stdout as JSON lines; all diagnostics go to
 stderr.  ``plan --bench-input`` reports its progress on stderr as one JSON
 object per measured candidate, with keys ``i``, ``n``, ``shapes``, ``ranks``
-and ``latency_ms``.  Exit codes: 0 success, 1 unexpected error, 2 usage, 3
-file format error, 4 shape/rank error, 5 no feasible configuration, 6 SVD
-non-convergence, 7 candidate cap exceeded.
+and ``latency_ms``.  The exit code is 0 on success and 2 on a usage error;
+an error a command raises maps to its code through :data:`_EXIT_CODES`,
+which ``sekron --help`` lists.
 """
 
 import argparse
@@ -15,10 +15,7 @@ import math
 import sys
 
 from sekron.conv import _conv_shape, conv2d_reference, sekron_conv2d
-from sekron.decompose import (
-    reconstruct,
-    sekron_decompose,
-)
+from sekron.decompose import reconstruct, sekron_decompose
 from sekron.equivalences import (
     CpFactors,
     TrCores,
@@ -51,13 +48,18 @@ from sekron.planner import (
 from sekron.tensor_core import FactorShapeMatrix
 
 EXIT_OK = 0
-EXIT_ERROR = 1
 EXIT_USAGE = 2
-EXIT_FORMAT = 3
-EXIT_SHAPE = 4
-EXIT_NO_CONFIG = 5
-EXIT_SVD = 6
-EXIT_CANDIDATE_CAP = 7
+
+# the exit code of each error a command may raise, the first match wins; any
+# other exception is a bug and propagates with its traceback
+_EXIT_CODES = (
+    ((FileFormatError,), 3),
+    ((ShapeError, RankError, ValueError), 4),
+    ((NoFeasibleConfigError,), 5),
+    ((SvdConvergenceError,), 6),
+    ((CandidateLimitError,), 7),
+    ((OSError,), 1),
+)
 
 
 def _parse_ints(text: str, what: str, error) -> tuple[int, ...]:
@@ -201,9 +203,14 @@ def _cmd_bench(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for all subcommands on every call."""
+    codes = [(EXIT_OK, "success"), (EXIT_USAGE, "usage error")] + [
+        (code, ", ".join(t.__name__ for t in types)) for types, code in _EXIT_CODES
+    ]
     parser = argparse.ArgumentParser(
         prog="sekron",
         description="Kronecker-sequence tensor decomposition and factorized convolution",
+        epilog="exit codes:\n" + "\n".join(f"  {code}  {what}" for code, what in sorted(codes)),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -313,24 +320,13 @@ def run_cli(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (ShapeError, RankError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except NoFeasibleConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONFIG
-    except SvdConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SVD
-    except CandidateLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CANDIDATE_CAP
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except Exception as exc:
+        for types, code in _EXIT_CODES:
+            if isinstance(exc, types):
+                tag = f" [{exc.code}]" if isinstance(exc, FileFormatError) else ""
+                print(f"error{tag}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def main() -> None:

@@ -12,8 +12,8 @@ Factor ``k`` of a sequence keeps one slice per branch ``(r_0, ..., r_k)``
 some of those rank digits:
 
 * CP, ranks ``(R, 1, ..., 1)``: every factor on ``r_0``, the CP rank, so
-  each has ``R`` branches and is a plain reshape of its matrix; a single
-  axis sums its matrix over the rank instead;
+  each has ``R`` branches and is a plain reshape of its matrix, the channel
+  axis (axis 1) last; a single axis sums its matrix over the rank instead;
 * Tucker, ranks the core's shape: factor ``k < N`` on ``r_k``, a column of
   matrix ``k``, and the last, all-singleton factor on every digit, one core
   entry per branch, a plain reshape of the core;
@@ -146,15 +146,25 @@ def _branched(slices: np.ndarray, ranks, digits) -> np.ndarray:
 
 def from_cp(f: CpFactors) -> KroneckerSequence:
     """Embed CP factors: one Kronecker factor per axis, CP rank at the first
-    level and rank one everywhere after."""
+    level and rank one everywhere after.
+
+    The factors list the axes in order, except that axis 1, a weight's
+    channel axis, comes last: a 4-D ``(F, C, Kh, Kw)`` weight becomes the
+    factors F, Kh, Kw, C.  The conv, which runs such a sequence last factor
+    first, then sums the input channels into the ``R`` branches before any
+    spatial tap, instead of running the taps on every channel of every
+    branch.
+    """
     n = len(f.matrices)
-    rows = _axis_rows(f.dims)
+    # a single axis stays alone
+    axes = (0, *range(2, n), 1)[:n]
+    rows = [_axis_rows(f.dims)[k] for k in axes]
     shapes = FactorShapeMatrix(rows)
     if n == 1:
         # the rank sum collapses into the single factor
         return KroneckerSequence(shapes=shapes, ranks=(), factors=[f.matrices[0].sum(axis=0)[None]])
     ranks = (f.rank,) + (1,) * (n - 2)
-    factors = [f.matrices[k].reshape((f.rank,) + rows[k]) for k in range(n)]
+    factors = [f.matrices[k].reshape((f.rank,) + row) for k, row in zip(axes, rows)]
     return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)
 
 

@@ -78,7 +78,7 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``r_hat`` is read as a Python int (:func:`sekron.tensor_core._as_int`):
     a float, a string or a bool, which would read as 0 or 1, raises
     :class:`RankError`, as does a rank outside ``[1, min(rows, cols)]``.
-    An ``m`` that is not numeric (:func:`sekron.tensor_core._floats`) or
+    An ``m`` that is not real numbers (:func:`sekron.tensor_core._floats`) or
     has fewer than two axes raises :class:`ShapeError`, and one holding NaN
     or an infinity ``ValueError``.
     """

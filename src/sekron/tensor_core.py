@@ -42,10 +42,11 @@ tensor to decompose or write, a conv input and weight, each factor of a
 :class:`sekron.decompose.KroneckerSequence` and each array of a format in
 :mod:`sekron.equivalences`.  It gives a C-contiguous float64 array, and
 data numpy cannot read as float64 values (a string, a dict, ragged nested
-lists) or an array with a zero-length axis raises :class:`ShapeError`,
-never numpy's ``TypeError`` or ``ValueError``.  The one array argument read
-in place, the stack :func:`sekron.linalg.truncated_svd` truncates, goes
-through the same mapping (:func:`_floats`) without the copy.
+lists, complex numbers), a scalar or an array with a zero-length axis
+raises :class:`ShapeError`, never numpy's ``TypeError`` or ``ValueError``
+or a ``ComplexWarning``.  The one array argument read in place, the stack
+:func:`sekron.linalg.truncated_svd` truncates, goes through the same
+mapping (:func:`_floats`) without the copy.
 """
 
 import itertools
@@ -104,21 +105,27 @@ def _dims(values, ndim: int | None, what: str, error=ShapeError) -> tuple[int, .
     return dims
 
 
-def _floats(data, convert=np.asarray) -> np.ndarray:
-    """``convert(data, dtype=np.float64)``; data numpy cannot read as
-    float64 values, such as a string, a dict or ragged nested lists, raises
-    :class:`ShapeError` instead of numpy's ``TypeError`` or ``ValueError``."""
+def _floats(data, order=None) -> np.ndarray:
+    """``data`` as a float64 array in ``order`` (``np.asarray``'s), with as
+    many axes as it has; an array that is already one is returned as it is.
+    Data numpy cannot read as float64 values, such as a string, a dict or
+    ragged nested lists, raises :class:`ShapeError` instead of numpy's
+    ``TypeError`` or ``ValueError``, and so does complex data, whose
+    imaginary part a cast would drop with only a ``ComplexWarning``."""
     try:
-        return convert(data, dtype=np.float64)
+        arr = np.asarray(data, order=order)
+        if arr.dtype.kind == "c":
+            raise ShapeError(f"cannot read {arr.dtype} as float64 values: complex data")
+        return arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"cannot read {type(data).__name__} as float64 values: {exc}") from None
 
 
 def as_tensor(data) -> np.ndarray:
     """Coerce ``data`` to a C-contiguous float64 array with at least one axis;
-    data that is not numeric, or a zero-length axis, raises
-    :class:`ShapeError` (:func:`_floats`)."""
-    arr = _floats(data, np.ascontiguousarray)
+    data that is not real numbers (:func:`_floats`), a scalar or a
+    zero-length axis raises :class:`ShapeError`."""
+    arr = _floats(data, "C")
     if arr.ndim == 0:
         raise ShapeError("tensors must have at least one axis")
     if arr.size == 0:

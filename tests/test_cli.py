@@ -11,6 +11,8 @@ import pytest
 from sekron import (
     CpFactors,
     FactorShapeMatrix,
+    FileFormatError,
+    SekronError,
     TrCores,
     TuckerFactors,
     read_sequence,
@@ -124,6 +126,9 @@ CASES = {
     "unknown-command": (2, lambda p: ["compose"]),
     "missing-required": (2, lambda p: ["decompose", "--input", "w.skt"]),
     "bad-int-option": (2, lambda p: tiny_plan(p, "--trials", "three")),
+    "missing-input": (1, lambda p: ["decompose", "--input", str(p / "absent.skt"),
+                                    "--shapes", "2x2,2x2", "--ranks", "1",
+                                    "--output", str(p / "w.sks")]),
     "bad-magic": (3, bad_magic),
     "bool-dimension": (3, bool_dimension),
     "bool-rank": (3, lambda p: sequence_file(p, [[2, 2], [2, 2]], [True])),
@@ -132,6 +137,8 @@ CASES = {
     "inf-activation": (3, inf_activation),
     "rank-over-cap": (4, lambda p: decompose_argv(p, "2x2x1x1,2x2x2x2", "5")),
     "unparsable-rank": (4, lambda p: decompose_argv(p, "2x2x1x1,2x2x2x2", "a")),
+    # runs with np.linalg.eigh failing, as LAPACK does when it does not converge
+    "svd-no-convergence": (6, lambda p: decompose_argv(p, "2x2x1x1,2x2x2x2", "2")),
     "budget-unmet": (5, lambda p: tiny_plan(
         p, "--bench-input", "1,2,3,3", "--latency-budget-ms", "0", "--trials", "3")),
     "latency-budget-nan": (4, lambda p: tiny_plan(
@@ -159,15 +166,57 @@ CASES = {
 }
 
 
+def eigh_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 @pytest.mark.parametrize("case", list(CASES))
-def test_exit_code(tmp_path, capsys, case):
+def test_exit_code(tmp_path, capsys, monkeypatch, case):
     code, make_argv = CASES[case]
+    if case == "svd-no-convergence":
+        monkeypatch.setattr(np.linalg, "eigh", eigh_fails)
     assert run_cli(make_argv(tmp_path)) == code
     captured = capsys.readouterr()
     if code != 0:
         assert captured.out == ""
-    if code > 2:
+    if code not in (0, 2):
         assert captured.err.splitlines()[-1].startswith("error")
+
+
+def help_exit_codes(capsys) -> dict[str, int]:
+    """The exit code the epilog of ``sekron --help`` lists for each error
+    type name, and for ``success`` and ``usage error``."""
+    assert run_cli(["--help"]) == 0
+    epilog = capsys.readouterr().out.split("exit codes:\n")[1]
+    listed = {}
+    for line in epilog.splitlines():
+        code, names = line.split(maxsplit=1)
+        listed.update(dict.fromkeys(names.split(", "), int(code)))
+    return listed
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+@pytest.mark.parametrize(
+    "error", [*subclasses(SekronError), ValueError, OSError], ids=lambda e: e.__name__
+)
+def test_every_error_type_exits_with_the_code_help_lists(capsys, monkeypatch, error):
+    listed = help_exit_codes(capsys)
+    assert (listed["success"], listed["usage error"]) == (0, 2)
+    # the code of the nearest type the epilog names
+    code = next(listed[t.__name__] for t in error.__mro__ if t.__name__ in listed)
+
+    def read_sequence(path):
+        raise error("stub")
+
+    monkeypatch.setattr("sekron.cli.read_sequence", read_sequence)
+    assert run_cli(["reconstruct", "--input", "w.sks", "--output", "w.skt"]) == code
+    tag = f" [{error.code}]" if issubclass(error, FileFormatError) else ""
+    assert capsys.readouterr().err.splitlines()[-1] == f"error{tag}: stub"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -9,6 +9,7 @@ from sekron import (
     RankError,
     TrCores,
     TuckerFactors,
+    conv_macs,
     from_cp,
     from_tr,
     from_tt,
@@ -94,6 +95,16 @@ class TestFromCp:
         rank = int(rng.integers(1, 4))
         f = random_cp(rng, dims, rank)
         assert_matches_oracle(from_cp(f), "cp", f)
+
+    def test_channel_axis_is_the_last_factor(self):
+        # a rank-32 64x64x3x3 weight as factors F, Kh, Kw, C: on a 28x28
+        # input with padding 1 the conv runs 4,598 MACs per output position,
+        # where the axis order F, C, Kh, Kw ran 28,672
+        f = random_cp(np.random.default_rng(7), (64, 64, 3, 3), 32)
+        seq = from_cp(f)
+        assert seq.shapes.rows == ((64, 1, 1, 1), (1, 1, 3, 1), (1, 1, 1, 3), (1, 64, 1, 1))
+        assert conv_macs(seq, (28, 28), 1) == 3_604_736  # 4,597.9 x 28 x 28
+        assert_matches_oracle(seq, "cp", f)
 
     def test_single_axis(self):
         f = CpFactors((np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),))

@@ -34,6 +34,7 @@ from sekron import (
     write_tensor,
 )
 from sekron.decompose import _digit_major
+from sekron.tensor_core import as_tensor
 from oracles import random_sequence, seq_index_compose, seq_index_decompose
 
 
@@ -375,3 +376,42 @@ def test_kron_shape_law(shapes):
         js = [tuple(int(rng.integers(d)) for d in row) for row in shapes.rows]
         expected = math.prod(f[j] for f, j in zip(factors, js))
         assert out[seq_index_compose(js, shapes)] == pytest.approx(expected, rel=1e-15)
+
+
+# a scalar has no axis: every array argument refuses it instead of reading
+# it as a vector of one value, and the writer creates no file
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda path: as_tensor(5.0),
+        lambda path: write_tensor(path, np.float64(5.0)),
+        lambda path: sekron_conv2d(5.0, _sequence()),
+        lambda path: sekron_decompose(np.array(5.0), FactorShapeMatrix(((1,),)), ()),
+    ],
+    ids=["as_tensor", "write_tensor", "conv-input", "decompose"],
+)
+def test_a_scalar_is_a_shape_error(tmp_path, call):
+    path = tmp_path / "never"
+    with pytest.raises(ShapeError, match="at least one axis"):
+        call(path)
+    assert not path.exists()
+
+
+# the cast to float64 would drop the imaginary part with only a
+# ComplexWarning, which this test turns into an error: none may be emitted
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "data", [np.array([[1 + 2j, 3.0]]), [[1j, 2.0]], 1j], ids=["array", "list", "scalar"]
+)
+def test_complex_data_is_a_shape_error(data):
+    with pytest.raises(ShapeError, match="complex"):
+        as_tensor(data)
+    with pytest.raises(ShapeError, match="complex"):
+        truncated_svd(data, 1)
+
+
+def test_a_float64_array_is_taken_as_it_is():
+    a = np.ones((2, 3))
+    assert as_tensor(a) is a
+    b = as_tensor(a.T)
+    assert b.flags.c_contiguous and np.array_equal(b, a.T)
