@@ -3,8 +3,10 @@
 Decomposes N-way tensors into sequences of Kronecker factors by recursive
 SVD of their unfoldings, convolves with the factors directly (never
 materializing the composed weight), embeds CP/Tucker/TT/TR factorizations
-into the same representation, and plans shape/rank configurations by
-compression ratio, FLOPs, and measured latency.
+into the same representation, and plans shape/rank configurations: it
+picks the compression ratio (CR) closest to a target, within an optional
+latency budget, and breaks ties on measured latency; the flops ratio (FR)
+of each configuration is reported, not used to pick.
 """
 
 from sekron.conv import conv2d_reference, conv_macs, sekron_conv2d
@@ -46,12 +48,10 @@ from sekron.planner import (
     compression_ratio,
     enumerate_configs,
     enumerate_factorizations,
-    flops_denominator,
     flops_ratio,
     measure_latency,
     measure_sequence_latency,
     select_config,
-    stage_macs_per_branch,
     write_candidates_csv,
 )
 from sekron.tensor_core import FactorShapeMatrix
@@ -84,7 +84,6 @@ __all__ = [
     "conv_macs",
     "enumerate_configs",
     "enumerate_factorizations",
-    "flops_denominator",
     "flops_ratio",
     "from_cp",
     "from_tr",
@@ -98,7 +97,6 @@ __all__ = [
     "select_config",
     "sekron_conv2d",
     "sekron_decompose",
-    "stage_macs_per_branch",
     "stored_param_count",
     "truncated_svd",
     "write_candidates_csv",

@@ -51,14 +51,15 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 # the exit code of each error a command may raise, the first match wins; any
-# other exception is a bug and propagates with its traceback
+# other exception is a bug and propagates with its traceback.  A MemoryError,
+# a size the machine cannot allocate, is no bug: it exits 1 as an OSError does
 _EXIT_CODES = (
     ((FileFormatError,), 3),
     ((ShapeError, RankError, ValueError), 4),
     ((NoFeasibleConfigError,), 5),
     ((SvdConvergenceError,), 6),
     ((CandidateLimitError,), 7),
-    ((OSError,), 1),
+    ((OSError, MemoryError), 1),
 )
 
 

@@ -7,16 +7,19 @@ over an im2col window view (Chellapilla et al. 2006), image by image, so an
 image's result does not depend on the rest of its batch.  The reference
 runs one GEMM per image.
 
-The factorized path runs one stage per factor, last factor first or factor
-0 first.  Both orders sum the same products over the same branch tree, so
-both are exact; each sequence runs in the one whose GEMMs cost fewer MACs
-per output position (:func:`_cheaper_schedule`).  One schedule,
+The factorized path runs one stage per factor, last factor first or
+factor 0 first.  Both orders sum the same products over the same branch
+tree, so both are exact.  A sequence runs factor 0 first only where that
+order's GEMMs run strictly fewer MACs per output position and its
+windows copy no more elements per position; otherwise, ties included, it
+runs last factor first (:func:`_cheaper_schedule`).  One schedule,
 :func:`_schedule`, describes every stage of either order as one digit
-layout: the outer digits of the stage's input, each kept as a batch digit,
-kept as a branch digit that selects a slice of the factor, or summed, and
-the order of the factor's axes.  It walks each stage's digits once and
-derives from them the stage's GEMM sizes, whether it copies its window,
-and the sizes and strides of its window; the bands of output rows
+layout: the outer digits of the stage's input, each kept as a batch
+digit, kept as a branch digit that selects a slice of the factor, or
+summed, and the order of the factor's axes.  It walks each stage's
+digits once and derives from them the stage's GEMM sizes and MACs per
+output position, whether it copies its window, and the sizes and strides
+of its window; the stage order, the bands of output rows
 (:func:`_bands`), the window views and buffers (:func:`_geometry`,
 :func:`_plans`) and the exact MAC count (:func:`conv_macs`) read those
 records.  A stage reads its column matrix as a view of its input unless
@@ -112,7 +115,7 @@ def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
 
 
 # one stage of _schedule, fields as its docstring describes them
-_Stage = collections.namedtuple("_Stage", "k batch m kdim n copy dil_h dil_w cut_h cut_w "
+_Stage = collections.namedtuple("_Stage", "k batch m kdim n macs copy dil_h dil_w cut_h cut_w "
                                 "sizes planes batch_shape split axes shape")
 
 
@@ -124,14 +127,17 @@ def _schedule(shapes: FactorShapeMatrix, ranks, factor0_first: bool = False) -> 
     through unchanged, then the image.  Each outer digit is kept as a batch
     digit the factor matrix is shared over, kept as a branch digit that
     selects a slice of the factor, or summed by the GEMM.  One
-    :data:`_Stage` ``(k, batch, m, kdim, n, copy, dil_h, dil_w, cut_h,
-    cut_w, sizes, planes, batch_shape, split, axes, shape)`` per stage, a
-    named tuple, where ``k`` is the factor it contracts:
+    :data:`_Stage` ``(k, batch, m, kdim, n, macs, copy, dil_h, dil_w,
+    cut_h, cut_w, sizes, planes, batch_shape, split, axes, shape)`` per
+    stage, a named tuple, where ``k`` is the factor it contracts:
 
     - the stage runs ``batch`` GEMMs, one per value of its kept digits, of
       an ``m x kdim`` factor matrix with a ``kdim x (n out_h out_w)`` column
       matrix: ``kdim`` is the summed digits times the taps, and ``m`` the
-      factor's entries over those;
+      factor's entries over those; ``macs``, their product ``batch m kdim
+      n``, is what those GEMMs run per output position, the one MAC count
+      that :func:`_cheaper_schedule` and :func:`conv_macs` read, and
+      :func:`sekron.planner._fr_terms` its closed form at rank 1;
     - ``copy`` says its columns are a copied window rather than a view of
       its input: when its factor has taps, or when a kept digit of size > 1
       sits between two summed digits of size > 1, which then cannot merge
@@ -229,8 +235,9 @@ def _schedule(shapes: FactorShapeMatrix, ranks, factor0_first: bool = False) -> 
         roles = "".join(role for size, role in digits if size > 1)
         copy = h_k * w_k > 1 or roles.strip("gq").strip("k") != ""
         cut_h, cut_w = cut_h + (h_k - 1) * dil_h, cut_w + (w_k - 1) * dil_w
-        stages.append(_Stage(k, batch, m, kdim, n, copy, dil_h, dil_w, cut_h, cut_w, sizes, planes,
-                             batch_shape, ranks[: k + 1] + rows[k], axes, (*shared, m, kdim)))
+        stages.append(_Stage(k, batch, m, kdim, n, batch * m * kdim * n, copy, dil_h, dil_w, cut_h,
+                             cut_w, sizes, planes, batch_shape, ranks[: k + 1] + rows[k], axes,
+                             (*shared, m, kdim)))
     return tuple(stages)
 
 
@@ -247,7 +254,7 @@ def _cheaper_schedule(shapes: FactorShapeMatrix, ranks: tuple[int, ...]):
 
     def per_position(stages):
         # (MACs, copied elements) per output position
-        return (sum(s.batch * s.m * s.kdim * s.n for s in stages),
+        return (sum(s.macs for s in stages),
                 sum(s.batch * s.kdim * s.n for s in stages if s.copy))
 
     first, last = _schedule(shapes, ranks, True), _schedule(shapes, ranks)
@@ -488,16 +495,15 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     """Exact multiply-accumulate count of :func:`sekron_conv2d`, in the
     stage order it runs.
 
-    ``sum batch * m * kdim * n * out_h_k * out_w_k`` over the bands of
-    :func:`_bands` and, in each band, the stages of :func:`_schedule` on its
-    slab of ``rows + K_h - 1`` input rows, each at its own output size,
-    border included, for the given spatial input size ``(H, W)``, two
-    positive integers (:func:`sekron.tensor_core._dims`); anything else, a
-    size that is not iterable included, a bad ``padding``, and a sequence
-    whose factors do not have the four axes ``(f, c, h, w)``, raises
-    :class:`ShapeError`.  The sequence is checked as in
-    :func:`sekron_conv2d`, so it accepts exactly the sequences
-    :func:`sekron.decompose.reconstruct` and
+    ``sum macs * out_h_k * out_w_k`` over the bands of :func:`_bands` and,
+    in each band, the stages of :func:`_schedule` on its slab of ``rows +
+    K_h - 1`` input rows, each at its own output size, border included, for
+    the given spatial input size ``(H, W)``, two positive integers
+    (:func:`sekron.tensor_core._dims`); anything else, a size that is not
+    iterable included, a bad ``padding``, and a sequence whose factors do
+    not have the four axes ``(f, c, h, w)``, raises :class:`ShapeError`.
+    The sequence is checked as in :func:`sekron_conv2d`, so it accepts
+    exactly the sequences :func:`sekron.decompose.reconstruct` and
     :func:`sekron.fileio.write_sequence` accept and raises
     :class:`RankError` or :class:`ShapeError` for the rest.  A stage before
     a tapped stage writes, in every band, the border rows the taps read, so
@@ -513,7 +519,7 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     in_w = w + 2 * padding
     stages, bands, _ = _geometry(seq.shapes, ranks, h, w, padding, _BAND_BYTES)
     return sum(
-        s.batch * s.m * s.kdim * s.n * (rows + kh - 1 - s.cut_h) * (in_w - s.cut_w)
+        s.macs * (rows + kh - 1 - s.cut_h) * (in_w - s.cut_w)
         for _, rows in bands
         for s in stages
     )

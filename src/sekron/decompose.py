@@ -75,10 +75,10 @@ def _check_shapes(shapes) -> FactorShapeMatrix:
     """``shapes``, after the one check that factor shapes are a
     :class:`FactorShapeMatrix`: anything else, such as its string form,
     raises :class:`ShapeError`.  :func:`sekron_decompose`,
-    :func:`_validate_ranks` (so :func:`stored_param_count` and the
-    planner's ratios), :func:`_check_sequence` and
-    :func:`sekron.planner.stage_macs_per_branch` run it before they read
-    the shapes."""
+    :func:`_validate_ranks` (so :func:`stored_param_count` and
+    :func:`sekron.planner.compression_ratio`), :func:`_check_sequence` and
+    :func:`sekron.planner.flops_ratio` run it before they read the
+    shapes."""
     if not isinstance(shapes, FactorShapeMatrix):
         raise ShapeError(f"factor shapes must be a FactorShapeMatrix, got {type(shapes).__name__}")
     return shapes
@@ -188,21 +188,24 @@ def sekron_decompose(w, shapes: FactorShapeMatrix, ranks) -> KroneckerSequence:
     digits, later digits)`` matrix, a reshape, keeps the top ``ranks[k]``
     singular triplets per branch in one stacked truncated SVD (left vectors
     become factor ``k``, sigma-scaled right vectors the next working array),
-    and the final working array becomes the last factor.  Each level's
-    truncation is the Frobenius-optimal low-rank approximation of its
-    unfolding.  The discarded tails are kept as ``level_tails``; their sum is
-    the exact squared reconstruction error.
+    and the final working array becomes the last factor.  Every rank is
+    checked against its level's full rank (:meth:`FactorShapeMatrix.max_ranks`)
+    before the copy and any SVD; one above it raises :class:`RankError`.
+    Each level's truncation is the Frobenius-optimal low-rank approximation
+    of its unfolding.  The discarded tails are kept as ``level_tails``; their
+    sum is the exact squared reconstruction error.
     """
     w = as_tensor(w)
     _check_shapes(shapes).validate_target(w.shape)
     ranks = _validate_ranks(shapes, ranks)
+    for k, (r, cap) in enumerate(zip(ranks, shapes.max_ranks())):
+        if r > cap:
+            raise RankError(f"rank {r} exceeds full rank {cap} of the level-{k} unfolding")
     split, order = _digit_major(shapes)
     # leading branch axis, initially a single branch
     work = w.reshape(split).transpose(order).copy().reshape(1, -1)
     factors, level_tails = [], []
-    for k, (r, cap, volume) in enumerate(zip(ranks, shapes.max_ranks(), shapes.volumes)):
-        if r > cap:
-            raise RankError(f"rank {r} exceeds full rank {cap} of the level-{k} unfolding")
+    for k, (r, volume) in enumerate(zip(ranks, shapes.volumes)):
         stack = work.reshape(work.shape[0], volume, -1)
         u, scaled_v, tails = truncated_svd(stack, r)
         factors.append(np.swapaxes(u, 1, 2).reshape((-1,) + shapes.rows[k]))

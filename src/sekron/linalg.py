@@ -78,13 +78,16 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``r_hat`` is read as a Python int (:func:`sekron.tensor_core._as_int`):
     a float, a string or a bool, which would read as 0 or 1, raises
     :class:`RankError`, as does a rank outside ``[1, min(rows, cols)]``.
-    An ``m`` that is not real numbers (:func:`sekron.tensor_core._floats`) or
-    has fewer than two axes raises :class:`ShapeError`, and one holding NaN
-    or an infinity ``ValueError``.
+    An ``m`` that is not real numbers (:func:`sekron.tensor_core._floats`),
+    has fewer than two axes or has a zero-length axis, as
+    :func:`sekron.tensor_core.as_tensor` refuses, raises
+    :class:`ShapeError`, and one holding NaN or an infinity ``ValueError``.
     """
     m = _floats(m)
-    if m.ndim < 2:
-        raise ShapeError(f"svd expects a matrix or a stack of them, got {m.ndim} axes")
+    if m.ndim < 2 or m.size == 0:
+        raise ShapeError(
+            f"svd expects a matrix or a stack of them with no zero-length axis, got shape {m.shape}"
+        )
     if not np.all(np.isfinite(m)):
         raise ValueError("svd input must be finite")
     rows, cols = m.shape[-2:]

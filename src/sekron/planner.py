@@ -155,24 +155,19 @@ class Sweep:
         return cls(groups)
 
 
-def _real(value, what: str) -> float:
+def _real(value, what: str, least: float | None = None) -> float:
     """``value`` as a Python float; a bool, a string, any other value that is
-    not a real number, or one beyond the float range raises ``ValueError``."""
+    not a real number, or one beyond the float range raises ``ValueError``.
+    With ``least``, so does any value but a finite one ``>= least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ValueError(f"{what} is beyond the float range") from None
-
-
-def _check_target_cr(target_cr) -> float:
-    target_cr = _real(target_cr, "target compression ratio")
-    if not 1 <= target_cr < math.inf:
-        raise ValueError(
-            f"target compression ratio must be finite and >= 1, got {target_cr}"
-        )
-    return target_cr
+    if least is not None and not least <= value < math.inf:
+        raise ValueError(f"{what} must be finite and >= {least}, got {value}")
+    return value
 
 
 def _check_budget(latency_budget_ms) -> float:
@@ -222,7 +217,7 @@ class PlanRequest:
             self, "sequence_length", _count(self.sequence_length, "sequence length")
         )
         object.__setattr__(self, "max_rank", _count(self.max_rank, "max rank"))
-        object.__setattr__(self, "target_cr", _check_target_cr(self.target_cr))
+        object.__setattr__(self, "target_cr", _real(self.target_cr, "target compression ratio", 1))
         if self.latency_budget_ms is not None:
             object.__setattr__(self, "latency_budget_ms", _check_budget(self.latency_budget_ms))
 
@@ -234,23 +229,43 @@ def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:
     return math.prod(shapes.target_shape) / stored
 
 
-def stage_macs_per_branch(shapes: FactorShapeMatrix) -> tuple[int, ...]:
-    """Per-output-position MACs of each stage of the factorized convolution
-    run last factor first, for one branch of its factor, in factor order.
+def flops_ratio(shapes: FactorShapeMatrix, ranks) -> float:
+    """Dense per-position MACs divided by the factorized conv's per-position
+    MACs run last factor first, ``sum_k branch_k * term_k`` over the terms
+    of :func:`_fr_terms`.
+
+    FR is defined by that order even where
+    :func:`sekron.conv.sekron_conv2d` runs factor 0 first, which it does
+    only where that order runs fewer MACs per position, so FR is a lower
+    bound on the per-position saving of the order it runs.  Per output
+    position, FR also leaves out the border that a stage before a tapped
+    stage computes; :func:`sekron.conv.conv_macs` is the exact count a conv
+    on a given input size runs, in the order it runs.  Raises
+    :class:`ShapeError` unless ``shapes`` is a :class:`FactorShapeMatrix`
+    (:func:`sekron.decompose._check_shapes`) whose factors have the four
+    axes ``(f, c, h, w)``, and :class:`RankError` for ranks that fail
+    :func:`sekron.decompose._validate_ranks`.
+    """
+    if _check_shapes(shapes).num_axes != 4:
+        raise ShapeError("FLOP accounting needs factor axes (f, c, h, w)")
+    macs = _branch_total(_branch_sizes(_validate_ranks(shapes, ranks)), _fr_terms(shapes))
+    return math.prod(shapes.target_shape) / macs
+
+
+def _fr_terms(shapes: FactorShapeMatrix) -> tuple[int, ...]:
+    """The MACs per output position of one branch of each factor, run last
+    factor first, in factor order: a closed form of the stage records'
+    ``macs`` (:func:`sekron.conv._schedule`) at rank 1, where every factor
+    has a single branch, which takes O(S) per shape matrix instead of a
+    schedule.
 
     Term ``k`` is ``(prod_{j>=k} f_j) (prod_{j<=k} c_j) h_k w_k``: the stage
     that contracts factor ``k`` writes the ``f`` digits of factors ``k ..
     S-1`` for each open channel group, and each output sums over ``c_k h_k
-    w_k`` inputs.  That is the stage's GEMM MACs per position in
-    :func:`sekron.conv._schedule` run last factor first at rank 1, where
-    every factor has a single branch.  The terms depend only on the shapes,
-    so a sweep over rank tuples computes them once per shape matrix.
-    Raises :class:`ShapeError` unless ``shapes`` is a
-    :class:`FactorShapeMatrix` (:func:`sekron.decompose._check_shapes`)
-    whose factors have the four axes ``(f, c, h, w)``.
+    w_k`` inputs.  At any ranks the records' ``macs`` sum to ``sum_k
+    branch_k * term_k``, the branch counts of the :mod:`sekron.tensor_core`
+    docstring.  ``shapes`` is a checked matrix of four-axis factors.
     """
-    if _check_shapes(shapes).num_axes != 4:
-        raise ShapeError("FLOP accounting needs factor axes (f, c, h, w)")
     f_from = math.prod(row[0] for row in shapes.rows)
     c_upto = 1
     terms = []
@@ -259,44 +274,6 @@ def stage_macs_per_branch(shapes: FactorShapeMatrix) -> tuple[int, ...]:
         terms.append(f_from * c_upto * h * w)
         f_from //= f
     return tuple(terms)
-
-
-def flops_denominator(shapes: FactorShapeMatrix, ranks) -> int:
-    """Per-output-position MACs of the factorized convolution run last
-    factor first, the denominator of the flops ratio (FR).
-
-    ``sum_k branch_k * term_k``: the branch count of factor ``k`` (see the
-    :mod:`sekron.tensor_core` docstring) times its term from
-    :func:`stage_macs_per_branch`.  FR is defined by this order even where
-    :func:`sekron.conv.sekron_conv2d` runs factor 0 first, which it does
-    only where that order runs fewer MACs per position, so this is an upper
-    bound on the per-position MACs of the order it runs.  Each term counts
-    the outputs of its stage at the final output positions only, leaving
-    out the border that a stage before a tapped stage also computes;
-    :func:`sekron.conv.conv_macs` counts both exactly for a given input
-    size.  This times the output size equals :func:`sekron.conv.conv_macs`
-    when the conv runs last factor first and no factor but the last (factor
-    ``S-1``, the first stage) has taps.
-    """
-    stages = stage_macs_per_branch(shapes)
-    ranks = _validate_ranks(shapes, ranks)
-    return _branch_total(_branch_sizes(ranks), stages)
-
-
-def flops_ratio(shapes: FactorShapeMatrix, ranks) -> float:
-    """Dense per-position MACs divided by factorized per-position MACs
-    (:func:`flops_denominator`), counted last factor first.
-
-    :func:`sekron.conv.sekron_conv2d` runs factor 0 first only where that
-    order runs fewer MACs per position, so FR is a lower bound on the
-    per-position saving of the order it runs.  Per output position, FR also
-    leaves out the border that a stage before a tapped stage computes;
-    :func:`sekron.conv.conv_macs` is the exact count a conv on a given input
-    size runs, in the order it runs.
-    """
-    # first: it refuses shapes that are no FactorShapeMatrix
-    denominator = flops_denominator(shapes, ranks)
-    return math.prod(shapes.target_shape) / denominator
 
 
 def _divisors(n: int) -> list[int]:
@@ -380,7 +357,7 @@ def enumerate_configs(req: PlanRequest) -> Sweep:
 
     Both ratios are a dense count over ``sum_k branch_k * term_k``, where
     the branch sizes depend only on the rank tuple and the terms (factor
-    volumes for CR, :func:`stage_macs_per_branch` for FR) only on the shape
+    volumes for CR, :func:`_fr_terms` for FR) only on the shape
     matrix.  So each shape matrix's volumes, terms and rank caps
     (:func:`sekron.tensor_core._rank_caps`) take one O(S) pass, and its
     denominators one nested sum over its rank tuples
@@ -421,7 +398,7 @@ def enumerate_configs(req: PlanRequest) -> Sweep:
             cr = list(map(dense.__truediv__, _branch_totals(volumes, grid[1])))
             column = by_volumes[volumes] = (caps, *grid, cr)
         caps, ranks, ranges, cr = column
-        terms = stage_macs_per_branch(shapes)
+        terms = _fr_terms(shapes)
         fr = fr_columns.get((terms, caps))
         if fr is None:
             fr = fr_columns[terms, caps] = list(map(dense.__truediv__, _branch_totals(terms, ranges)))
@@ -499,7 +476,9 @@ def select_config(
     lexicographically smaller shapes (``shapes.rows``), then smaller ranks.
     The choice does not depend on candidate order.  ``target_cr`` must be
     finite and ``>= 1`` and a budget a real number, not NaN, as in
-    :class:`PlanRequest`; anything else raises ``ValueError``.
+    :class:`PlanRequest`, and every measured latency the budget filter or
+    the tie rule reads finite and ``>= 0``, since a NaN compares false with
+    every other latency; anything else raises ``ValueError``.
 
     ``candidates`` is a :class:`Sweep` or an iterable of
     :class:`CandidateConfig`, read as a sweep (:meth:`Sweep.of`).  The gaps
@@ -507,7 +486,7 @@ def select_config(
     candidates are compared by the tie rule, and only the pick is built as
     a :class:`CandidateConfig`.
     """
-    target_cr = _check_target_cr(target_cr)
+    target_cr = _real(target_cr, "target compression ratio", 1)
     if latency_budget_ms is not None:
         latency_budget_ms = _check_budget(latency_budget_ms)
     sweep = Sweep.of(candidates)
@@ -521,7 +500,8 @@ def select_config(
         if latency_budget_ms is not None:
             if group.latency_ms is None or None in group.latency_ms:
                 raise ValueError("a latency budget requires measured latencies")
-            rows = [i for i, t in enumerate(group.latency_ms) if t <= latency_budget_ms]
+            rows = [i for i, t in enumerate(group.latency_ms)
+                    if _real(t, "measured latency", 0) <= latency_budget_ms]
             cr = [cr[i] for i in rows]
         if rows:
             pool.append((_smallest_gap(cr, target_cr), group, rows))
@@ -537,8 +517,9 @@ def select_config(
         for i in rows:
             if abs(group.cr[i] - target_cr) - best_gap <= tolerance:
                 measured = None if group.latency_ms is None else group.latency_ms[i]
-                order = math.inf if measured is None else measured
-                tied.append((order, group.shapes.rows, group.ranks.tuples[i], group, i, measured))
+                if measured is not None:
+                    measured = _real(measured, "measured latency", 0)
+                tied.append((math.inf if measured is None else measured, group.shapes.rows, group.ranks.tuples[i], group, i, measured))
     *_, group, i, measured = min(tied, key=operator.itemgetter(0, 1, 2))
     return CandidateConfig(group.shapes, group.ranks.tuples[i], group.cr[i], group.fr[i], measured)
 

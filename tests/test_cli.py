@@ -3,6 +3,7 @@ lines of the command line."""
 
 import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -22,7 +23,7 @@ from sekron import (
     write_tensor,
 )
 from sekron.cli import build_parser, run_cli
-from oracles import native_reconstruct, random_sequence, reconstruction_error
+from oracles import native_reconstruct, random_sequence, reconstruction_error, stage_mac_count
 
 
 def write_raw(path, magic: bytes, header: dict, n_floats: int) -> None:
@@ -202,7 +203,7 @@ def subclasses(cls):
 
 
 @pytest.mark.parametrize(
-    "error", [*subclasses(SekronError), ValueError, OSError], ids=lambda e: e.__name__
+    "error", [*subclasses(SekronError), ValueError, OSError, MemoryError], ids=lambda e: e.__name__
 )
 def test_every_error_type_exits_with_the_code_help_lists(capsys, monkeypatch, error):
     listed = help_exit_codes(capsys)
@@ -323,6 +324,21 @@ def test_report_reads_exact_error_off_the_tails(tmp_path, capsys):
     w = np.random.default_rng(0).standard_normal((4, 4, 2, 2))
     exact = reconstruction_error(w, read_sequence(out))
     assert report["frobenius_error"] == pytest.approx(exact, rel=1e-9, abs=0)
+
+
+def test_report_fr_is_the_counted_stage_macs(tmp_path, capsys):
+    # S=3, taps split over two factors: FR is the dense MACs per position
+    # over the factorized ones, counted one multiply at a time, last factor
+    # first, for every branch of each factor
+    text = "2x2x1x1,2x1x2x1,1x2x1x2"
+    assert run_cli(decompose_argv(tmp_path, text, "2,2", "--report")) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    shapes = FactorShapeMatrix.from_string(text)
+    # ranks (2, 2): factor k has one branch per (r_0 .. r_k), and the last
+    # factor as many as the one before it
+    branches = (2, 4, 4)
+    macs = sum(b * t for b, t in zip(branches, stage_mac_count(shapes)))
+    assert report["fr"] == math.prod(shapes.target_shape) / macs
 
 
 def test_weight_whose_gram_overflows_decomposes(tmp_path):

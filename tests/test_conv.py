@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sekron.conv
+import sekron.planner
 from sekron import (
     CpFactors,
     FactorShapeMatrix,
@@ -21,7 +22,7 @@ from sekron import (
     conv2d_reference,
     conv_macs,
     enumerate_configs,
-    flops_denominator,
+    flops_ratio,
     from_cp,
     from_tr,
     from_tt,
@@ -30,7 +31,6 @@ from sekron import (
     reconstruct,
     sekron_conv2d,
     sekron_decompose,
-    stage_macs_per_branch,
     write_sequence,
 )
 from oracles import executed_conv_macs, random_sequence, stage_mac_count
@@ -221,7 +221,7 @@ class TestConvMacs:
         shapes = FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3)))
         for ranks in [(1,), (2,), (4,)]:
             seq = random_sequence(shapes, ranks, rng=12)
-            assert conv_macs(seq, (6, 6)) == flops_denominator(shapes, ranks) * 16
+            assert conv_macs(seq, (6, 6)) == per_position_macs(shapes, ranks, False) * 16
 
     def test_counts_executed_macs_across_sweep_cases(self):
         # S = 1..4 with taps split across factors: a stage that runs before
@@ -239,7 +239,7 @@ class TestConvMacs:
         shapes = FactorShapeMatrix.from_string("2x2x2x2,1x2x2x1,1x1x2x2")
         seq = random_sequence(shapes, (2, 2), rng=25)
         assert conv_macs(seq, (10, 6)) == 64 * 45 + 32 * 35 + 32 * 9 == 4288
-        assert flops_denominator(shapes, (2, 2)) * 9 == 1152
+        assert flops_ratio(shapes, (2, 2)) == math.prod(shapes.target_shape) / 128
 
     def test_stage_terms_match_counted_macs(self):
         rng = np.random.default_rng(20)
@@ -250,21 +250,21 @@ class TestConvMacs:
             )
             shapes = FactorShapeMatrix(rows)
             stages = stage_mac_count(shapes)
-            assert list(stage_macs_per_branch(shapes)) == stages
-            # at rank 1 each stage's GEMMs run its counted term, in either order
+            assert list(sekron.planner._fr_terms(shapes)) == stages
+            # at rank 1 each stage's record holds its GEMMs' MACs, the
+            # counted term, in either order
             for first in (False, True):
                 gemm = [0] * s
-                schedule = sekron.conv._schedule(shapes, (1,) * (s - 1), first)
-                for k, batch, m, kdim, n, *_ in schedule:
-                    gemm[k] = batch * m * kdim * n
+                for stage in sekron.conv._schedule(shapes, (1,) * (s - 1), first):
+                    assert stage.macs == stage.batch * stage.m * stage.kdim * stage.n
+                    gemm[stage.k] = stage.macs
                 assert gemm == stage_mac_count(shapes, factor0_first=first)
             ranks = tuple(int(r) for r in rng.integers(1, 4, size=s - 1))
-            # factor k has one branch per rank tuple (r_0..r_k); the last
-            # factor shares the branch count of the one before it
-            branches = [math.prod(ranks[: min(k, s - 2) + 1]) for k in range(s)]
-            assert flops_denominator(shapes, ranks) == sum(
-                b * t for b, t in zip(branches, stages)
-            )
+            # the records sum to the counted terms over all branches, and FR
+            # divides the dense count by that sum
+            macs = sum(stage.macs for stage in sekron.conv._schedule(shapes, ranks))
+            assert macs == per_position_macs(shapes, ranks, False)
+            assert flops_ratio(shapes, ranks) == math.prod(shapes.target_shape) / macs
 
 
 @pytest.mark.parametrize("padding", [1.0, 1.5, "1", True])
@@ -698,7 +698,8 @@ class TestStageOrder:
         # groups, then a sum over those 128 groups for every f_1, 65,536
         # MACs per position; factor 0 first: 128 then 256, 384
         shapes = FactorShapeMatrix.from_string("1x128x1x1,256x1x1x1")
-        assert per_position_macs(shapes, (1,), False) == 65536 == flops_denominator(shapes, (1,))
+        assert per_position_macs(shapes, (1,), False) == 65536
+        assert flops_ratio(shapes, (1,)) == 256 * 128 / 65536
         assert per_position_macs(shapes, (1,), True) == 384
         seq = random_sequence(shapes, (1,), rng=29)
         assert conv_macs(seq, (7, 7)) == 384 * 49

@@ -58,6 +58,16 @@ class TestDecompose:
         with pytest.raises(RankError):
             sekron_decompose(np.ones((6, 6)), shapes, (7,))
 
+    def test_rank_caps_are_checked_before_any_svd(self, monkeypatch):
+        # level 1's rank is far above its cap; level 0's SVD of a 1 x 16 x
+        # 9,216 stack would run first if the levels checked their own ranks
+        shapes = FactorShapeMatrix.from_string("4x4x1x1,4x4x1x1,8x8x3x3")
+        calls = []
+        monkeypatch.setattr("sekron.decompose.truncated_svd", lambda *args: calls.append(args))
+        with pytest.raises(RankError, match="level-1"):
+            sekron_decompose(np.ones(shapes.target_shape), shapes, (4, 99999))
+        assert calls == []
+
     def test_shape_incompatibility(self):
         shapes = FactorShapeMatrix(((2, 3), (3, 2)))
         with pytest.raises(ShapeError):

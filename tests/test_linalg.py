@@ -136,6 +136,14 @@ def test_bad_inputs():
         truncated_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2)
 
 
+# a zero-length axis is a shape error, as in as_tensor: not numpy's reshape
+# error for an empty stack, nor a rank range of [1, 0] for an empty matrix
+@pytest.mark.parametrize("shape", [(0, 3, 3), (0, 3), (3, 0), (2, 0, 3)])
+def test_zero_length_axis_is_a_shape_error(shape):
+    with pytest.raises(ShapeError, match="zero-length"):
+        truncated_svd(np.ones(shape), 1)
+
+
 def test_vectorized_sign_rule_equals_loop():
     rng = np.random.default_rng(31)
     cases = [rng.standard_normal(shape) for shape in [(5, 5), (3, 11), (11, 3), (1, 4)]]

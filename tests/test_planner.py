@@ -21,7 +21,6 @@ from sekron import (
     compression_ratio,
     enumerate_configs,
     enumerate_factorizations,
-    flops_denominator,
     flops_ratio,
     measure_latency,
     measure_sequence_latency,
@@ -52,7 +51,6 @@ class TestRatios:
 
     def test_flops_worked_example(self):
         shapes = FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3)))
-        assert flops_denominator(shapes, (1,)) == 80
         assert flops_ratio(shapes, (1,)) == pytest.approx(1.8, rel=0, abs=0)
         assert flops_ratio(shapes, (2,)) == pytest.approx(0.9, rel=0, abs=0)
 
@@ -329,6 +327,45 @@ class TestSelectConfig:
         assert len(picks) == 1
         # the two 3.9 candidates tie on CR and on latency; smaller shapes win
         assert picks.pop()[0] == ((2, 2), (8, 8))
+
+
+# refused as a measured latency by select_config
+BAD_LATENCY = [math.nan, np.float64(math.nan), math.inf, -1.0, "x", True, 2j]
+BAD_LATENCY_IDS = ["nan", "np-nan", "inf", "negative", "str", "bool", "complex"]
+
+
+class TestMeasuredLatency:
+    def test_nan_is_refused_in_either_candidate_order(self):
+        # CR-tied: a NaN latency compares false with 2.0, so a pick would
+        # depend on which of the two came first
+        pair = [
+            synthetic(((2, 2), (8, 8)), (1,), 4.0, 2.0, math.nan),
+            synthetic(((4, 4), (4, 4)), (1,), 4.0, 2.0, 2.0),
+        ]
+        groups = Sweep.of(pair).groups
+        for order in (pair, pair[::-1], Sweep(groups), Sweep(groups[::-1])):
+            with pytest.raises(ValueError, match="measured latency"):
+                select_config(order, target_cr=4.0)
+
+    @pytest.mark.parametrize("value", BAD_LATENCY, ids=BAD_LATENCY_IDS)
+    def test_bad_latency_is_refused(self, value):
+        sweep = enumerate_configs(PlanRequest((4, 4, 1, 1), 2, target_cr=2.0, max_rank=1))
+        candidate = synthetic(((2, 2), (8, 8)), (1,), 2.0, 2.0, value)
+        timed = [sweep.with_latency([value] * len(sweep)), [candidate], Sweep.of([candidate])]
+        # a negative latency would pass a budget of 0 ms; a string would be picked
+        for candidates, budget in itertools.product(timed, (None, 0.0)):
+            with pytest.raises(ValueError, match="measured latency"):
+                select_config(candidates, target_cr=2.0, latency_budget_ms=budget)
+
+    def test_picked_latency_is_a_float(self):
+        candidates = [synthetic(((2, 2), (8, 8)), (1,), 4.0, 2.0, np.int64(0)),
+                      synthetic(((2, 2), (8, 8)), (2,), 2.0, 1.0, None)]
+        picked = select_config(candidates, target_cr=4.0).latency_ms
+        assert picked == 0.0 and type(picked) is float
+        sweep = enumerate_configs(PlanRequest((4, 4, 1, 1), 2, target_cr=2.0, max_rank=1))
+        timed = sweep.with_latency([np.float32(0.5)] * len(sweep))
+        picked = select_config(timed, target_cr=2.0, latency_budget_ms=1.0).latency_ms
+        assert picked == 0.5 and type(picked) is float
 
 
 class TestLatency:

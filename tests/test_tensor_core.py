@@ -27,7 +27,6 @@ from sekron import (
     reconstruct,
     sekron_conv2d,
     sekron_decompose,
-    stage_macs_per_branch,
     stored_param_count,
     truncated_svd,
     write_sequence,
@@ -332,7 +331,6 @@ def test_integer_arguments_accept_numpy_ints_and_any_iterable_of_rows():
         lambda: KroneckerSequence("2x2", (), [[1.0]]),
         lambda: stored_param_count("2x2", (1,)),
         lambda: compression_ratio("2x2", (1,)),
-        lambda: stage_macs_per_branch("2x2"),
         lambda: flops_ratio("2x2", (1,)),
         lambda: measure_sequence_latency(None, (1, 1, 3, 3)),
     ],
@@ -340,7 +338,7 @@ def test_integer_arguments_accept_numpy_ints_and_any_iterable_of_rows():
         "cp-dict-matrix", "sequence-dict-factor", "conv-str-input", "conv-ragged-input",
         "reference-str-input", "svd-str-matrix", "decompose-str-shapes", "conv_macs-none",
         "conv-none", "reconstruct-none", "sequence-str-shapes", "param-count-str-shapes",
-        "cr-str-shapes", "stage-macs-str-shapes", "fr-str-shapes", "latency-none",
+        "cr-str-shapes", "fr-str-shapes", "latency-none",
     ],
 )
 def test_bad_array_sequence_or_shapes_argument_is_a_shape_error(call):
