@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         help=f"timing trials per candidate, at least {MIN_TRIALS}",
     )
-    p.add_argument("--out", required=True, help="CSV file for the full sweep")
+    p.add_argument("--out", required=True, help="CSV file for the full sweep, columns shapes, "
+                   "ranks, cr, fr, latency_ms; latency_ms is empty without --bench-input")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("bench", help="measure conv latency of a stored sequence")

@@ -42,7 +42,7 @@ import numpy as np
 
 from sekron.errors import RankError, ShapeError
 from sekron.linalg import truncated_svd
-from sekron.tensor_core import FactorShapeMatrix, _dims, as_tensor
+from sekron.tensor_core import FactorShapeMatrix, _dims, _instance, as_tensor
 
 
 def _branch_sizes(ranks: tuple[int, ...]) -> tuple[int, ...]:
@@ -79,9 +79,7 @@ def _check_shapes(shapes) -> FactorShapeMatrix:
     :func:`sekron.planner.compression_ratio`), :func:`_check_sequence` and
     :func:`sekron.planner.flops_ratio` run it before they read the
     shapes."""
-    if not isinstance(shapes, FactorShapeMatrix):
-        raise ShapeError(f"factor shapes must be a FactorShapeMatrix, got {type(shapes).__name__}")
-    return shapes
+    return _instance(shapes, FactorShapeMatrix, "factor shapes")
 
 
 def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
@@ -104,9 +102,8 @@ def _check_sequence(seq: "KroneckerSequence") -> tuple[int, ...]:
     it, since a caller may change a sequence's fields after construction;
     the conv keys its memo on the ranks it returns.
     """
-    if not isinstance(seq, KroneckerSequence):
-        raise ShapeError(f"expected a KroneckerSequence, got {type(seq).__name__}")
-    rows, factors = _check_shapes(seq.shapes).rows, seq.factors
+    rows = _check_shapes(_instance(seq, KroneckerSequence, "sequence").shapes).rows
+    factors = seq.factors
     # _validate_ranks' check, called directly: the conv runs this on every call
     ranks = _dims(seq.ranks, len(rows) - 1, "ranks", RankError)
     extended, rho = (*ranks, 1), 1

@@ -28,7 +28,8 @@ some of those rank digits:
 slices do not depend on; it takes those digits as one argument.
 
 Each format holds its arrays in a tuple; any iterable of arrays is read
-into one, and a container that is not iterable raises :class:`ShapeError`.
+into one, and a container that is not iterable raises :class:`ShapeError`,
+as does any argument of a ``from_*`` function that is not its format object.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ import numpy as np
 
 from sekron.decompose import KroneckerSequence
 from sekron.errors import RankError, ShapeError
-from sekron.tensor_core import FactorShapeMatrix, _tuple, as_tensor
+from sekron.tensor_core import FactorShapeMatrix, _instance, _tuple, as_tensor
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def from_cp(f: CpFactors) -> KroneckerSequence:
     spatial tap, instead of running the taps on every channel of every
     branch.
     """
-    n = len(f.matrices)
+    n = len(_instance(f, CpFactors, "CP factors").matrices)
     # a single axis stays alone
     axes = (0, *range(2, n), 1)[:n]
     rows = [_axis_rows(f.dims)[k] for k in axes]
@@ -171,7 +172,7 @@ def from_cp(f: CpFactors) -> KroneckerSequence:
 def from_tucker(f: TuckerFactors) -> KroneckerSequence:
     """Embed Tucker factors: one Kronecker factor per axis plus a final
     all-singleton factor absorbing the core."""
-    n = len(f.matrices)
+    n = len(_instance(f, TuckerFactors, "Tucker factors").matrices)
     rows = _axis_rows(f.dims)
     ranks = f.core.shape
     shapes = FactorShapeMatrix(rows + ((1,) * n,))
@@ -184,7 +185,7 @@ def from_tucker(f: TuckerFactors) -> KroneckerSequence:
 def from_tr(f: TrCores) -> KroneckerSequence:
     """Embed ring cores: an all-ones factor carrying the closing rank index,
     then one Kronecker factor per axis."""
-    n = len(f.cores)
+    n = len(_instance(f, TrCores, "ring cores").cores)
     rows = _axis_rows(f.dims)
     ranks = f.ring_ranks
     shapes = FactorShapeMatrix(((1,) * n,) + rows)
@@ -204,7 +205,8 @@ def from_tr(f: TrCores) -> KroneckerSequence:
 
 def from_tt(f: TrCores) -> KroneckerSequence:
     """Tensor-train embedding: a ring whose boundary ranks are one."""
-    if f.cores[0].shape[1] != 1 or f.cores[-1].shape[2] != 1:
-        got = f"{f.cores[0].shape[1]} and {f.cores[-1].shape[2]}"
+    cores = _instance(f, TrCores, "train cores").cores
+    if cores[0].shape[1] != 1 or cores[-1].shape[2] != 1:
+        got = f"{cores[0].shape[1]} and {cores[-1].shape[2]}"
         raise RankError(f"tensor-train cores must have boundary ranks 1, got {got}")
     return from_tr(f)

@@ -7,11 +7,14 @@ timed, a list of the group's own latencies, one per row.  A sweep shares
 each shape matrix among all of its rank tuples, each grid of rank tuples,
 with its CSV text, among all of its shape matrices that have the same capped
 ranks, and each CR or FR list among the shape matrices whose counts give
-equal lists.  Enumeration (:func:`enumerate_configs`), the CSV writer
-(:func:`write_candidates_csv`) and the selector (:func:`select_config`) work
-one group at a time, so none of them builds an object per candidate;
-:class:`CandidateConfig` is the record of one candidate, built only where one
-is asked for: by iterating a sweep, for a latency probe, and for the pick.
+equal lists.  Enumeration (:func:`enumerate_configs`) builds a sweep, and a
+sweep is the only form the CSV writer (:func:`write_candidates_csv`) and the
+selector (:func:`select_config`) read.  Each works one group at a time, so
+none of them builds an object per candidate; :class:`CandidateConfig` is the
+record of one candidate, built only where one is asked for: by iterating a
+sweep, for a latency probe, and for the pick.  Both readers take each
+measured latency through one check (:func:`_latency`), so the CSV holds
+only latencies the selector accepts.
 A latency probe (:func:`measure_latency`) times the conv on an all-ones
 input with each factor an all-ones array of its own.
 """
@@ -37,7 +40,7 @@ from sekron.decompose import (
     stored_param_count,
 )
 from sekron.errors import CandidateLimitError, NoFeasibleConfigError, ShapeError
-from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims, _rank_caps
+from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims, _instance, _rank_caps, _tuple
 
 # CR gaps within this fraction of the target CR count as equal in select_config.
 CR_TIE_RTOL = 1e-9
@@ -62,9 +65,6 @@ class CandidateConfig:
     cr: float
     fr: float
     latency_ms: float | None = None
-
-    def with_latency(self, latency_ms: float) -> "CandidateConfig":
-        return CandidateConfig(self.shapes, self.ranks, self.cr, self.fr, latency_ms)
 
 
 def _csv_field(text: str) -> str:
@@ -129,30 +129,15 @@ class Sweep:
 
     def with_latency(self, latency_ms) -> "Sweep":
         """The same candidates with one measured latency each, in order,
-        split across the groups."""
-        latency_ms = list(latency_ms)
+        split across the groups.  ``latency_ms`` is read into a tuple
+        (:func:`sekron.tensor_core._tuple`): a value that is not iterable,
+        or the wrong count, raises ``ValueError``."""
+        latency_ms = _tuple(latency_ms, "latencies", "numbers", ValueError)
         if len(latency_ms) != len(self):
             raise ValueError(f"need {len(self)} latencies, got {len(latency_ms)}")
         latency = iter(latency_ms)
         return Sweep([group._replace(latency_ms=list(itertools.islice(latency, len(group.cr))))
                       for group in self.groups])
-
-    @classmethod
-    def of(cls, candidates) -> "Sweep":
-        """``candidates`` as a sweep: a :class:`Sweep` as it is, any other
-        iterable of :class:`CandidateConfig` as one group per run of
-        consecutive candidates with equal shapes, in order.  A group none of
-        whose candidates has a latency is untimed."""
-        if isinstance(candidates, cls):
-            return candidates
-        groups = []
-        for shapes, run in itertools.groupby(candidates, operator.attrgetter("shapes")):
-            run = list(run)
-            latency = [c.latency_ms for c in run]
-            groups.append(ShapeGroup(shapes, RankGrid.of(c.ranks for c in run),
-                                     [c.cr for c in run], [c.fr for c in run],
-                                     None if all(t is None for t in latency) else latency))
-        return cls(groups)
 
 
 def _real(value, what: str, least: float | None = None) -> float:
@@ -168,6 +153,14 @@ def _real(value, what: str, least: float | None = None) -> float:
     if least is not None and not least <= value < math.inf:
         raise ValueError(f"{what} must be finite and >= {least}, got {value}")
     return value
+
+
+def _latency(value) -> float | None:
+    """A measured latency as the selector and the CSV writer read it:
+    ``None`` stays unmeasured, and anything else is a Python float, finite
+    and ``>= 0`` (:func:`_real`), else ``ValueError``.  A NaN would compare
+    false with every other latency, and a negative one pass any budget."""
+    return None if value is None else _real(value, "measured latency", 0)
 
 
 def _check_budget(latency_budget_ms) -> float:
@@ -223,7 +216,13 @@ class PlanRequest:
 
 
 def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:
-    """Dense element count divided by stored element count."""
+    """Dense element count divided by stored element count
+    (:func:`sekron.decompose.stored_param_count`).
+
+    Ranks above a level's cap (:func:`sekron.tensor_core._rank_caps`) are
+    counted as given: an embedding (:mod:`sekron.equivalences`) carries
+    such ranks, a Tucker core's shape or a ring's ranks, and its CR is
+    still the dense count over the elements it stores."""
     # first: it refuses shapes that are no FactorShapeMatrix
     stored = stored_param_count(shapes, ranks)
     return math.prod(shapes.target_shape) / stored
@@ -244,7 +243,8 @@ def flops_ratio(shapes: FactorShapeMatrix, ranks) -> float:
     :class:`ShapeError` unless ``shapes`` is a :class:`FactorShapeMatrix`
     (:func:`sekron.decompose._check_shapes`) whose factors have the four
     axes ``(f, c, h, w)``, and :class:`RankError` for ranks that fail
-    :func:`sekron.decompose._validate_ranks`.
+    :func:`sekron.decompose._validate_ranks`.  Ranks above the level caps
+    are counted as given, as in :func:`compression_ratio`.
     """
     if _check_shapes(shapes).num_axes != 4:
         raise ShapeError("FLOP accounting needs factor axes (f, c, h, w)")
@@ -367,9 +367,10 @@ def enumerate_configs(req: PlanRequest) -> Sweep:
     same factor volumes one CR list, and those with the same terms and
     capped ranks one FR list, each computed once.  Candidates come out in
     the order of the shape matrices, then of the rank tuples, both
-    lexicographic.
+    lexicographic.  ``req`` that is no :class:`PlanRequest` raises
+    ``ValueError``.
     """
-    s = req.sequence_length
+    s = _instance(req, PlanRequest, "plan request", ValueError).sequence_length
     axes = math.prod(_count_factorizations(dim, s) for dim in req.target_shape)
     # past 20 rank levels any max_rank > 1 alone exceeds the cap (2**20 >
     # MAX_CANDIDATES), so the power is never built beyond that
@@ -455,16 +456,17 @@ def measure_latency(config: CandidateConfig, input_shape, trials: int = 5) -> fl
     Per candidate it builds each factor as its own all-ones array of shape
     ``(branches, *row)`` and the :class:`KroneckerSequence` over them; then
     the all-ones input and the timed calls of
-    :func:`measure_sequence_latency`.
+    :func:`measure_sequence_latency`.  ``config`` that is no
+    :class:`CandidateConfig` raises ``ValueError``.
     """
-    shapes, ranks = config.shapes, config.ranks
+    shapes, ranks = _instance(config, CandidateConfig, "config", ValueError).shapes, config.ranks
     factors = [np.ones((rho, *row)) for rho, row in zip(_branch_sizes(ranks), shapes.rows)]
     seq = KroneckerSequence(shapes, ranks, factors)
     return measure_sequence_latency(seq, input_shape, trials)
 
 
 def select_config(
-    candidates, target_cr: float, latency_budget_ms: float | None = None
+    sweep: Sweep, target_cr: float, latency_budget_ms: float | None = None
 ) -> CandidateConfig:
     """Candidate whose CR is closest to the target, subject to the budget.
 
@@ -477,20 +479,18 @@ def select_config(
     The choice does not depend on candidate order.  ``target_cr`` must be
     finite and ``>= 1`` and a budget a real number, not NaN, as in
     :class:`PlanRequest`, and every measured latency the budget filter or
-    the tie rule reads finite and ``>= 0``, since a NaN compares false with
-    every other latency; anything else raises ``ValueError``.
+    the tie rule reads passes :func:`_latency`; anything else raises
+    ``ValueError``, and so does ``sweep`` that is no :class:`Sweep`, checked
+    after the target and the budget.
 
-    ``candidates`` is a :class:`Sweep` or an iterable of
-    :class:`CandidateConfig`, read as a sweep (:meth:`Sweep.of`).  The gaps
-    are taken group by group, a CR column at a time; only the tied
+    The gaps are taken group by group, a CR column at a time; only the tied
     candidates are compared by the tie rule, and only the pick is built as
     a :class:`CandidateConfig`.
     """
     target_cr = _real(target_cr, "target compression ratio", 1)
     if latency_budget_ms is not None:
         latency_budget_ms = _check_budget(latency_budget_ms)
-    sweep = Sweep.of(candidates)
-    if not len(sweep):
+    if not len(_instance(sweep, Sweep, "sweep", ValueError)):
         raise NoFeasibleConfigError("no candidates to select from")
     # (smallest CR gap, group, its rows within the budget) per group with a
     # row within the budget
@@ -500,8 +500,8 @@ def select_config(
         if latency_budget_ms is not None:
             if group.latency_ms is None or None in group.latency_ms:
                 raise ValueError("a latency budget requires measured latencies")
-            rows = [i for i, t in enumerate(group.latency_ms)
-                    if _real(t, "measured latency", 0) <= latency_budget_ms]
+            rows = [i for i, t in enumerate(map(_latency, group.latency_ms))
+                    if t <= latency_budget_ms]
             cr = [cr[i] for i in rows]
         if rows:
             pool.append((_smallest_gap(cr, target_cr), group, rows))
@@ -516,9 +516,7 @@ def select_config(
             continue
         for i in rows:
             if abs(group.cr[i] - target_cr) - best_gap <= tolerance:
-                measured = None if group.latency_ms is None else group.latency_ms[i]
-                if measured is not None:
-                    measured = _real(measured, "measured latency", 0)
+                measured = None if group.latency_ms is None else _latency(group.latency_ms[i])
                 tied.append((math.inf if measured is None else measured, group.shapes.rows, group.ranks.tuples[i], group, i, measured))
     *_, group, i, measured = min(tied, key=operator.itemgetter(0, 1, 2))
     return CandidateConfig(group.shapes, group.ranks.tuples[i], group.cr[i], group.fr[i], measured)
@@ -539,25 +537,26 @@ class _Text(dict):
 
 
 def _latency_field(latency_ms: float | None) -> str:
+    latency_ms = _latency(latency_ms)
     return "" if latency_ms is None else repr(latency_ms)
 
 
-def write_candidates_csv(candidates, path) -> None:
+def write_candidates_csv(sweep: Sweep, path) -> None:
     """Dump a sweep as CSV with columns shapes, ranks, cr, fr, latency_ms.
 
     The bytes are those of :func:`csv.writer` with its default dialect
-    (``\\r\\n`` line ends, minimal quoting).  ``candidates`` is a
-    :class:`Sweep` or an iterable of :class:`CandidateConfig`, read as a
-    sweep (:meth:`Sweep.of`).  The rows are written group by group: a
-    group's shapes field is quoted once, its rank fields come with its
-    :class:`RankGrid`, each distinct CR and FR value is formatted once
-    (:class:`_Text`), and the group's rows are joined in one call.  All rows
-    are then written in one call.
+    (``\\r\\n`` line ends, minimal quoting).  The rows are written group by
+    group: a group's shapes field is quoted once, its rank fields come with
+    its :class:`RankGrid`, each distinct CR and FR value is formatted once
+    (:class:`_Text`), and the group's rows are joined in one call.  Each
+    measured latency is read through :func:`_latency` and written as the
+    ``repr`` of a Python float.  All rows are then written in one call, so
+    ``sweep`` that is no :class:`Sweep`, or a latency the check refuses,
+    raises ``ValueError`` before the file is opened.
     """
-    sweep = Sweep.of(candidates)
     ratios = _Text()
     chunks = ["shapes,ranks,cr,fr,latency_ms\r\n"]
-    for shapes, ranks, cr, fr, latency in sweep.groups:
+    for shapes, ranks, cr, fr, latency in _instance(sweep, Sweep, "sweep", ValueError).groups:
         rows = map(operator.add, ranks.fields, map(ratios.__getitem__, cr))
         rows = map(operator.add, rows, map(ratios.__getitem__, fr))
         # an untimed group's rows end with the empty latency field as they are

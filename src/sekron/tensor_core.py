@@ -35,7 +35,11 @@ the error type its caller passes, never a raw ``TypeError``:
 :func:`_tuple`, which :func:`_dims` calls, reads a container into a tuple
 and refuses one that is not iterable; it also reads the rows of a
 :class:`FactorShapeMatrix` and the arrays of each format in
-:mod:`sekron.equivalences` (:class:`ShapeError`).
+:mod:`sekron.equivalences` (:class:`ShapeError`), and a sweep's latencies
+(``ValueError``).  :func:`_instance` refuses an argument of the wrong type:
+factor shapes that are no :class:`FactorShapeMatrix` and a format object
+given to the wrong embedding (:class:`ShapeError`), and each planner entry's
+request, candidate or sweep (``ValueError``).
 
 Every array argument goes through one conversion, :func:`as_tensor`: the
 tensor to decompose or write, a conv input and weight, each factor of a
@@ -83,6 +87,14 @@ def _tuple(values, what: str, items: str, error=ShapeError) -> tuple:
         return tuple(values)
     except TypeError:
         raise error(f"{what} must be a sequence of {items}, got {values!r}") from None
+
+
+def _instance(value, cls, what: str, error=ShapeError):
+    """``value``; anything but a ``cls`` raises ``error``, naming it ``what``
+    and the type it has."""
+    if not isinstance(value, cls):
+        raise error(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _dims(values, ndim: int | None, what: str, error=ShapeError) -> tuple[int, ...]:

@@ -260,7 +260,7 @@ def write_candidates_csv_per_row(candidates, path) -> None:
                     ",".join(str(r) for r in c.ranks),
                     repr(c.cr),
                     repr(c.fr),
-                    "" if c.latency_ms is None else repr(c.latency_ms),
+                    "" if c.latency_ms is None else repr(float(c.latency_ms)),
                 ]
             )
 

@@ -7,15 +7,19 @@ import pytest
 from sekron import (
     CpFactors,
     RankError,
+    ShapeError,
     TrCores,
     TuckerFactors,
+    compression_ratio,
     conv_macs,
     from_cp,
     from_tr,
     from_tt,
     from_tucker,
     reconstruct,
+    stored_param_count,
 )
+from sekron.tensor_core import _rank_caps
 from oracles import native_reconstruct
 
 
@@ -208,3 +212,45 @@ class TestFromTt:
         ring = random_ring(rng, (2, 2), (2, 2))
         with pytest.raises(RankError):
             from_tt(ring)
+
+
+def random_embeddings():
+    """Each format's embedding of a 32x16x3x3 weight: rank-4 CP, a Tucker
+    core of shape (2, 3, 2, 2), ring ranks (2, 3, 2, 2) and train ranks
+    (2, 3, 2)."""
+    rng = np.random.default_rng(40)
+    dims = (32, 16, 3, 3)
+    return {
+        "cp": from_cp(random_cp(rng, dims, 4)),
+        "tucker": from_tucker(random_tucker(rng, dims, (2, 3, 2, 2))),
+        "tr": from_tr(random_ring(rng, dims, (2, 3, 2, 2))),
+        "tt": from_tt(random_train(rng, dims, (2, 3, 2))),
+    }
+
+
+@pytest.mark.parametrize("name", ["cp", "tucker", "tr", "tt"])
+def test_cr_counts_ranks_above_the_caps_as_given(name):
+    # Tucker's ranks (2, 3, 2, 2) exceed its caps (32, 9, 3, 1) and TR's
+    # exceed (1, 32, 9, 3): both are the ranks the embedding stores, so CR
+    # is still the dense count over the elements it holds
+    seq = random_embeddings()[name]
+    if name in ("tucker", "tr"):
+        assert any(map(int.__gt__, seq.ranks, _rank_caps(seq.shapes.volumes)))
+    assert stored_param_count(seq.shapes, seq.ranks) == seq.param_count
+    assert compression_ratio(seq.shapes, seq.ranks) == 32 * 16 * 3 * 3 / seq.param_count
+
+
+@pytest.mark.parametrize(
+    "convert, wrong",
+    [
+        (from_cp, [np.ones((2, 3))]),
+        (from_tucker, None),
+        (from_tr, (np.ones((2, 1, 1)),)),
+        (from_tt, (np.ones((2, 1, 1)),)),
+        (from_tt, CpFactors((np.ones((1, 2)),))),
+    ],
+    ids=["cp-list", "tucker-none", "tr-tuple", "tt-tuple", "tt-cp"],
+)
+def test_wrong_format_object_is_a_shape_error(convert, wrong):
+    with pytest.raises(ShapeError, match=f"got {type(wrong).__name__}"):
+        convert(wrong)

@@ -1,7 +1,6 @@
 """Compression/FLOP accounting, enumeration, selection, and latency probes."""
 
 import csv
-import dataclasses
 import itertools
 import math
 import random
@@ -31,7 +30,13 @@ from sekron import (
 )
 from sekron.cli import run_cli
 from sekron.decompose import _branch_sizes, _branch_total
-from sekron.planner import CR_TIE_RTOL, _branch_totals, _count_factorizations
+from sekron.planner import (
+    CR_TIE_RTOL,
+    RankGrid,
+    ShapeGroup,
+    _branch_totals,
+    _count_factorizations,
+)
 from oracles import random_sequence, write_candidates_csv_per_row
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -242,28 +247,27 @@ class TestPlanRequest:
 
 
 def synthetic(rows, ranks, cr, fr, latency):
-    return CandidateConfig(
-        shapes=FactorShapeMatrix(rows), ranks=ranks, cr=cr, fr=fr, latency_ms=latency
-    )
+    """One candidate as a sweep group of its own."""
+    return ShapeGroup(FactorShapeMatrix(rows), RankGrid.of([ranks]), [cr], [fr], [latency])
 
 
 class TestSelectConfig:
     def candidates(self):
-        return [
+        return Sweep([
             synthetic(((2, 2), (8, 8)), (1,), 3.9, 2.0, 4.0),
             synthetic(((4, 4), (4, 4)), (1,), 4.2, 2.0, 6.0),
             synthetic(((8, 8), (2, 2)), (1,), 8.0, 2.0, 2.0),
-        ]
+        ])
 
     def test_budget_and_target(self):
         chosen = select_config(self.candidates(), target_cr=4.0, latency_budget_ms=5.0)
         assert chosen.cr == 3.9
 
     def test_tie_breaks_on_latency(self):
-        pair = [
+        pair = Sweep([
             synthetic(((2, 2), (8, 8)), (1,), 4.1, 2.0, 5.0),
             synthetic(((4, 4), (4, 4)), (1,), 3.9, 2.0, 3.0),
-        ]
+        ])
         chosen = select_config(pair, target_cr=4.0)
         assert chosen.latency_ms == 3.0
 
@@ -274,7 +278,7 @@ class TestSelectConfig:
             synthetic(((4, 4), (4, 4)), (1,), 3.9, 2.0, 3.0),
         ]
         for order in (pair, pair[::-1]):
-            assert select_config(order, target_cr=4.0).latency_ms == 3.0
+            assert select_config(Sweep(order), target_cr=4.0).latency_ms == 3.0
 
     def test_closer_cr_beats_faster_latency(self):
         # gaps 0.05 and 0.1 differ far beyond the tie tolerance
@@ -283,7 +287,7 @@ class TestSelectConfig:
             synthetic(((4, 4), (4, 4)), (1,), 3.95, 2.0, 9.0),
         ]
         for order in (pair, pair[::-1]):
-            assert select_config(order, target_cr=4.0).cr == 3.95
+            assert select_config(Sweep(order), target_cr=4.0).cr == 3.95
 
     def test_impossible_budget(self):
         with pytest.raises(NoFeasibleConfigError):
@@ -291,8 +295,8 @@ class TestSelectConfig:
 
     def test_empty_candidates(self):
         with pytest.raises(NoFeasibleConfigError):
-            select_config([], target_cr=4.0)
-        # the arguments are checked before the candidates
+            select_config(Sweep([]), target_cr=4.0)
+        # the target and the budget are checked before the sweep
         with pytest.raises(ValueError, match="latency budget"):
             select_config([], target_cr=4.0, latency_budget_ms=math.nan)
 
@@ -309,12 +313,12 @@ class TestSelectConfig:
             select_config(self.candidates(), **kwargs)
 
     def test_budget_requires_latencies(self):
-        missing = [synthetic(((2, 2), (8, 8)), (1,), 4.0, 2.0, None)]
+        missing = Sweep([synthetic(((2, 2), (8, 8)), (1,), 4.0, 2.0, None)])
         with pytest.raises(ValueError):
             select_config(missing, target_cr=4.0, latency_budget_ms=5.0)
 
     def test_order_independent(self):
-        base = self.candidates() + [
+        base = self.candidates().groups + [
             synthetic(((16, 16), (1, 1)), (1,), 3.9, 2.0, 4.0),
         ]
         picks = set()
@@ -322,14 +326,14 @@ class TestSelectConfig:
         for _ in range(10):
             order = base[:]
             shuffler.shuffle(order)
-            chosen = select_config(order, target_cr=4.0, latency_budget_ms=10.0)
+            chosen = select_config(Sweep(order), target_cr=4.0, latency_budget_ms=10.0)
             picks.add((chosen.shapes.rows, chosen.ranks))
         assert len(picks) == 1
         # the two 3.9 candidates tie on CR and on latency; smaller shapes win
         assert picks.pop()[0] == ((2, 2), (8, 8))
 
 
-# refused as a measured latency by select_config
+# refused as a measured latency by select_config and write_candidates_csv
 BAD_LATENCY = [math.nan, np.float64(math.nan), math.inf, -1.0, "x", True, 2j]
 BAD_LATENCY_IDS = ["nan", "np-nan", "inf", "negative", "str", "bool", "complex"]
 
@@ -342,30 +346,60 @@ class TestMeasuredLatency:
             synthetic(((2, 2), (8, 8)), (1,), 4.0, 2.0, math.nan),
             synthetic(((4, 4), (4, 4)), (1,), 4.0, 2.0, 2.0),
         ]
-        groups = Sweep.of(pair).groups
-        for order in (pair, pair[::-1], Sweep(groups), Sweep(groups[::-1])):
+        for order in (pair, pair[::-1]):
             with pytest.raises(ValueError, match="measured latency"):
-                select_config(order, target_cr=4.0)
+                select_config(Sweep(order), target_cr=4.0)
 
     @pytest.mark.parametrize("value", BAD_LATENCY, ids=BAD_LATENCY_IDS)
-    def test_bad_latency_is_refused(self, value):
+    def test_bad_latency_is_refused(self, value, tmp_path):
         sweep = enumerate_configs(PlanRequest((4, 4, 1, 1), 2, target_cr=2.0, max_rank=1))
         candidate = synthetic(((2, 2), (8, 8)), (1,), 2.0, 2.0, value)
-        timed = [sweep.with_latency([value] * len(sweep)), [candidate], Sweep.of([candidate])]
+        timed = [sweep.with_latency([value] * len(sweep)), Sweep([candidate])]
         # a negative latency would pass a budget of 0 ms; a string would be picked
         for candidates, budget in itertools.product(timed, (None, 0.0)):
             with pytest.raises(ValueError, match="measured latency"):
                 select_config(candidates, target_cr=2.0, latency_budget_ms=budget)
+        # the writer refuses it too, before it creates the file
+        for candidates in timed:
+            with pytest.raises(ValueError, match="measured latency"):
+                write_candidates_csv(candidates, tmp_path / "sweep.csv")
+            assert not (tmp_path / "sweep.csv").exists()
 
     def test_picked_latency_is_a_float(self):
-        candidates = [synthetic(((2, 2), (8, 8)), (1,), 4.0, 2.0, np.int64(0)),
-                      synthetic(((2, 2), (8, 8)), (2,), 2.0, 1.0, None)]
+        candidates = Sweep([synthetic(((2, 2), (8, 8)), (1,), 4.0, 2.0, np.int64(0)),
+                            synthetic(((2, 2), (8, 8)), (2,), 2.0, 1.0, None)])
         picked = select_config(candidates, target_cr=4.0).latency_ms
         assert picked == 0.0 and type(picked) is float
         sweep = enumerate_configs(PlanRequest((4, 4, 1, 1), 2, target_cr=2.0, max_rank=1))
         timed = sweep.with_latency([np.float32(0.5)] * len(sweep))
         picked = select_config(timed, target_cr=2.0, latency_budget_ms=1.0).latency_ms
         assert picked == 0.5 and type(picked) is float
+
+
+def small_sweep():
+    return enumerate_configs(PlanRequest((4, 4, 1, 1), 2, target_cr=2.0, max_rank=1))
+
+
+# each planner entry given an argument of the wrong type, and the name its
+# error gives that argument
+WRONG_TYPE = {
+    "enumerate-none": (lambda path: enumerate_configs(None), "NoneType"),
+    "probe-str": (lambda path: measure_latency("x", (1, 4, 8, 8), 3), "got str"),
+    "with-latency-int": (lambda path: small_sweep().with_latency(5), "got 5"),
+    "with-latency-none": (lambda path: small_sweep().with_latency(None), "got None"),
+    "select-list": (lambda path: select_config([], 4.0), "got list"),
+    "select-candidates": (lambda path: select_config(list(small_sweep()), 2.0), "got list"),
+    "csv-list": (lambda path: write_candidates_csv([], path), "got list"),
+    "csv-candidates": (lambda path: write_candidates_csv(list(small_sweep()), path), "got list"),
+}
+
+
+@pytest.mark.parametrize("call, named", WRONG_TYPE.values(), ids=list(WRONG_TYPE))
+def test_wrong_type_planner_argument_is_a_value_error(tmp_path, call, named):
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match=named):
+        call(path)
+    assert not path.exists()
 
 
 class TestLatency:
@@ -420,11 +454,11 @@ class TestLatency:
 
 class TestCsv:
     def test_sweep_round_trips_through_csv(self, tmp_path):
-        req = PlanRequest((4, 4, 1, 1), 2, target_cr=2.0, max_rank=1)
-        configs = list(enumerate_configs(req))
-        configs[0] = configs[0].with_latency(1.25)
+        sweep = enumerate_configs(PlanRequest((4, 4, 1, 1), 2, target_cr=2.0, max_rank=1))
+        sweep = sweep.with_latency([1.25] + [None] * (len(sweep) - 1))
+        configs = list(sweep)
         path = tmp_path / "sweep.csv"
-        write_candidates_csv(configs, path)
+        write_candidates_csv(sweep, path)
         with open(path, newline="") as handle:
             reader = csv.DictReader(handle)
             rows = list(reader)
@@ -438,14 +472,20 @@ class TestCsv:
         assert rows[1]["latency_ms"] == ""
 
     def test_bytes_match_per_row_writer(self, tmp_path):
-        configs = enumerate_configs(PlanRequest((8, 8, 3, 3), 2, 4.0, max_rank=2))
-        configs = [
-            c.with_latency(0.5 + i / 7) if i % 3 else c for i, c in enumerate(configs)
-        ]
-        random.Random(5).shuffle(configs)  # rows of one shape matrix not adjacent
-        write_candidates_csv(configs, tmp_path / "fast.csv")
-        write_candidates_csv_per_row(configs, tmp_path / "oracle.csv")
+        sweep = enumerate_configs(PlanRequest((8, 8, 3, 3), 2, 4.0, max_rank=2))
+        sweep = sweep.with_latency([0.5 + i / 7 if i % 3 else None for i in range(len(sweep))])
+        write_candidates_csv(sweep, tmp_path / "fast.csv")
+        write_candidates_csv_per_row(sweep, tmp_path / "oracle.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.1), np.int64(2)],
+                             ids=["np-float64", "np-float32", "np-int64"])
+    def test_numpy_latency_is_written_as_a_python_float(self, tmp_path, value):
+        sweep = enumerate_configs(PlanRequest((4, 4, 1, 1), 2, target_cr=2.0, max_rank=1))
+        write_candidates_csv(sweep.with_latency([value] * len(sweep)), tmp_path / "sweep.csv")
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            fields = {row["latency_ms"] for row in csv.DictReader(handle)}
+        assert fields == {repr(float(value))}
 
     @pytest.mark.parametrize(
         "name, args",
@@ -485,8 +525,12 @@ def test_a_full_sweep_writes_and_picks_as_the_per_row_forms(tmp_path):
     timed = sweep.with_latency([rng.uniform(0.5, 2.0) for _ in range(len(sweep))])
     # every fifth row unmeasured: most groups mix measured and unmeasured
     # rows, and two have no measured row
-    partly = Sweep.of(dataclasses.replace(c, latency_ms=None) if i % 5 == 0 else c
-                      for i, c in enumerate(timed))
+    starts = itertools.accumulate((len(group.cr) for group in timed.groups), initial=0)
+    partly = Sweep([
+        group._replace(latency_ms=[None if (start + j) % 5 == 0 else t
+                                   for j, t in enumerate(group.latency_ms)])
+        for start, group in zip(starts, timed.groups)
+    ])
     for name, candidates in [("untimed", sweep), ("timed", timed), ("partly", partly)]:
         rows = list(candidates)
         write_candidates_csv(candidates, tmp_path / f"{name}.csv")
