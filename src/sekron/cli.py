@@ -94,8 +94,9 @@ def _cmd_decompose(args) -> int:
     write_sequence(args.output, seq)
     print(f"wrote {args.output}", file=sys.stderr)
     if args.report:
-        # the tails' sum is the exact squared error (see sekron.decompose);
-        # float() because a single factor has no levels and sum([]) is int 0
+        # the tails' sum is the squared error of the written factors, each
+        # tail a measured residual (see sekron.decompose); float() because a
+        # single factor has no levels and sum([]) is int 0
         report = {
             "frobenius_error": float(sum(map(sum, seq.level_tails))),
             "cr": compression_ratio(shapes, ranks),
@@ -131,8 +132,6 @@ def _cmd_convert(args) -> int:
     if fmt == "cp":
         seq = from_cp(CpFactors(tuple(arrays)))
     elif fmt == "tucker":
-        if len(arrays) < 2:
-            raise ShapeError("tucker conversion needs a core file plus one matrix per axis")
         seq = from_tucker(TuckerFactors(arrays[0], tuple(arrays[1:])))
     elif fmt == "tt":
         seq = from_tt(TrCores(tuple(arrays)))
@@ -177,13 +176,9 @@ def _cmd_plan(args) -> int:
         for i, candidate in enumerate(candidates, 1):
             latency = measure_latency(candidate, input_shape, trials=args.trials)
             latencies.append(latency)
-            # the bytes json.dumps writes for {"i", "n", "shapes", "ranks",
-            # "latency_ms"}: shapes are digits, x and commas, which JSON does
-            # not escape, and a measured latency is a finite float, written
-            # as its repr
-            ranks = ", ".join(map(str, candidate.ranks))
-            print(f'{{"i": {i}, "n": {n}, "shapes": "{candidate.shapes.to_string()}", '
-                  f'"ranks": [{ranks}], "latency_ms": {latency!r}}}', file=sys.stderr)
+            progress = {"i": i, "n": n, "shapes": candidate.shapes.to_string(),
+                        "ranks": list(candidate.ranks), "latency_ms": latency}
+            print(json.dumps(progress), file=sys.stderr)
         candidates = candidates.with_latency(latencies)
     write_candidates_csv(candidates, args.out)
     print(f"wrote {len(candidates)} candidates to {args.out}", file=sys.stderr)
@@ -231,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--report",
         action="store_true",
-        help="print strict JSON with frobenius_error (the exact squared error), cr, fr, "
-        "param_count; a value beyond the float64 range, such as the squared error of a "
-        "weight near 1e160, is null",
+        help="print strict JSON: frobenius_error, the squared error ||W - W_hat||^2 of the "
+        "written factors (the sum of each level's measured residual), cr, fr, param_count; "
+        "a value beyond the float64 range, such as that squared error near 1e160, is null",
     )
     p.set_defaults(func=_cmd_decompose)
 
@@ -290,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"timing trials per candidate, at least {MIN_TRIALS}",
     )
     p.add_argument("--out", required=True, help="CSV file for the full sweep, columns shapes, "
-                   "ranks, cr, fr, latency_ms; latency_ms is empty without --bench-input")
+                   "ranks, cr, fr (the per-position MAC ratio run last factor first, a lower "
+                   "bound on the conv's saving), latency_ms (empty without --bench-input)")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("bench", help="measure conv latency of a stored sequence")

@@ -7,7 +7,7 @@ branch of the working array as a matrix with one row per factor-``k`` digit
 tuple and one column per tuple of later digits, so Kronecker structure
 becomes low-rank matrix structure.  It truncates that matrix's SVD, and the
 sigma-scaled right factors, already in digit-major order, are the next
-level's working array.  At full ranks the procedure is exact.
+level's working array.  At full ranks the procedure is exact to rounding.
 :func:`reconstruct` runs the same levels backwards: per branch it multiplies
 the kept left vectors by the carried rows, and one inverse transpose at the
 end restores the tensor's own axis order.
@@ -25,13 +25,13 @@ add; by induction over levels the squared error is the sum of all tails.
 
 Each level passes the stack of all its branch matrices, branch axis
 leading, to one :func:`sekron.linalg.truncated_svd` call, so a level is the
-mirror of a :func:`reconstruct` level.  A level kept below its full rank
-takes its left vectors from the eigenvectors of each matrix's smaller
-Gram matrix, which never builds the discarded triplets; the price is a
-squared condition number, so singular values below about ``1e-8 * sigma_1``
-are lost to rounding.  Its tails are measured as residuals of the kept
-factors, so the error identity above holds to rounding either way.  A level
-kept at full rank runs the full SVD and records tails of exactly ``0.0``.
+mirror of a :func:`reconstruct` level.  Every level, at any rank up to its
+full rank, takes its left vectors from the eigenvectors of each matrix's
+smaller Gram matrix, which never builds the discarded triplets; the price
+is a squared condition number, so singular values below about ``1e-8 *
+sigma_1`` are lost to rounding.  Its tails are measured as residuals of
+the kept factors, so the error identity above holds to rounding at every
+rank; at full rank the tails are that rounding, not zero.
 """
 
 import itertools
@@ -150,8 +150,8 @@ class KroneckerSequence:
     :class:`RankError` or :class:`ShapeError` for a sequence it refuses.
 
     ``level_tails[k][b]`` is the squared singular-value tail that level ``k``
-    discarded on branch ``b``; it is ``None`` unless the sequence came from
-    :func:`sekron_decompose`.
+    discarded on branch ``b``, measured as the residual of its kept factors;
+    it is ``None`` unless the sequence came from :func:`sekron_decompose`.
     """
 
     shapes: FactorShapeMatrix
@@ -189,8 +189,9 @@ def sekron_decompose(w, shapes: FactorShapeMatrix, ranks) -> KroneckerSequence:
     checked against its level's full rank (:meth:`FactorShapeMatrix.max_ranks`)
     before the copy and any SVD; one above it raises :class:`RankError`.
     Each level's truncation is the Frobenius-optimal low-rank approximation
-    of its unfolding.  The discarded tails are kept as ``level_tails``; their
-    sum is the exact squared reconstruction error.
+    of its unfolding.  The discarded tails, each the measured residual of
+    its level's kept factors, are kept as ``level_tails``; their sum is the
+    squared reconstruction error to rounding, at full rank too.
     """
     w = as_tensor(w)
     _check_shapes(shapes).validate_target(w.shape)

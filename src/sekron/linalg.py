@@ -2,16 +2,16 @@
 convention; the decomposition runs one call per level over all branches.
 
 :func:`truncated_svd` keeps only the top ``r_hat`` singular triplets of each
-matrix in the stack.  Below full rank it never builds the discarded ones: it
-takes the eigenvectors of the smaller Gram matrix (``M M^T`` or ``M^T M``), a
-small symmetric eigenproblem plus matrix products instead of a full SVD.
-Forming the Gram matrix squares the condition number, so singular values
-below about ``1e-8 * sigma_1`` are lost to rounding and their vectors are not
-accurate.  The discarded tail is therefore measured as the residual of the
-returned factors, never as ``||M||^2 - sum(sigma^2)``, which cancels.  At
-full rank nothing is discarded; the full SVD runs and the tail is exactly
-``0.0``.  Every step runs on the whole stack, and each matrix of a stack gets
-the same bits as a call on that matrix alone.
+matrix in the stack, and it runs one path at every rank, full rank
+included: it takes the eigenvectors of the smaller Gram matrix (``M M^T`` or
+``M^T M``), a small symmetric eigenproblem plus matrix products, and never
+builds the discarded triplets.  Forming the Gram matrix squares the
+condition number, so singular values below about ``1e-8 * sigma_1`` are
+lost to rounding and their vectors are not accurate.  The discarded tail is
+therefore measured as the residual of the returned factors, never as
+``||M||^2 - sum(sigma^2)``, which cancels; at full rank it is the rounding
+left in the factors.  Every step runs on the whole stack, and each matrix of
+a stack gets the same bits as a call on that matrix alone.
 """
 
 import numpy as np
@@ -23,15 +23,11 @@ from sekron.tensor_core import _as_int, _floats
 _RESIDUAL_BLOCK = 2**17
 
 
-def _normalize_signs(u: np.ndarray, v: np.ndarray | None = None):
-    """Flip every column of ``u`` whose largest-magnitude entry (the first
-    one, on ties) is negative, and the same columns of ``v``.
-
-    Works on stacks ``(..., rows, r)``; returns the flipped ``(u, v)``.
-    """
+def _normalize_signs(u: np.ndarray) -> np.ndarray:
+    """``u`` with every column whose largest-magnitude entry (the first one,
+    on ties) is negative flipped; works on stacks ``(..., rows, r)``."""
     pivot = np.argmax(np.abs(u), axis=-2)[..., None, :]
-    sign = np.where(np.take_along_axis(u, pivot, axis=-2) < 0, -1.0, 1.0)
-    return u * sign, None if v is None else v * sign
+    return u * np.where(np.take_along_axis(u, pivot, axis=-2) < 0, -1.0, 1.0)
 
 
 def _rescaled(m: np.ndarray, r_hat: int, finite: np.ndarray):
@@ -61,19 +57,18 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scaled_v_r^T`` is the optimal (Eckart-Young) rank-``r_hat``
     approximation of ``M``.
 
-    Below full rank (``r_hat < min(rows, cols)``) the left vectors come from
+    At every rank, ``min(rows, cols)`` included, the left vectors come from
     the Gram matrix, as described in the module docstring: exact to rounding
     for singular values above about ``1e-8 * sigma_1``, and an orthonormal
     basis, with ``tails`` the true residual, for any input.  The residual is
     never built whole: it is formed one block of rows at a time, about
     ``2**17`` elements (1 MB) of each matrix, and each block's squared norm
     (one BLAS dot per matrix) is added into ``tails``, so the extra memory is
-    one block per matrix of the stack.  At full rank the full SVD runs and
-    every tail is exactly ``0.0``.  A matrix whose Gram matrix overflows,
+    one block per matrix of the stack.  A matrix whose Gram matrix overflows,
     one with entries near ``1e154`` or more, is truncated over its largest
     magnitude and scaled back (:func:`_rescaled`); only such stacks pay for
-    the second pass.  Non-convergence of the underlying LAPACK
-    driver is reported as :class:`SvdConvergenceError`.
+    the second pass.  Non-convergence of the LAPACK eigensolver or QR is
+    reported as :class:`SvdConvergenceError`.
 
     ``r_hat`` is read as a Python int (:func:`sekron.tensor_core._as_int`):
     a float, a string or a bool, which would read as 0 or 1, raises
@@ -97,10 +92,6 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise RankError(f"rank {r_hat} out of range [1, {full}]")
     m_t = np.swapaxes(m, -1, -2)
     try:
-        if r_hat == full:
-            u_r, s, vt = np.linalg.svd(m, full_matrices=False)
-            u_r, v = _normalize_signs(u_r, np.swapaxes(vt, -1, -2))
-            return u_r, v * s[..., None, :], np.zeros(m.shape[:-2])
         with np.errstate(over="ignore", invalid="ignore"):
             gram = m @ m_t if rows <= cols else m_t @ m
         finite = np.isfinite(gram).all(axis=(-2, -1))
@@ -113,7 +104,7 @@ def truncated_svd(m, r_hat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             u_r, _ = np.linalg.qr(m @ vecs[..., : -r_hat - 1 : -1])
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
-    u_r, _ = _normalize_signs(u_r)
+    u_r = _normalize_signs(u_r)
     scaled_v_r = m_t @ u_r
     v_t = np.swapaxes(scaled_v_r, -1, -2)
     tails = np.zeros(m.shape[:-2])

@@ -37,9 +37,10 @@ and refuses one that is not iterable; it also reads the rows of a
 :class:`FactorShapeMatrix` and the arrays of each format in
 :mod:`sekron.equivalences` (:class:`ShapeError`), and a sweep's latencies
 (``ValueError``).  :func:`_instance` refuses an argument of the wrong type:
-factor shapes that are no :class:`FactorShapeMatrix` and a format object
-given to the wrong embedding (:class:`ShapeError`), and each planner entry's
-request, candidate or sweep (``ValueError``).
+factor shapes that are no :class:`FactorShapeMatrix`, factor-shape text
+that is no ``str`` (:meth:`FactorShapeMatrix.from_string`) and a format
+object given to the wrong embedding (:class:`ShapeError`), and each planner
+entry's request, candidate or sweep (``ValueError``).
 
 Every array argument goes through one conversion, :func:`as_tensor`: the
 tensor to decompose or write, a conv input and weight, each factor of a
@@ -225,11 +226,12 @@ class FactorShapeMatrix:
 
     @classmethod
     def from_string(cls, text: str) -> "FactorShapeMatrix":
-        """Parse ``"2x2x1x1,2x2x3x3"``: factors comma-separated, axes x-separated."""
+        """Parse ``"2x2x1x1,2x2x3x3"``: factors comma-separated, axes
+        x-separated.  Anything but a ``str``, bytes included, raises
+        :class:`ShapeError`, as does text that does not parse."""
+        parts = _instance(text, str, "factor shapes text").split(",")
         try:
-            rows = tuple(
-                tuple(int(d) for d in part.split("x")) for part in text.split(",")
-            )
+            rows = tuple(tuple(int(d) for d in part.split("x")) for part in parts)
         except ValueError as exc:
             raise ShapeError(f"cannot parse factor shapes {text!r}") from exc
         return cls(rows)

@@ -233,13 +233,17 @@ class TestLevelTails:
         ],
     )
     def test_full_ranks_discard_nothing(self, rows):
-        # at full rank the tail is the empty sum, so exactly 0.0, not rounding
+        # at full rank the tails are the rounding the factors leave, measured
+        # like any other tail: they add up to the error, and both are tiny
         shapes = FactorShapeMatrix(rows)
         rng = np.random.default_rng(20 + len(rows))
         w = rng.standard_normal(shapes.target_shape)
         seq = sekron_decompose(w, shapes, shapes.max_ranks())
         assert len(seq.level_tails) == len(rows) - 1
-        assert all(t == 0.0 for level in seq.level_tails for t in level)
+        norm2 = float(np.sum(w * w))
+        tails, exact = sum(map(sum, seq.level_tails)), reconstruction_error(w, seq)
+        assert abs(tails - exact) <= 1e-12 * norm2
+        assert 0 <= tails <= 1e-26 * norm2 and exact <= 1e-26 * norm2
 
     def test_none_unless_decomposed(self, tmp_path):
         shapes = FactorShapeMatrix(((2, 2), (2, 2)))

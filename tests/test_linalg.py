@@ -1,5 +1,5 @@
 """SVD contract: accuracy, ordering, sign reproducibility, truncation, and the
-Gram-matrix truncated SVD checked against the full one."""
+Gram-matrix truncated SVD, full rank included, checked against LAPACK's SVD."""
 
 import math
 
@@ -13,32 +13,46 @@ from sekron import (
     SvdConvergenceError,
     truncated_svd,
 )
+from sekron.linalg import _normalize_signs
 from oracles import kron_unfolding
 
 
+def loop_signs(u):
+    """The sign rule column by column: -1.0 for each column of ``u`` whose
+    largest-magnitude entry (the first one, on ties) is negative, else 1.0."""
+    signs = np.ones(u.shape[1])
+    for r in range(u.shape[1]):
+        if u[np.argmax(np.abs(u[:, r])), r] < 0:
+            signs[r] = -1.0
+    return signs
+
+
 def loop_signed_svd(m):
-    """Thin SVD with the sign rule applied column by column: each left vector's
-    largest-magnitude entry (the first one, on ties) is made positive."""
+    """LAPACK's thin SVD with the sign rule applied column by column."""
     u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
-    v = vt.T
-    for r in range(s.shape[0]):
-        pivot = np.argmax(np.abs(u[:, r]))
-        if u[pivot, r] < 0:
-            u[:, r] = -u[:, r]
-            v[:, r] = -v[:, r]
-    return u, s, np.ascontiguousarray(v)
+    signs = loop_signs(u)
+    return u * signs, s, np.ascontiguousarray(vt.T * signs)
 
 
 def full_svd(m):
-    """``truncated_svd`` at full rank, checked bit for bit against the loop;
-    returns the left vectors, the sigma-scaled right vectors and the singular
-    values (the column norms of the scaled right vectors)."""
-    u, scaled_v, tail = truncated_svd(m, min(m.shape))
-    u_ref, s_ref, v_ref = loop_signed_svd(m)
-    assert np.array_equal(u, u_ref)
-    assert np.array_equal(scaled_v, v_ref * s_ref)
-    assert tail == 0.0
-    return u, scaled_v, np.linalg.norm(scaled_v, axis=0)
+    """``truncated_svd`` at full rank, checked against LAPACK's singular
+    values: orthonormal left vectors that keep the sign rule, singular values
+    within ``1e-12 * sigma_1``, and a reconstruction whose squared residual,
+    at most ``1e-26 * ||M||^2``, is the tail.  Returns the left vectors, the
+    sigma-scaled right vectors and the singular values (the column norms of
+    the scaled right vectors)."""
+    k = min(m.shape)
+    u, scaled_v, tail = truncated_svd(m, k)
+    s = np.linalg.norm(scaled_v, axis=0)
+    s_ref = np.linalg.svd(m, compute_uv=False)
+    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
+    assert np.array_equal(loop_signs(u), np.ones(k))
+    assert np.abs(s - s_ref).max() <= 1e-12 * s_ref[0]
+    norm2 = float(np.sum(m * m))
+    residual = float(np.sum((m - u @ scaled_v.T) ** 2))
+    assert tail == pytest.approx(residual, rel=1e-9, abs=0)
+    assert residual <= 1e-26 * norm2
+    return u, scaled_v, s
 
 
 def test_identity_singular_values():
@@ -77,9 +91,6 @@ def test_sign_convention_is_reproducible():
     m = rng.standard_normal((5, 5))
     (u_a, v_a, _), (u_b, v_b, _) = full_svd(m.copy()), full_svd(m.copy())
     assert np.array_equal(u_a, u_b) and np.array_equal(v_a, v_b)
-    for r in range(5):
-        pivot = np.argmax(np.abs(u_a[:, r]))
-        assert u_a[pivot, r] > 0
 
 
 def test_truncate_full_rank_is_exact():
@@ -150,8 +161,11 @@ def test_vectorized_sign_rule_equals_loop():
     cases *= 5
     # equal-magnitude entries: the first maximum decides, as in the loop
     cases += [np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([[1.0, -1.0], [-1.0, 1.0]])]
-    for m in cases:
-        full_svd(m)
+    for u in cases:
+        assert np.array_equal(_normalize_signs(u), u * loop_signs(u))
+    # a stack: each matrix as on its own
+    stack = rng.standard_normal((4, 3, 11))
+    assert np.array_equal(_normalize_signs(stack), np.stack(list(map(_normalize_signs, stack))))
 
 
 def geometric(rng, rows, cols, decay=0.7):
@@ -228,6 +242,27 @@ class TestTruncatedSvd:
         for shape in [(4, 9), (9, 4), (5, 5)]:
             full_svd(rng.standard_normal(shape))
 
+    @pytest.mark.parametrize("shape", [(3, 12, 40), (3, 12, 12), (3, 40, 12)])
+    def test_full_rank_tails_are_the_measured_residual(self, shape):
+        # thin, square and tall stacks whose singular values span 1 to 1e-14:
+        # nothing is discarded, and the tail is the rounding the factors
+        # leave, measured, so a reported 0.0 fails the relative check
+        rng = np.random.default_rng(shape[1] + shape[2])
+        k = min(shape[1:])
+        sigma = np.logspace(0, -14, k)
+        stack = np.stack([
+            np.linalg.qr(rng.standard_normal((shape[1], k)))[0] * sigma
+            @ np.linalg.qr(rng.standard_normal((shape[2], k)))[0].T
+            for _ in range(shape[0])
+        ])
+        u, scaled_v, tails = truncated_svd(stack, k)
+        for m, u_b, scaled_v_b, tail in zip(stack, u, scaled_v, tails):
+            norm2 = float(np.sum(m * m))
+            residual = float(np.sum((m - u_b @ scaled_v_b.T) ** 2))
+            assert abs(tail - residual) <= 1e-12 * norm2
+            assert tail == pytest.approx(residual, rel=1e-9, abs=0)
+            assert residual <= 1e-26 * norm2
+
     @pytest.mark.parametrize("shape", [(4, 16), (16, 4)])
     def test_overflowing_gram_is_rescaled(self, shape):
         # matrix 1 is rank 2 plus a small tail, times 1e155: its Gram matrix
@@ -295,7 +330,7 @@ class TestTruncatedSvd:
 
     @pytest.mark.parametrize(
         "name, shape, r_hat",
-        [("eigh", (3, 6), 2), ("eigh", (6, 3), 2), ("svd", (3, 3), 3)],
+        [("eigh", (3, 6), 2), ("eigh", (6, 3), 2), ("eigh", (3, 3), 3)],
     )
     def test_convergence_failure_is_reported(self, monkeypatch, name, shape, r_hat):
         def fail(*args, **kwargs):

@@ -312,9 +312,9 @@ def test_integer_arguments_accept_numpy_ints_and_any_iterable_of_rows():
 
 
 # an array argument numpy cannot read as floats, a sequence argument that
-# is no KroneckerSequence and factor shapes that are no FactorShapeMatrix
-# raise ShapeError, never numpy's TypeError or ValueError or a raw
-# AttributeError
+# is no KroneckerSequence, factor shapes that are no FactorShapeMatrix and
+# factor-shape text that is no str raise ShapeError, never numpy's TypeError
+# or ValueError or a raw AttributeError
 @pytest.mark.parametrize(
     "call",
     [
@@ -333,12 +333,16 @@ def test_integer_arguments_accept_numpy_ints_and_any_iterable_of_rows():
         lambda: compression_ratio("2x2", (1,)),
         lambda: flops_ratio("2x2", (1,)),
         lambda: measure_sequence_latency(None, (1, 1, 3, 3)),
+        lambda: FactorShapeMatrix.from_string(None),
+        lambda: FactorShapeMatrix.from_string(5),
+        lambda: FactorShapeMatrix.from_string(b"2x2"),
     ],
     ids=[
         "cp-dict-matrix", "sequence-dict-factor", "conv-str-input", "conv-ragged-input",
         "reference-str-input", "svd-str-matrix", "decompose-str-shapes", "conv_macs-none",
         "conv-none", "reconstruct-none", "sequence-str-shapes", "param-count-str-shapes",
-        "cr-str-shapes", "fr-str-shapes", "latency-none",
+        "cr-str-shapes", "fr-str-shapes", "latency-none", "from-string-none",
+        "from-string-int", "from-string-bytes",
     ],
 )
 def test_bad_array_sequence_or_shapes_argument_is_a_shape_error(call):
