@@ -271,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True, help="weight shape F,C,KH,KW, each at most 2**20")
     p.add_argument("--seq-len", type=int, required=True, help="number of factors")
     p.add_argument("--target-cr", type=float, required=True, help="desired compression ratio")
-    p.add_argument("--latency-budget-ms", type=float, default=None)
+    p.add_argument("--latency-budget-ms", type=float, default=None,
+                   help="pick only a candidate whose measured latency is at most this many "
+                   "ms; needs --bench-input, and must be finite and >= 0")
     p.add_argument(
         "--bench-input",
         default=None,

@@ -3,18 +3,20 @@ latency measurement, and configuration selection for factorized conv layers.
 
 A sweep is stored as columns, one group per shape matrix (:class:`Sweep`):
 the matrix, its rank tuples, a list of CR and a list of FR values, and, once
-timed, a list of the group's own latencies, one per row.  A sweep shares
-each shape matrix among all of its rank tuples, each grid of rank tuples,
-with its CSV text, among all of its shape matrices that have the same capped
-ranks, and each CR or FR list among the shape matrices whose counts give
-equal lists.  Enumeration (:func:`enumerate_configs`) builds a sweep, and a
-sweep is the only form the CSV writer (:func:`write_candidates_csv`) and the
-selector (:func:`select_config`) read.  Each works one group at a time, so
-none of them builds an object per candidate; :class:`CandidateConfig` is the
-record of one candidate, built only where one is asked for: by iterating a
-sweep, for a latency probe, and for the pick.  Both readers take each
-measured latency through one check (:func:`_latency`), so the CSV holds
-only latencies the selector accepts.
+timed, a list of the group's own latencies, one per row.  A sweep holds
+numbers only, no text.  It shares each shape matrix among all of its rank
+tuples, each list of rank tuples among all of its shape matrices that have
+the same capped ranks, and each CR or FR list among the shape matrices whose
+counts give equal lists.  Enumeration (:func:`enumerate_configs`) builds a
+sweep, and a sweep is the only form the CSV writer
+(:func:`write_candidates_csv`) and the selector (:func:`select_config`)
+read.  Each works one group at a time, so none of them builds an object per
+candidate; :class:`CandidateConfig` is the record of one candidate, built
+only where one is asked for: by iterating a sweep, for a latency probe, and
+for the pick.  The writer makes all of the CSV text, formatting each
+distinct rank-tuple list and each distinct CR or FR value once.  Both
+readers take each measured latency through one check (:func:`_latency`), so
+the CSV holds only latencies the selector accepts.
 A latency probe (:func:`measure_latency`) times the conv on an all-ones
 input with each factor an all-ones array of its own.
 """
@@ -76,29 +78,16 @@ def _csv_field(text: str) -> str:
     return text
 
 
-class RankGrid(NamedTuple):
-    """The rank tuples of one group of a :class:`Sweep`, in order, and the
-    CSV field of each followed by a comma; one grid serves every group with
-    the same rank tuples."""
-
-    tuples: tuple[tuple[int, ...], ...]
-    fields: tuple[str, ...]
-
-    @classmethod
-    def of(cls, tuples) -> "RankGrid":
-        tuples = tuple(tuples)
-        return cls(tuples, tuple(_csv_field(",".join(map(str, r))) + "," for r in tuples))
-
-
 class ShapeGroup(NamedTuple):
     """The candidates of one shape matrix in a :class:`Sweep`: row ``i`` has
-    the rank tuple ``ranks.tuples[i]``, CR ``cr[i]`` and FR ``fr[i]``.
+    the rank tuple ``ranks[i]``, CR ``cr[i]`` and FR ``fr[i]``.
 
     ``latency_ms`` is ``None`` for a group that was not timed, else one
-    entry per row, ``None`` where a row has no measured latency."""
+    entry per row, ``None`` where a row has no measured latency.  A group
+    holds numbers only; the CSV writer makes their text."""
 
     shapes: FactorShapeMatrix
-    ranks: RankGrid
+    ranks: tuple[tuple[int, ...], ...]
     cr: list[float]
     fr: list[float]
     latency_ms: list[float | None] | None = None
@@ -112,9 +101,9 @@ class Sweep:
     Each group holds its own rows' latencies (:class:`ShapeGroup`).  ``len``
     is the candidate count, and iterating yields each candidate as a
     :class:`CandidateConfig`, built as it is asked for.  Groups may share
-    their :class:`RankGrid`, CR list and FR list, so the columns are not to
+    their rank-tuple list, CR list and FR list, so the columns are not to
     be changed in place; :meth:`with_latency` gives a timed sweep whose
-    groups share them.
+    groups share them.  A sweep holds no CSV text.
     """
 
     groups: list[ShapeGroup]
@@ -124,7 +113,7 @@ class Sweep:
 
     def __iter__(self):
         for shapes, ranks, cr, fr, latency in self.groups:
-            for row in zip(ranks.tuples, cr, fr, latency or itertools.repeat(None)):
+            for row in zip(ranks, cr, fr, latency or itertools.repeat(None)):
                 yield CandidateConfig(shapes, *row)
 
     def with_latency(self, latency_ms) -> "Sweep":
@@ -163,13 +152,6 @@ def _latency(value) -> float | None:
     return None if value is None else _real(value, "measured latency", 0)
 
 
-def _check_budget(latency_budget_ms) -> float:
-    budget = _real(latency_budget_ms, "latency budget")
-    if math.isnan(budget):
-        raise ValueError("latency budget must be a number of milliseconds, got nan")
-    return budget
-
-
 def _count(value, what: str) -> int:
     """``value`` as a Python int >= 1, read through ``operator.index``; a bool,
     a float or a string raises ``ValueError``."""
@@ -190,8 +172,11 @@ class PlanRequest:
     and a dimension above ``2**20``, raise :class:`ShapeError` before any
     factorization is counted.  ``sequence_length`` and ``max_rank`` are read
     as Python ints >= 1; anything else raises ``ValueError``.
-    ``target_cr`` and ``latency_budget_ms`` are stored as floats; a bool, a
-    string or another non-real value raises ``ValueError``."""
+    ``target_cr`` and ``latency_budget_ms`` are stored as floats
+    (:func:`_real`): a bool, a string or another non-real value raises
+    ``ValueError``, and so does a target that is not finite and ``>= 1``,
+    or a budget that is not finite and ``>= 0``, as a measured latency is
+    read (:func:`_latency`)."""
 
     target_shape: tuple[int, int, int, int]
     sequence_length: int
@@ -212,7 +197,9 @@ class PlanRequest:
         object.__setattr__(self, "max_rank", _count(self.max_rank, "max rank"))
         object.__setattr__(self, "target_cr", _real(self.target_cr, "target compression ratio", 1))
         if self.latency_budget_ms is not None:
-            object.__setattr__(self, "latency_budget_ms", _check_budget(self.latency_budget_ms))
+            object.__setattr__(
+                self, "latency_budget_ms", _real(self.latency_budget_ms, "latency budget", 0)
+            )
 
 
 def compression_ratio(shapes: FactorShapeMatrix, ranks) -> float:
@@ -363,12 +350,12 @@ def enumerate_configs(req: PlanRequest) -> Sweep:
     denominators one nested sum over its rank tuples
     (:func:`_branch_totals`): the same integers, hence the same floats, as
     :func:`compression_ratio` and :func:`flops_ratio`.  The shape matrices
-    with the same capped ranks share one :class:`RankGrid`, those with the
-    same factor volumes one CR list, and those with the same terms and
-    capped ranks one FR list, each computed once.  Candidates come out in
-    the order of the shape matrices, then of the rank tuples, both
-    lexicographic.  ``req`` that is no :class:`PlanRequest` raises
-    ``ValueError``.
+    with the same capped ranks share one tuple of rank tuples, those with
+    the same factor volumes one CR list, and those with the same terms and
+    capped ranks one FR list, each computed once; no CSV text is built.
+    Candidates come out in the order of the shape matrices, then of the
+    rank tuples, both lexicographic.  ``req`` that is no
+    :class:`PlanRequest` raises ``ValueError``.
     """
     s = _instance(req, PlanRequest, "plan request", ValueError).sequence_length
     axes = math.prod(_count_factorizations(dim, s) for dim in req.target_shape)
@@ -381,9 +368,9 @@ def enumerate_configs(req: PlanRequest) -> Sweep:
         )
     per_axis = [enumerate_factorizations(dim, s) for dim in req.target_shape]
     dense, max_rank = math.prod(req.target_shape), req.max_rank
-    # the capped ranks, rank grid, ranges and CR list of each distinct volumes;
-    # the rank grid of each distinct capped ranks; the FR list of each
-    # distinct terms and capped ranks
+    # the capped ranks, rank tuples, ranges and CR list of each distinct
+    # volumes; the rank tuples and ranges of each distinct capped ranks; the
+    # FR list of each distinct terms and capped ranks
     by_volumes, grids, fr_columns, groups = {}, {}, {}, []
     for combo in itertools.product(*per_axis):
         # the enumerator's own ints, so the rows are not read again
@@ -395,7 +382,7 @@ def enumerate_configs(req: PlanRequest) -> Sweep:
             grid = grids.get(caps)
             if grid is None:
                 ranges = [range(1, cap + 1) for cap in caps]
-                grid = grids[caps] = RankGrid.of(itertools.product(*ranges)), ranges
+                grid = grids[caps] = tuple(itertools.product(*ranges)), ranges
             cr = list(map(dense.__truediv__, _branch_totals(volumes, grid[1])))
             column = by_volumes[volumes] = (caps, *grid, cr)
         caps, ranks, ranges, cr = column
@@ -477,7 +464,7 @@ def select_config(
     ``latency_ms=None`` after every measured latency, then toward
     lexicographically smaller shapes (``shapes.rows``), then smaller ranks.
     The choice does not depend on candidate order.  ``target_cr`` must be
-    finite and ``>= 1`` and a budget a real number, not NaN, as in
+    finite and ``>= 1`` and a budget finite and ``>= 0``, as in
     :class:`PlanRequest`, and every measured latency the budget filter or
     the tie rule reads passes :func:`_latency`; anything else raises
     ``ValueError``, and so does ``sweep`` that is no :class:`Sweep`, checked
@@ -489,7 +476,7 @@ def select_config(
     """
     target_cr = _real(target_cr, "target compression ratio", 1)
     if latency_budget_ms is not None:
-        latency_budget_ms = _check_budget(latency_budget_ms)
+        latency_budget_ms = _real(latency_budget_ms, "latency budget", 0)
     if not len(_instance(sweep, Sweep, "sweep", ValueError)):
         raise NoFeasibleConfigError("no candidates to select from")
     # (smallest CR gap, group, its rows within the budget) per group with a
@@ -517,9 +504,9 @@ def select_config(
         for i in rows:
             if abs(group.cr[i] - target_cr) - best_gap <= tolerance:
                 measured = None if group.latency_ms is None else _latency(group.latency_ms[i])
-                tied.append((math.inf if measured is None else measured, group.shapes.rows, group.ranks.tuples[i], group, i, measured))
+                tied.append((math.inf if measured is None else measured, group.shapes.rows, group.ranks[i], group, i, measured))
     *_, group, i, measured = min(tied, key=operator.itemgetter(0, 1, 2))
-    return CandidateConfig(group.shapes, group.ranks.tuples[i], group.cr[i], group.fr[i], measured)
+    return CandidateConfig(group.shapes, group.ranks[i], group.cr[i], group.fr[i], measured)
 
 
 def _smallest_gap(cr, target_cr: float) -> float:
@@ -528,8 +515,9 @@ def _smallest_gap(cr, target_cr: float) -> float:
 
 class _Text(dict):
     """CSV text of each float asked for, followed by a comma; each distinct
-    value is formatted once.  CR and FR are ratios of positive counts,
-    finite positive floats, so equal values have equal text."""
+    value is formatted once per :func:`write_candidates_csv` call.  CR and
+    FR are ratios of positive counts, finite positive floats, so equal
+    values have equal text."""
 
     def __missing__(self, value: float) -> str:
         text = self[value] = repr(value) + ","
@@ -546,18 +534,27 @@ def write_candidates_csv(sweep: Sweep, path) -> None:
 
     The bytes are those of :func:`csv.writer` with its default dialect
     (``\\r\\n`` line ends, minimal quoting).  The rows are written group by
-    group: a group's shapes field is quoted once, its rank fields come with
-    its :class:`RankGrid`, each distinct CR and FR value is formatted once
-    (:class:`_Text`), and the group's rows are joined in one call.  Each
+    group: a group's shapes field is quoted once; the rank fields of each
+    distinct rank-tuple list, one list object however many groups share
+    it, are formatted once; each distinct CR and FR value is formatted
+    once (:class:`_Text`); and the group's rows are joined in one call.  A
+    sweep holds no text, so all of it is made here, every field that can
+    hold a comma quoted through :func:`_csv_field`.  Each
     measured latency is read through :func:`_latency` and written as the
     ``repr`` of a Python float.  All rows are then written in one call, so
     ``sweep`` that is no :class:`Sweep`, or a latency the check refuses,
     raises ``ValueError`` before the file is opened.
     """
-    ratios = _Text()
+    # the rank fields of each rank-tuple list, keyed by the list's identity,
+    # which costs less than hashing its tuples; the sweep keeps every list
+    # alive, so no identity is reused within the call
+    ratios, rank_fields = _Text(), {}
     chunks = ["shapes,ranks,cr,fr,latency_ms\r\n"]
     for shapes, ranks, cr, fr, latency in _instance(sweep, Sweep, "sweep", ValueError).groups:
-        rows = map(operator.add, ranks.fields, map(ratios.__getitem__, cr))
+        fields = rank_fields.get(id(ranks))
+        if fields is None:
+            fields = rank_fields[id(ranks)] = [_csv_field(",".join(map(str, r))) + "," for r in ranks]
+        rows = map(operator.add, fields, map(ratios.__getitem__, cr))
         rows = map(operator.add, rows, map(ratios.__getitem__, fr))
         # an untimed group's rows end with the empty latency field as they are
         if latency is not None:

@@ -144,6 +144,8 @@ CASES = {
         p, "--bench-input", "1,2,3,3", "--latency-budget-ms", "0", "--trials", "3")),
     "latency-budget-nan": (4, lambda p: tiny_plan(
         p, "--bench-input", "1,2,3,3", "--latency-budget-ms", "nan", "--trials", "3")),
+    "latency-budget-negative": (4, lambda p: tiny_plan(
+        p, "--bench-input", "1,2,3,3", "--latency-budget-ms", "-1", "--trials", "3")),
     "target-cr-nan": (4, lambda p: tiny_plan(p, "--target-cr", "nan")),
     "target-cr-inf": (4, lambda p: tiny_plan(p, "--target-cr", "inf")),
     "shape-arity": (4, lambda p: ["plan", "--shape", "8,8,3", "--seq-len", "2",

@@ -32,7 +32,6 @@ from sekron.cli import run_cli
 from sekron.decompose import _branch_sizes, _branch_total
 from sekron.planner import (
     CR_TIE_RTOL,
-    RankGrid,
     ShapeGroup,
     _branch_totals,
     _count_factorizations,
@@ -197,9 +196,12 @@ def test_branch_totals_match_the_per_tuple_sums():
 
 # what the error message names for each real-valued field
 REAL_FIELDS = {"target_cr": "target compression ratio", "latency_budget_ms": "latency budget"}
-# refused as a target CR or a latency budget by PlanRequest and select_config
-NON_REAL = [True, "4", 4j, np.bool_(True), 10**400, math.nan]
-NON_REAL_IDS = ["bool", "str", "complex", "np-bool", "huge-int", "nan"]
+# refused as a target CR or a latency budget by PlanRequest and select_config:
+# values that are no real number, and real ones outside the range each field
+# takes, a finite target >= 1 and a finite budget >= 0 (as a measured latency)
+REFUSED = [True, "4", 4j, np.bool_(True), 10**400, math.nan, -1.0, -math.inf, math.inf]
+REFUSED_IDS = ["bool", "str", "complex", "np-bool", "huge-int", "nan", "negative", "minus-inf",
+               "inf"]
 
 
 class TestPlanRequest:
@@ -227,7 +229,7 @@ class TestPlanRequest:
         assert all(type(d) is int for d in req.target_shape)
 
     @pytest.mark.parametrize("field", ["target_cr", "latency_budget_ms"])
-    @pytest.mark.parametrize("value", NON_REAL, ids=NON_REAL_IDS)
+    @pytest.mark.parametrize("value", REFUSED, ids=REFUSED_IDS)
     def test_non_real_target_or_budget_is_rejected(self, field, value):
         kwargs = {"target_cr": 2.0, field: value}
         with pytest.raises(ValueError, match=REAL_FIELDS[field]):
@@ -248,7 +250,7 @@ class TestPlanRequest:
 
 def synthetic(rows, ranks, cr, fr, latency):
     """One candidate as a sweep group of its own."""
-    return ShapeGroup(FactorShapeMatrix(rows), RankGrid.of([ranks]), [cr], [fr], [latency])
+    return ShapeGroup(FactorShapeMatrix(rows), (ranks,), [cr], [fr], [latency])
 
 
 class TestSelectConfig:
@@ -306,7 +308,7 @@ class TestSelectConfig:
             select_config(self.candidates(), target_cr=target_cr)
 
     @pytest.mark.parametrize("field", ["target_cr", "latency_budget_ms"])
-    @pytest.mark.parametrize("value", NON_REAL, ids=NON_REAL_IDS)
+    @pytest.mark.parametrize("value", REFUSED, ids=REFUSED_IDS)
     def test_non_real_target_or_budget_is_rejected(self, field, value):
         kwargs = {"target_cr": 4.0, "latency_budget_ms": 10.0, field: value}
         with pytest.raises(ValueError, match=REAL_FIELDS[field]):
@@ -452,6 +454,28 @@ class TestLatency:
         assert all(np.all(f == 1.0) for _, seq, _ in calls[:4] for f in seq.factors)
 
 
+def rank_subsets():
+    """A sweep whose groups each keep their own subset of a rank grid, as a
+    producer that picks rank tuples per shape matrix gives one: no two
+    groups share a rank-tuple list, by identity or by value.  Every third
+    group is untimed, and of the timed ones every other has rows with no
+    measured latency."""
+    full = enumerate_configs(PlanRequest((8, 8, 3, 3), 3, 4.0, max_rank=3))
+    rng = random.Random(5)
+    groups = []
+    for k, group in enumerate(g for g in full.groups[::50] if len(g.cr) >= 4):
+        keep = sorted(rng.sample(range(len(group.cr)), rng.randint(1, len(group.cr))))
+        latency = [rng.choice([0.5, 1.0, 1.5]) for _ in keep]
+        if k % 3 == 2:
+            latency[0] = None
+        groups.append(ShapeGroup(group.shapes, tuple(group.ranks[i] for i in keep),
+                                 [group.cr[i] for i in keep], [group.fr[i] for i in keep],
+                                 None if k % 3 == 0 else latency))
+    assert len(groups) >= 12
+    assert len({group.ranks for group in groups}) == len(groups)
+    return Sweep(groups)
+
+
 class TestCsv:
     def test_sweep_round_trips_through_csv(self, tmp_path):
         sweep = enumerate_configs(PlanRequest((4, 4, 1, 1), 2, target_cr=2.0, max_rank=1))
@@ -474,9 +498,18 @@ class TestCsv:
     def test_bytes_match_per_row_writer(self, tmp_path):
         sweep = enumerate_configs(PlanRequest((8, 8, 3, 3), 2, 4.0, max_rank=2))
         sweep = sweep.with_latency([0.5 + i / 7 if i % 3 else None for i in range(len(sweep))])
-        write_candidates_csv(sweep, tmp_path / "fast.csv")
-        write_candidates_csv_per_row(sweep, tmp_path / "oracle.csv")
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        subsets = rank_subsets()
+        for name, candidates in [("enumerated", sweep), ("subsets", subsets)]:
+            write_candidates_csv(candidates, tmp_path / f"{name}.csv")
+            write_candidates_csv_per_row(candidates, tmp_path / f"{name}-oracle.csv")
+            got = (tmp_path / f"{name}.csv").read_bytes()
+            assert got == (tmp_path / f"{name}-oracle.csv").read_bytes(), name
+        # the selector reads the subsets as the rule applied row by row does;
+        # each CR the rows hold is a target too, which ties rows of timed
+        # and untimed groups exactly
+        rows = list(subsets)
+        for target in {1.0, 1e6, *(row.cr for row in rows)}:
+            assert select_config(subsets, target) == tie_rule_pick(rows, target)
 
     @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.1), np.int64(2)],
                              ids=["np-float64", "np-float32", "np-int64"])
@@ -516,9 +549,8 @@ def tie_rule_pick(candidates, target_cr, latency_budget_ms=None):
 
 
 def test_a_full_sweep_writes_and_picks_as_the_per_row_forms(tmp_path):
-    # the S=3 sweep of a 128x64 1x1 layer up to rank 4: groups of one shape
-    # matrix share rank grids and CR lists, which the writer and the
-    # selector read once each
+    # the S=3 sweep of a 128x64 1x1 layer up to rank 4: its groups share
+    # rank-tuple lists and CR lists, whose text the writer makes once each
     sweep = enumerate_configs(PlanRequest((128, 64, 1, 1), 3, 10.0, max_rank=4))
     assert (len(sweep), len(sweep.groups)) == (11_947, 1_008)
     rng = random.Random(9)
