@@ -37,6 +37,7 @@ from sekron.fileio import read_sequence, read_tensor, write_sequence, write_tens
 from sekron.planner import (
     MIN_TRIALS,
     PlanRequest,
+    _count,
     compression_ratio,
     enumerate_configs,
     flops_ratio,
@@ -160,6 +161,9 @@ def _cmd_plan(args) -> int:
         latency_budget_ms=args.latency_budget_ms,
         max_rank=args.max_rank,
     )
+    # the probes' own check of the count, run before the sweep and whether or
+    # not any candidate is timed
+    _count(args.trials, "--trials", MIN_TRIALS)
     if args.bench_input is None:
         if request.latency_budget_ms is not None:
             raise ShapeError("--latency-budget-ms requires --bench-input to measure latencies")
@@ -168,8 +172,6 @@ def _cmd_plan(args) -> int:
         # probes run without padding
         input_shape = _parse_ints(args.bench_input, "--bench-input", ShapeError)
         _conv_shape(input_shape, request.target_shape, 0, "--bench-input")
-        if args.trials < MIN_TRIALS:
-            raise ValueError(f"--trials must be at least {MIN_TRIALS}, got {args.trials}")
     candidates = enumerate_configs(request)
     if args.bench_input is not None:
         latencies, n = [], len(candidates)
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trials", type=int, default=11, help=f"timing trials, at least {MIN_TRIALS}"
     )
-    p.add_argument("--padding", type=int, default=0)
+    p.add_argument("--padding", type=int, default=0, help="symmetric zero padding")
     p.set_defaults(func=_cmd_bench)
     return parser
 

@@ -19,26 +19,28 @@ digit, kept as a branch digit that selects a slice of the factor, or
 summed, and the order of the factor's axes.  It walks each stage's
 digits once and derives from them the stage's GEMM sizes and MACs per
 output position, whether it copies its window, and the sizes and strides
-of its window; the stage order, the bands of output rows
-(:func:`_bands`), the window views and buffers (:func:`_geometry`,
-:func:`_plans`) and the exact MAC count (:func:`conv_macs`) read those
-records.  A stage reads its column matrix as a view of its input unless
-its factor has taps or a kept digit sits between two summed ones.  The
-stage chain runs on one band of output rows at a time, each band small
-enough that its stage buffers stay near the L2 cache.  Without padding a
-band reads its rows straight from the image, and where one band covers
+of its window; the stage order, the height of the bands of output rows
+and the window views and buffers (:func:`_geometry`, :func:`_plans`), and
+the exact MAC count, one closed sum over the stages (:func:`conv_macs`),
+read those records.  A stage reads its column matrix as a view of its
+input unless its factor has taps or a kept digit sits between two summed
+ones.  The stage chain runs on one band of output rows at a time, each
+band small enough that its stage buffers stay near the L2 cache; every
+band has one height but the last, which takes the rest.  Without padding
+a band reads its rows straight from the image, and where one band covers
 the image the last GEMM writes straight into the result.
 
-What the factor values do not decide, the stage order, the bands and the
-shapes and strides of every window and buffer, depends only on the factor
-shapes, the ranks, the input's height and width, the padding and the band
-size, and is memoized on them (:func:`_geometry`), after the input and the
-sequence are checked.  The sequence is checked by the one check every
-consumer of a sequence runs (:func:`sekron.decompose._check_sequence`), and
-the memo holds no factor shapes to check against.  Each call then makes
-its factor matrices, from the stage records, and its window views and
-buffers from that geometry, once, and every band of every image reuses
-them.
+What the factor values do not decide, the stage order, the band height and
+the shapes and strides of every window and buffer, depends only on the
+factor shapes, the ranks, the input's height and width, the padding and the
+band size, and is memoized on them (:func:`_geometry`), after the input and
+the sequence are checked.  An entry holds the band height, not a list of
+bands, so it does not grow with the image.  The sequence is checked by the
+one check every consumer of a sequence runs
+(:func:`sekron.decompose._check_sequence`), and the memo holds no factor
+shapes to check against.  Each call then makes its factor matrices, from
+the stage records, and its window views and buffers from that geometry,
+once, and every band of every image reuses them.
 """
 
 import collections
@@ -53,6 +55,13 @@ from sekron.errors import ShapeError
 from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims, as_tensor
 
 
+# bytes of one float64, the dtype of every stage buffer
+_ITEM = np.dtype(np.float64).itemsize
+
+# the most bytes an array can span: numpy counts them in a signed np.intp
+_MAX_BYTES = np.iinfo(np.intp).max
+
+
 def _conv_shape(x_shape, w_shape, padding, what: str = "input"):
     """``(padding, out_h, out_w)`` of a stride-1 convolution of an input of
     shape ``x_shape`` with a weight of shape ``w_shape``: the one check that
@@ -65,11 +74,13 @@ def _conv_shape(x_shape, w_shape, padding, what: str = "input"):
     a float or a string raises :class:`ShapeError` instead of being
     truncated or failing deep in numpy; a bool is refused as well, since
     ``True`` would read as 1.  A kernel larger than the padded input is
-    refused too.  Messages about the input name it ``what``.
+    refused too, and so is a padded input that no float64 array can
+    describe, one of more bytes than ``np.intp`` counts.  Messages about the
+    input name it ``what``.
     """
     if len(w_shape) != 4:
         raise ShapeError(f"weights must be (F, C, K_h, K_w), got {len(w_shape)} axes")
-    _, channels, h, w = _dims(x_shape, 4, f"{what} dimensions")
+    batch, channels, h, w = _dims(x_shape, 4, f"{what} dimensions")
     if channels != w_shape[1]:
         raise ShapeError(
             f"channel mismatch: {what} has {channels} channels, weights expect {w_shape[1]}"
@@ -78,13 +89,12 @@ def _conv_shape(x_shape, w_shape, padding, what: str = "input"):
     if padding < 0:
         raise ShapeError("padding must be >= 0")
     kh, kw = w_shape[2:]
-    out_h = h + 2 * padding - kh + 1
-    out_w = w + 2 * padding - kw + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(
-            f"kernel {kh}x{kw} larger than padded {what} {h + 2 * padding}x{w + 2 * padding}"
-        )
-    return padding, out_h, out_w
+    in_h, in_w = h + 2 * padding, w + 2 * padding
+    if in_h < kh or in_w < kw:
+        raise ShapeError(f"kernel {kh}x{kw} larger than padded {what} {in_h}x{in_w}")
+    if batch * channels * in_h * in_w * _ITEM > _MAX_BYTES:
+        raise ShapeError(f"padded {what} {in_h}x{in_w} exceeds any array")
+    return padding, in_h - kh + 1, in_w - kw + 1
 
 
 def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
@@ -97,8 +107,9 @@ def conv2d_reference(x, weights, padding: int = 0) -> np.ndarray:
 
     Raises :class:`ShapeError` when ``x`` is not 4-D, ``weights`` is not
     4-D, their channel counts differ, ``padding`` is not a non-negative
-    integer (a Python or numpy int, not a bool), or the kernel is larger
-    than the padded input.
+    integer (a Python or numpy int, not a bool), the kernel is larger
+    than the padded input, or the padded input is larger than any array
+    (:func:`_conv_shape`).
     """
     x = as_tensor(x)
     weights = as_tensor(weights)
@@ -249,7 +260,7 @@ def _cheaper_schedule(shapes: FactorShapeMatrix, ranks: tuple[int, ...]):
     MACs per output position and its windows copy no more elements per
     position; otherwise, ties included, last factor first.  The copied
     elements are those the schedule copies, not the copy of each band's
-    input rows that :func:`_bands` leaves out of its budget too.
+    input rows that :func:`_geometry` leaves out of its band budget too.
     """
 
     def per_position(stages):
@@ -268,41 +279,10 @@ def _cheaper_schedule(shapes: FactorShapeMatrix, ranks: tuple[int, ...]):
 # 256 KB to 4 MB, 1 MB gave the fastest ResNet-18-shaped forward pass
 _BAND_BYTES = 2**20
 
-# bytes of one float64, the dtype of every stage buffer
-_ITEM = np.dtype(np.float64).itemsize
-
-
-def _bands(stages, kh: int, out_h: int, in_w: int, band_bytes: int):
-    """``(first row, row count)`` of the bands of output rows that
-    :func:`sekron_conv2d` runs one at a time through ``stages`` (from
-    :func:`_schedule`), for a kernel ``kh`` rows high and an image with
-    ``out_h`` output rows and ``in_w`` padded columns.
-
-    A band gets as many rows as keep every stage buffer of the band, each
-    stage's GEMM output and, for a stage that copies its window, its
-    columns, within ``band_bytes``, and at least one; the rows are then
-    shared out evenly over the bands.  A stage that runs before a stage with
-    taps writes the border rows those taps read, so it runs on that many
-    more rows than the band has.  The copy of the band's input rows is not
-    counted: with padding the zero-padded slab, and without it the first
-    stage's columns where they copy only because a band shorter than the
-    image cuts apart the planes the stage carries (:func:`_geometry`).  That
-    stage has no taps and sums ``c_0``, so its columns hold the slab's
-    elements in the slab's order.
-    """
-    fit = out_h
-    for s in stages:
-        per_row = max(s.m, s.kdim if s.copy else 0) * s.batch * s.n * (in_w - s.cut_w) * _ITEM
-        # the stage's border: its output rows for a one-row band, less one
-        fit = min(fit, band_bytes // per_row - (kh - 1 - s.cut_h))
-    step = -(-out_h // -(-out_h // max(fit, 1)))
-    return tuple((y, min(step, out_h - y)) for y in range(0, out_h, step))
-
-
 @functools.lru_cache(maxsize=1024)
 def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, band_bytes: int):
     """Everything about a :func:`sekron_conv2d` call that the factor values
-    do not decide: ``(stages, bands, slabs)`` for a sequence of these
+    do not decide: ``(stages, step, slabs)`` for a sequence of these
     ``shapes`` and ``ranks`` on ``h x w`` images with the shapes' channel
     count, zero-padded by ``padding``, in bands of ``band_bytes``
     (:data:`_BAND_BYTES`).
@@ -310,22 +290,38 @@ def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, ba
     - ``stages``: the :func:`_schedule` of the stage order
       :func:`_cheaper_schedule` picks, in the order the stages run, each
       record holding how its factor matrix is made;
-    - ``bands``: the bands of output rows, from :func:`_bands`;
-    - ``slabs``: ``(in_h, slab shape, views)`` per height ``in_h`` of the
-      input rows the bands read, ``views`` holding ``(copy, window shape,
-      window strides, columns shape, output shape)`` per stage, strides in
-      bytes: the window is the strided view of the stage input that the
-      stage's ``sizes`` and ``planes`` describe, with the taps at their
-      dilation, and the output the next stage's input.  With padding, the
-      first stage reads a zero-padded slab of ``slab shape``; without, the
-      slab shape is ``None`` and the first stage reads the band's rows
-      straight from the image, whose planes are ``h`` rows high.  Its
-      columns are then a view only where the rows of its ``n`` carried
-      planes are adjacent: one carried plane, or a band the image's height;
-      elsewhere ``copy`` is set and the window is copied.
+    - ``step``: the band height.  The image's ``out_h`` output rows run in
+      bands of ``step`` rows from rows ``0, step, 2 step ..``, the last band
+      taking the rest, ``min(step, out_h - y)`` rows from row ``y``, so
+      ``step == out_h`` where one band covers the image.  A band gets as
+      many rows as keep every stage buffer of the band, each stage's GEMM
+      output and, for a stage that copies its window, its columns, within
+      ``band_bytes``, and at least one; the rows are then shared out evenly
+      over the bands.  A stage that runs before a stage with taps writes
+      the border rows those taps read, so it runs on that many more rows
+      than the band has.  The copy of the band's input rows is not counted:
+      with padding the zero-padded slab, and without it the first stage's
+      columns where they copy only because a band shorter than the image
+      cuts apart the planes the stage carries.  That stage has no taps and
+      sums ``c_0``, so its columns hold the slab's elements in the slab's
+      order;
+    - ``slabs``: ``(rows, slab shape, views)`` per band height ``rows``, at
+      most two, ``views`` holding ``(copy, window shape, window strides,
+      columns shape, output shape)`` per stage, strides in bytes: the window
+      is the strided view of the stage input that the stage's ``sizes`` and
+      ``planes`` describe, with the taps at their dilation, and the output
+      the next stage's input.  A band reads ``rows + K_h - 1`` input rows.
+      With padding, the first stage reads them from a zero-padded slab of
+      ``slab shape``; without, the slab shape is ``None`` and the first
+      stage reads the band's rows straight from the image, whose planes are
+      ``h`` rows high.  Its columns are then a view only where the rows of
+      its ``n`` carried planes are adjacent: one carried plane, or a band
+      the image's height; elsewhere ``copy`` is set and the window is
+      copied.
 
-    Only shapes, strides and flags, never arrays, factor values or the
-    shapes the factors must have, so one entry serves every batch size and
+    Only shapes, strides, flags and the band height, never arrays, factor
+    values, the shapes the factors must have or a list of bands, so an entry
+    does not grow with the image and one entry serves every batch size and
     every sequence of these shapes and ranks.  Memoized on all six
     arguments, at most 1,024 entries; callers validate them first, the
     input and padding with :func:`_conv_shape` and the sequence with
@@ -335,31 +331,38 @@ def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, ba
     _, stages = _cheaper_schedule(shapes, ranks)
     kh = shapes.target_shape[2]
     in_w = w + 2 * padding
-    bands = _bands(stages, kh, h + 2 * padding - kh + 1, in_w, band_bytes)
+    out_h = fit = h + 2 * padding - kh + 1
+    for s in stages:
+        per_row = max(s.m, s.kdim if s.copy else 0) * s.batch * s.n * (in_w - s.cut_w) * _ITEM
+        # the stage's border: its output rows for a one-row band, less one
+        fit = min(fit, band_bytes // per_row - (kh - 1 - s.cut_h))
+    step = -(-out_h // -(-out_h // max(fit, 1)))
     slabs = []
-    for in_h in sorted({rows + kh - 1 for _, rows in bands}):
+    # the band height and the last band's
+    for rows in sorted({step, (out_h - 1) % step + 1}):
+        in_h = rows + kh - 1
         views = []
         # the rows and columns of the planes of the stage's input
         stage_h, stage_w = in_h if padding else h, in_w
         for s in stages:
-            out_h, out_w = in_h - s.cut_h, in_w - s.cut_w
+            next_h, next_w = in_h - s.cut_h, in_w - s.cut_w
             s_h = stage_w * _ITEM
             s_f = stage_h * s_h
-            shape = s.sizes + shapes.rows[s.k][2:] + (s.n, out_h, out_w)
+            shape = s.sizes + shapes.rows[s.k][2:] + (s.n, next_h, next_w)
             strides = (*(p * s_f for p in s.planes), s.dil_h * s_h, s.dil_w * _ITEM, s_f, s_h, _ITEM)
-            cols_shape = s.batch_shape + (s.kdim, s.n * out_h * out_w)
-            copy = s.copy or (s.n > 1 and stage_h * stage_w != out_h * out_w)
+            cols_shape = s.batch_shape + (s.kdim, s.n * next_h * next_w)
+            copy = s.copy or (s.n > 1 and stage_h * stage_w != next_h * next_w)
             views.append((copy, shape, strides, cols_shape, s.batch_shape + (s.m, cols_shape[-1])))
-            stage_h, stage_w = out_h, out_w
+            stage_h, stage_w = next_h, next_w
         slab = (shapes.target_shape[1], in_h, in_w) if padding else None
-        slabs.append((in_h, slab, tuple(views)))
-    return stages, bands, tuple(slabs)
+        slabs.append((rows, slab, tuple(views)))
+    return stages, step, tuple(slabs)
 
 
 def _plans(seq: KroneckerSequence, stages, slabs):
     """What :func:`sekron_conv2d` runs on a band, for the ``stages`` and
-    ``slabs`` of its :func:`_geometry`: ``{in_h: (slab, first, plan)}`` per
-    height ``in_h`` of the input rows the bands read.
+    ``slabs`` of its :func:`_geometry`: ``{rows: (slab, first, plan)}`` per
+    band height ``rows``.
 
     ``slab`` is a zero array that the band's input rows are written into,
     or ``None`` without padding.  ``plan`` lists, stage by stage, ``[factor
@@ -371,7 +374,7 @@ def _plans(seq: KroneckerSequence, stages, slabs):
     the image, so its window, where it copies, or else its columns are left
     ``None`` for the caller to make per band from ``first``, the stage's
     view in :func:`_geometry`.  Every array is made once per call, the
-    factor matrices once for all heights, straight from the stage records,
+    factor matrices once for both heights, straight from the stage records,
     so every band of a call reuses the same memory.  It compares no shapes:
     the caller has checked ``seq`` (:func:`sekron.decompose._check_sequence`).
     """
@@ -380,7 +383,7 @@ def _plans(seq: KroneckerSequence, stages, slabs):
         for s in stages
     ]
     plans = {}
-    for in_h, slab_shape, views in slabs:
+    for rows, slab_shape, views in slabs:
         # zeros, so the padding columns, which no band writes, stay zero
         t = slab = None if slab_shape is None else np.zeros(slab_shape)
         plan = []
@@ -394,7 +397,7 @@ def _plans(seq: KroneckerSequence, stages, slabs):
                     win, cols = None, win.reshape(cols_shape)
             t = np.empty(out_shape)
             plan.append([fmat, win, cols, t])
-        plans[in_h] = slab, views[0], plan
+        plans[rows] = slab, views[0], plan
     return plans
 
 
@@ -429,14 +432,15 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     so a stage reads its columns as a strided view of its input unless its
     factor has taps or a kept digit sits between two digits it sums; then
     it copies a window into columns.  Each image's output rows are cut into
-    bands (:func:`_bands`) that keep every stage buffer near
-    :data:`_BAND_BYTES`, and the whole stage chain runs on one band at a
-    time.  With padding, each band's input rows are first written into a
-    zero-padded slab; with ``padding=0`` no slab is filled, and the first
-    stage reads the band's rows straight from ``x``, as a view where its
-    columns are one, else copying its window from ``x``.  Where one band
-    covers the image, the last GEMM writes straight into the image's rows of
-    the result; otherwise each band's last output is copied there.
+    bands of one height, the last band taking the rest, that keep every
+    stage buffer near :data:`_BAND_BYTES` (:func:`_geometry`), and the
+    whole stage chain runs on one band at a time.  With padding, each
+    band's input rows are first written into a zero-padded slab; with
+    ``padding=0`` no slab is filled, and the first stage reads the band's
+    rows straight from ``x``, as a view where its columns are one, else
+    copying its window from ``x``.  Where one band covers the image, the
+    last GEMM writes straight into the image's rows of the result;
+    otherwise each band's last output is copied there.
 
     After ``x`` is read, and before any field of it is, ``seq`` is checked
     as :func:`sekron.decompose.reconstruct` and
@@ -445,11 +449,11 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     sequences they accept and raises :class:`RankError` or
     :class:`ShapeError` for the rest, say one that is no sequence or one
     whose ranks or factors were changed after construction; then
-    ``padding``.  Everything the factor values do not decide
-    (stage order, bands, window and buffer shapes and strides) is then read
-    from a memo keyed on ``seq.shapes``, the checked ranks, the input's
-    height and width, the padding and :data:`_BAND_BYTES` (:func:`_geometry`,
-    at most 1,024 entries); the batch size is not in the key.  The memo
+    ``padding``.  Everything the factor values do not decide (stage order,
+    band height, window and buffer shapes and strides) is then read from a
+    memo keyed on ``seq.shapes``, the checked ranks, the input's height and
+    width, the padding and :data:`_BAND_BYTES` (:func:`_geometry`, at most
+    1,024 entries); the batch size is not in the key.  The memo
     holds no arrays and no factor values: each call makes its factor
     matrices from ``seq.factors`` as they are then, and its buffers, once
     (:func:`_plans`), and reuses them across bands and images.  Numerically
@@ -460,15 +464,16 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     x = as_tensor(x)
     ranks = _check_sequence(seq)
     padding, out_h, out_w = _conv_shape(x.shape, seq.target_shape, padding)
-    kh = seq.target_shape[2]
-    stages, bands, slabs = _geometry(seq.shapes, ranks, *x.shape[2:], padding, _BAND_BYTES)
+    stages, step, slabs = _geometry(seq.shapes, ranks, *x.shape[2:], padding, _BAND_BYTES)
     plans = _plans(seq, stages, slabs)
     # made after the buffers: made first, it ran the 128x128k3 layer about
     # 10% slower at batch 1 (the allocator then gave out other memory)
     out = np.empty((x.shape[0], seq.target_shape[0], out_h, out_w))
     for b in range(x.shape[0]):
-        for y, rows in bands:
-            slab, first, plan = plans[rows + kh - 1]
+        for y in range(0, out_h, step):
+            # min(step, out_h - y), without the call
+            rows = step if y + step <= out_h else out_h - y
+            slab, first, plan = plans[rows]
             if slab is None:
                 # the first stage reads the band's rows straight from the image
                 copy, win_shape, strides, cols_shape, _ = first
@@ -479,14 +484,14 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
                     plan[0][2] = win.reshape(cols_shape)
             else:
                 _fill_slab(slab, x[b], y - padding, padding)
-            if len(bands) == 1:
+            if step == out_h:
                 # the last GEMM writes straight into the image's rows of the result
                 plan[-1][3] = out[b].reshape(plan[-1][3].shape)
             for fmat, win, cols, t in plan:
                 if win is not None:
                     np.copyto(cols.reshape(win.shape), win)
                 np.matmul(fmat, cols, out=t)
-            if len(bands) > 1:
+            if step < out_h:
                 out[b, :, y : y + rows] = t.reshape(-1, rows, out_w)
     return out
 
@@ -495,13 +500,14 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     """Exact multiply-accumulate count of :func:`sekron_conv2d`, in the
     stage order it runs.
 
-    ``sum macs * out_h_k * out_w_k`` over the bands of :func:`_bands` and,
-    in each band, the stages of :func:`_schedule` on its slab of ``rows +
-    K_h - 1`` input rows, each at its own output size, border included, for
-    the given spatial input size ``(H, W)``, two positive integers
+    ``sum macs * out_h_k * out_w_k`` over the bands of :func:`_geometry`
+    and, in each band, the stages of :func:`_schedule` on its ``rows + K_h
+    - 1`` input rows, each at its own output size, border included, for the
+    given spatial input size ``(H, W)``, two positive integers
     (:func:`sekron.tensor_core._dims`); anything else, a size that is not
-    iterable included, a bad ``padding``, and a sequence whose factors do
-    not have the four axes ``(f, c, h, w)``, raises :class:`ShapeError`.
+    iterable included, a bad ``padding``, one that pads the input past any
+    array (:func:`_conv_shape`), and a sequence whose factors do not have
+    the four axes ``(f, c, h, w)``, raises :class:`ShapeError`.
     The sequence is checked as in :func:`sekron_conv2d`, so it accepts
     exactly the sequences :func:`sekron.decompose.reconstruct` and
     :func:`sekron.fileio.write_sequence` accept and raises
@@ -509,17 +515,19 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     a tapped stage writes, in every band, the border rows the taps read, so
     splitting an image into bands adds MACs when a factor that runs after
     another has taps.  These are the MACs the GEMMs run.
+
+    The bands' rows sum to ``out_h``, so over ``n`` bands the count is one
+    closed sum over the stages, ``sum macs (in_w - cut_w) (out_h + n (K_h - 1
+    - cut_h))`` on the padded width ``in_w``, and takes no time that grows
+    with the image.
     """
     h, w = _dims(input_hw, 2, "input size dimensions")
     ranks = _check_sequence(seq)
     # a weight without a channel axis fails _conv_shape's weight check
     x_shape = (1, *seq.target_shape[1:2], h, w)
-    padding, _, _ = _conv_shape(x_shape, seq.target_shape, padding)
+    padding, out_h, _ = _conv_shape(x_shape, seq.target_shape, padding)
     kh = seq.target_shape[2]
     in_w = w + 2 * padding
-    stages, bands, _ = _geometry(seq.shapes, ranks, h, w, padding, _BAND_BYTES)
-    return sum(
-        s.macs * (rows + kh - 1 - s.cut_h) * (in_w - s.cut_w)
-        for _, rows in bands
-        for s in stages
-    )
+    stages, step, _ = _geometry(seq.shapes, ranks, h, w, padding, _BAND_BYTES)
+    bands = -(-out_h // step)
+    return sum(s.macs * (in_w - s.cut_w) * (out_h + bands * (kh - 1 - s.cut_h)) for s in stages)

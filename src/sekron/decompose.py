@@ -42,7 +42,7 @@ import numpy as np
 
 from sekron.errors import RankError, ShapeError
 from sekron.linalg import truncated_svd
-from sekron.tensor_core import FactorShapeMatrix, _dims, _instance, as_tensor
+from sekron.tensor_core import FactorShapeMatrix, _dims, _instance, _tuple, as_tensor
 
 
 def _branch_sizes(ranks: tuple[int, ...]) -> tuple[int, ...]:
@@ -141,9 +141,11 @@ class KroneckerSequence:
     ``factors[k]`` has shape ``(branch_sizes[k], *shapes.rows[k])``, its
     branch axis as the :mod:`sekron.tensor_core` docstring defines it.
 
-    The constructor makes every factor a float64 array and reads ``ranks``
-    as a tuple of Python ints.  The fields stay open to callers, so a
-    sequence may change after construction; :func:`reconstruct`,
+    The constructor makes every factor a float64 array, ``factors`` that is
+    not iterable raising :class:`ShapeError`
+    (:func:`sekron.tensor_core._tuple`), and reads ``ranks`` as a tuple of
+    Python ints.  The fields stay open to callers, so a sequence may change
+    after construction; :func:`reconstruct`,
     :func:`sekron.fileio.write_sequence`, :func:`sekron.conv.sekron_conv2d`
     and :func:`sekron.conv.conv_macs` each check it again, through the
     constructor's own check (:func:`_check_sequence`), and raise
@@ -160,7 +162,7 @@ class KroneckerSequence:
     level_tails: list[list[float]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.factors = [as_tensor(f) for f in self.factors]
+        self.factors = [as_tensor(f) for f in _tuple(self.factors, "factors", "arrays")]
         self.ranks = _check_sequence(self)
 
     @property

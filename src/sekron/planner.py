@@ -104,9 +104,28 @@ class Sweep:
     their rank-tuple list, CR list and FR list, so the columns are not to
     be changed in place; :meth:`with_latency` gives a timed sweep whose
     groups share them.  A sweep holds no CSV text.
+
+    ``groups`` that is not iterable (:func:`sekron.tensor_core._tuple`), a
+    group that is no :class:`ShapeGroup`, and a group whose ``ranks``,
+    ``cr``, ``fr`` and, once timed, ``latency_ms`` are not sequences of one
+    length, which ``len``, iteration, the CSV and the selector would each
+    read differently, raise ``ValueError``.
     """
 
     groups: list[ShapeGroup]
+
+    def __post_init__(self):
+        for group in _tuple(self.groups, "sweep groups", "ShapeGroups", ValueError):
+            _, ranks, cr, fr, latency = _instance(group, ShapeGroup, "sweep group", ValueError)
+            # an untimed group has no latency column to count
+            latency = cr if latency is None else latency
+            try:
+                ragged = not len(ranks) == len(cr) == len(fr) == len(latency)
+            except TypeError:
+                ragged = True
+            if ragged:
+                raise ValueError("a sweep group's ranks, cr, fr and latencies must be sequences "
+                                 "of one length")
 
     def __len__(self) -> int:
         return sum(len(group.cr) for group in self.groups)
@@ -152,12 +171,14 @@ def _latency(value) -> float | None:
     return None if value is None else _real(value, "measured latency", 0)
 
 
-def _count(value, what: str) -> int:
-    """``value`` as a Python int >= 1, read through ``operator.index``; a bool,
-    a float or a string raises ``ValueError``."""
+def _count(value, what: str, least: int = 1) -> int:
+    """``value`` as a Python int ``>= least``, read through
+    ``operator.index``; a bool, a float, a string or a smaller count raises
+    ``ValueError``, naming the value ``what``.  The one check of a count,
+    the trial count of a latency median included."""
     value = _as_int(value, what, ValueError)
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
     return value
 
 
@@ -396,12 +417,10 @@ def enumerate_configs(req: PlanRequest) -> Sweep:
 
 def _median_ms(run, trials: int) -> float:
     """Median wall-clock milliseconds of ``run()`` over ``trials`` calls,
-    after one warm-up call.  ``trials`` is read through ``operator.index``:
-    a bool, a float, a string, ``None`` or a count below
-    :data:`MIN_TRIALS` raises ``ValueError``."""
-    trials = _as_int(trials, "trials", ValueError)
-    if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials for a stable median")
+    after one warm-up call.  ``trials`` is read by :func:`_count`: a bool,
+    a float, a string, ``None`` or a count below :data:`MIN_TRIALS` raises
+    ``ValueError``."""
+    trials = _count(trials, "trials", MIN_TRIALS)
     run()
     times = []
     for _ in range(trials):

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against.
 
 No program path calls them, so they live with the tests rather than in the
-package, as does :func:`random_sequence`, which draws the synthetic sequences
-the tests run.  The index bijection, the Kronecker unfolding and the native
+package, as do :func:`random_sequence` and :func:`random_factors`, which draw
+the synthetic sequences and CP, Tucker, TT and TR factors the tests run, and
+:func:`write_raw`, which writes a file with any header.  The index bijection, the Kronecker unfolding and the native
 reconstructions are built from scalar formulas, the Kronecker sum from
 ``np.kron``, the conv stage MACs by counting one multiply at a time in either
 stage order (and a conv's executed MACs from those counts and each stage's
@@ -45,6 +46,24 @@ def random_sequence(shapes: FactorShapeMatrix, ranks, rng=None) -> KroneckerSequ
         for k, rho in enumerate(_branch_sizes(ranks))
     ]
     return KroneckerSequence(shapes=shapes, ranks=ranks, factors=factors)
+
+
+def random_factors(fmt: str, dims, ranks, rng=None):
+    """Standard-normal factors of a ``dims`` weight in format ``fmt``:
+    ``"cp"`` at rank ``ranks``, ``"tucker"`` with a core of shape
+    ``ranks``, ``"tt"`` with inner ranks ``ranks`` between boundary ranks of
+    1, and ``"tr"`` with ring ranks ``ranks``, the last core closing on the
+    first rank.  The Tucker core is drawn first, then the factors in axis
+    order."""
+    rng = np.random.default_rng(rng)
+    if fmt == "cp":
+        return CpFactors(tuple(rng.standard_normal((ranks, d)) for d in dims))
+    if fmt == "tucker":
+        core = rng.standard_normal(ranks)
+        return TuckerFactors(core, tuple(rng.standard_normal((d, r)) for d, r in zip(dims, ranks)))
+    closed = (1, *ranks, 1) if fmt == "tt" else (*ranks, ranks[0])
+    return TrCores(tuple(rng.standard_normal((d, closed[n], closed[n + 1]))
+                         for n, d in enumerate(dims)))
 
 
 def seq_index_decompose(index, shapes: FactorShapeMatrix) -> list[tuple[int, ...]]:
@@ -263,6 +282,14 @@ def write_candidates_csv_per_row(candidates, path) -> None:
                     "" if c.latency_ms is None else repr(float(c.latency_ms)),
                 ]
             )
+
+
+def write_raw(path, magic: bytes, header: dict, n_floats: int) -> None:
+    """A file of ``header`` as given, whatever it holds, and a payload of
+    ``0 .. n_floats - 1``."""
+    blob = json.dumps(header).encode("utf-8")
+    payload = np.arange(n_floats, dtype="<f8").tobytes()
+    path.write_bytes(magic + b"\x01" + struct.pack("<I", len(blob)) + blob + payload)
 
 
 def _write_joined(path, magic: bytes, header: dict, arrays) -> None:

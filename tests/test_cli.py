@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from sekron import (
-    CpFactors,
     FactorShapeMatrix,
     FileFormatError,
     SekronError,
@@ -23,13 +22,14 @@ from sekron import (
     write_tensor,
 )
 from sekron.cli import build_parser, run_cli
-from oracles import native_reconstruct, random_sequence, reconstruction_error, stage_mac_count
-
-
-def write_raw(path, magic: bytes, header: dict, n_floats: int) -> None:
-    blob = json.dumps(header).encode("utf-8")
-    payload = np.zeros(n_floats).astype("<f8").tobytes()
-    path.write_bytes(magic + b"\x01" + struct.pack("<I", len(blob)) + blob + payload)
+from oracles import (
+    native_reconstruct,
+    random_factors,
+    random_sequence,
+    reconstruction_error,
+    stage_mac_count,
+    write_raw,
+)
 
 
 def write_weight(tmp_path, shape=(4, 4, 2, 2), seed=0):
@@ -105,6 +105,11 @@ def random_activation(tmp_path, shape=(2, 4, 5, 6)):
     return conv_argv(tmp_path)
 
 
+def huge_padding(tmp_path, *extra):
+    return random_activation(tmp_path, (1, 4, 5, 5)) + [
+        "--padding", "10000000000000000000000", *extra]
+
+
 def bench_argv(tmp_path, input_shape, *extra):
     return ["bench", "--weights", write_weights(tmp_path), "--input-shape", input_shape,
             *extra]
@@ -152,7 +157,11 @@ CASES = {
                                   "--target-cr", "2", "--out", str(p / "sweep.csv")]),
     "input-shape-arity": (4, lambda p: bench_argv(p, "1,4,5", "--trials", "3")),
     "bench-too-few-trials": (4, lambda p: bench_argv(p, "1,4,5,5", "--trials", "2")),
+    "plan-too-few-trials": (4, lambda p: tiny_plan(p, "--trials", "0")),
     "conv-3d-input": (4, lambda p: random_activation(p, (4, 5, 6))),
+    # padded to more bytes than any float64 array spans
+    "conv-huge-padding": (4, huge_padding),
+    "conv-reference-huge-padding": (4, lambda p: huge_padding(p, "--reference")),
     "tucker-core-only": (4, tucker_core_only),
     "shape-over-bound": (4, lambda p: ["plan", "--shape", "1000000000000000003,1,1,1",
                                        "--seq-len", "2", "--target-cr", "1", "--max-rank", "1",
@@ -244,6 +253,15 @@ def test_too_few_trials_are_rejected_before_the_sweep(tmp_path, capsys):
     assert run_cli(argv) == 4
     assert "--trials must be at least 3" in capsys.readouterr().err.splitlines()[-1]
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_plan_and_bench_state_one_trials_rule(tmp_path, capsys):
+    # plan checks the count before the sweep, untimed too; bench in the probe
+    assert run_cli(tiny_plan(tmp_path, "--trials", "2")) == 4
+    assert capsys.readouterr().err.splitlines()[-1] == "error: --trials must be at least 3, got 2"
+    assert not (tmp_path / "sweep.csv").exists()
+    assert run_cli(bench_argv(tmp_path, "1,4,5,5", "--trials", "2")) == 4
+    assert capsys.readouterr().err.splitlines()[-1] == "error: trials must be at least 3, got 2"
 
 
 @pytest.mark.parametrize(
@@ -377,28 +395,22 @@ def test_report_is_strict_json_when_the_error_overflows(tmp_path, capsys):
     assert report["cr"] == 64 / 40 and report["param_count"] == 40
 
 
-def random_factors(fmt):
-    """Small factors of each format with their ``.skt`` payloads in the order
-    ``convert --input`` takes them."""
-    rng = np.random.default_rng(2)
-    dims = (3, 4, 2, 2)
-    if fmt == "cp":
-        arrays = [rng.standard_normal((3, d)) for d in dims]
-        return CpFactors(tuple(arrays)), arrays
-    if fmt == "tucker":
-        arrays = [rng.standard_normal((2, 3, 2, 1))]
-        arrays += [rng.standard_normal((d, r)) for d, r in zip(dims, (2, 3, 2, 1))]
-        return TuckerFactors(arrays[0], tuple(arrays[1:])), arrays
-    ranks = (1, 2, 3, 2, 1) if fmt == "tt" else (2, 3, 2, 2, 2)
-    arrays = [rng.standard_normal((d, ranks[n], ranks[n + 1])) for n, d in enumerate(dims)]
-    return TrCores(tuple(arrays)), arrays
+# the ranks of the small factors convert embeds, one entry per format
+CONVERT_RANKS = {"cp": 3, "tucker": (2, 3, 2, 1), "tt": (2, 3, 2), "tr": (2, 3, 2, 2)}
+
+
+def payloads(factors):
+    """The arrays of ``factors`` in the order ``convert --input`` takes them."""
+    if isinstance(factors, TuckerFactors):
+        return (factors.core, *factors.matrices)
+    return factors.cores if isinstance(factors, TrCores) else factors.matrices
 
 
 @pytest.mark.parametrize("fmt", ["cp", "tucker", "tt", "tr"])
 def test_convert_matches_the_native_formula(tmp_path, capsys, fmt):
-    factors, arrays = random_factors(fmt)
+    factors = random_factors(fmt, (3, 4, 2, 2), CONVERT_RANKS[fmt], rng=2)
     paths = []
-    for i, array in enumerate(arrays):
+    for i, array in enumerate(payloads(factors)):
         paths.append(str(tmp_path / f"f{i}.skt"))
         write_tensor(paths[-1], array)
     out = tmp_path / "w.sks"

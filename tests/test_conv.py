@@ -11,14 +11,11 @@ import pytest
 import sekron.conv
 import sekron.planner
 from sekron import (
-    CpFactors,
     FactorShapeMatrix,
     KroneckerSequence,
     PlanRequest,
     RankError,
     ShapeError,
-    TrCores,
-    TuckerFactors,
     conv2d_reference,
     conv_macs,
     enumerate_configs,
@@ -33,7 +30,7 @@ from sekron import (
     sekron_decompose,
     write_sequence,
 )
-from oracles import executed_conv_macs, random_sequence, stage_mac_count
+from oracles import executed_conv_macs, random_factors, random_sequence, stage_mac_count
 
 
 def per_tap_conv(x, w, padding=0):
@@ -424,6 +421,31 @@ def test_numpy_integer_padding_is_accepted():
     assert conv_macs(seq, (np.int64(5), np.int32(5)), 1) == conv_macs(seq, (5, 5), 1)
 
 
+def test_a_tall_padded_image_is_counted_in_one_sum_over_the_stages():
+    # the values the bands x stages sum gave, over 20,003 and 200,003 bands
+    seq = random_sequence(FactorShapeMatrix.from_string("2x2x1x1,4x2x3x3"), (2,), rng=0)
+    assert conv_macs(seq, (5, 5), 10**4) == 128_038_402_880
+    assert conv_macs(seq, (5, 5), 10**5) == 12_800_384_002_880
+    # the memo holds the band height, and at most two slab heights
+    _, step, slabs = sekron.conv._geometry(seq.shapes, (2,), 5, 5, 10**5, sekron.conv._BAND_BYTES)
+    assert type(step) is int and len(slabs) <= 2
+
+
+def test_padding_no_array_can_hold_is_a_shape_error():
+    # a float64 1x4x5x5 input padded to 2**29 - 1 rows and columns spans
+    # fewer bytes than np.intp counts, and one padded to 2**29 + 1 more
+    seq = random_sequence(FactorShapeMatrix.from_string("2x2x1x1,4x2x3x3"), (2,), rng=0)
+    assert conv_macs(seq, (5, 5), 2**28 - 3) > 0
+    x = np.ones((1, 4, 5, 5))
+    for padding in (2**28 - 2, 10**22):
+        with pytest.raises(ShapeError, match="exceeds any array"):
+            conv_macs(seq, (5, 5), padding)
+        with pytest.raises(ShapeError, match="exceeds any array"):
+            sekron_conv2d(x, seq, padding)
+        with pytest.raises(ShapeError, match="exceeds any array"):
+            conv2d_reference(x, reconstruct(seq), padding)
+
+
 def sweep_cases():
     """Mixed shapes/ranks/padding at S = 1..4: (seq, x, padding) per trial."""
     rng = np.random.default_rng(14)
@@ -496,7 +518,7 @@ def test_only_padding_fills_a_slab(monkeypatch, band_bytes):
     for seq, x, _ in sweep_cases():
         before = len(fills)
         sekron_conv2d(x, seq, padding=1)
-        assert len(fills) - before == x.shape[0] * len(geometry(seq, x, 1)[1])
+        assert len(fills) - before == x.shape[0] * band_count(seq, x, 1)
 
 
 def geometry(seq, x, padding):
@@ -504,6 +526,16 @@ def geometry(seq, x, padding):
     return sekron.conv._geometry(
         seq.shapes, seq.ranks, *x.shape[2:], padding, sekron.conv._BAND_BYTES
     )
+
+
+def output_rows(seq, x, padding):
+    return x.shape[2] + 2 * padding - seq.target_shape[2] + 1
+
+
+def band_count(seq, x, padding):
+    """The bands the conv runs per image, ``ceil(out_h / step)`` for the
+    band height ``step`` of its geometry."""
+    return -(-output_rows(seq, x, padding) // geometry(seq, x, padding)[1])
 
 
 class CountingNumpy:
@@ -541,9 +573,7 @@ class TestBands:
     def test_one_row_bands_match_reference(self, monkeypatch):
         monkeypatch.setattr("sekron.conv._BAND_BYTES", 1)
         for seq, x, padding in sweep_cases():
-            out_h = x.shape[2] + 2 * padding - seq.target_shape[2] + 1
-            bands = geometry(seq, x, padding)[1]
-            assert bands == tuple((y, 1) for y in range(out_h))
+            assert geometry(seq, x, padding)[1] == 1
             got = sekron_conv2d(x, seq, padding=padding)
             want = conv2d_reference(x, reconstruct(seq), padding=padding)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -650,24 +680,15 @@ def stage_order(request, monkeypatch):
     return request.param
 
 
+# the ranks of each format's factors of a (4, 3, 3, 3) weight
+EMBEDDING_RANKS = {"cp": 3, "tucker": (2, 3, 2, 2), "tt": (2, 3, 2), "tr": (2, 3, 2, 2)}
+
+
 def embedding(fmt):
     """4-D CP, Tucker, TT or TR factors of a ``(4, 3, 3, 3)`` weight,
     embedded as a Kronecker sequence."""
-    rng = np.random.default_rng(61)
-    dims = (4, 3, 3, 3)
-
-    def ring(ranks):
-        closed = ranks + ranks[:1]
-        return TrCores(tuple(rng.standard_normal((d, closed[n], closed[n + 1]))
-                             for n, d in enumerate(dims)))
-
-    if fmt == "cp":
-        return from_cp(CpFactors(tuple(rng.standard_normal((3, d)) for d in dims)))
-    if fmt == "tucker":
-        core = rng.standard_normal((2, 3, 2, 2))
-        mats = tuple(rng.standard_normal((d, r)) for d, r in zip(dims, core.shape))
-        return from_tucker(TuckerFactors(core, mats))
-    return from_tt(ring((1, 2, 3, 2))) if fmt == "tt" else from_tr(ring((2, 3, 2, 2)))
+    factors = random_factors(fmt, (4, 3, 3, 3), EMBEDDING_RANKS[fmt], rng=61)
+    return {"cp": from_cp, "tucker": from_tucker, "tt": from_tt, "tr": from_tr}[fmt](factors)
 
 
 # the one factorized conv runs every structure the sequences embed
@@ -793,16 +814,19 @@ class TestStageOrder:
         # columns are made per band from its view.
         monkeypatch.setattr("sekron.conv._BAND_BYTES", band_bytes)
         for seq, x, padding in itertools.chain(sweep_cases(), factor0_first_cases()):
-            stages, bands, slabs = geometry(seq, x, padding)
-            kh = seq.target_shape[2]
-            assert [in_h for in_h, _, _ in slabs] == sorted({rows + kh - 1 for _, rows in bands})
+            stages, step, slabs = geometry(seq, x, padding)
+            out_h = output_rows(seq, x, padding)
+            # the heights of the bands the conv walks, the last taking the rest
+            heights = sorted({min(step, out_h - y) for y in range(0, out_h, step)})
+            assert [rows for rows, _, _ in slabs] == heights
             plans = sekron.conv._plans(seq, stages, slabs)
-            assert plans.keys() == {rows + kh - 1 for _, rows in bands}
-            for in_h, (slab, first, plan) in plans.items():
+            assert sorted(plans) == heights
+            for rows, (slab, first, plan) in plans.items():
                 assert (slab is None) == (padding == 0)
                 source = slab
                 for stage, (_, win, cols, t) in zip(stages, plan):
-                    apart = stage.n > 1 and in_h < x.shape[2]
+                    # a band's input rows against the image's
+                    apart = stage.n > 1 and rows + seq.target_shape[2] - 1 < x.shape[2]
                     if source is None:
                         assert first[0] == (stage.copy or apart)
                         assert (win is None) and (cols is None) == (not first[0])
@@ -816,5 +840,5 @@ class TestStageOrder:
                 recording.setattr("sekron.conv.np", RecordingNumpy(outs))
                 result = sekron_conv2d(x, seq, padding=padding)
             last = outs[len(stages) - 1 :: len(stages)]
-            assert len(last) == x.shape[0] * len(bands)
-            assert [np.shares_memory(t, result) for t in last] == [len(bands) == 1] * len(last)
+            assert len(last) == x.shape[0] * band_count(seq, x, padding)
+            assert [np.shares_memory(t, result) for t in last] == [step == out_h] * len(last)

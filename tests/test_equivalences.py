@@ -20,7 +20,7 @@ from sekron import (
     stored_param_count,
 )
 from sekron.tensor_core import _rank_caps
-from oracles import native_reconstruct
+from oracles import native_reconstruct, random_factors
 
 
 def assert_matches_oracle(seq, fmt, factors):
@@ -28,36 +28,6 @@ def assert_matches_oracle(seq, fmt, factors):
     got = reconstruct(seq)
     scale = max(np.linalg.norm(native), 1.0)
     assert np.linalg.norm(got - native) <= 1e-12 * scale
-
-
-def random_cp(rng, dims, rank):
-    return CpFactors(tuple(rng.standard_normal((rank, d)) for d in dims))
-
-
-def random_tucker(rng, dims, ranks):
-    core = rng.standard_normal(ranks)
-    mats = tuple(rng.standard_normal((d, r)) for d, r in zip(dims, ranks))
-    return TuckerFactors(core, mats)
-
-
-def random_ring(rng, dims, ranks):
-    closed = tuple(ranks) + (ranks[0],)
-    return TrCores(
-        tuple(
-            rng.standard_normal((d, closed[n], closed[n + 1]))
-            for n, d in enumerate(dims)
-        )
-    )
-
-
-def random_train(rng, dims, inner_ranks):
-    ranks = (1,) + tuple(inner_ranks) + (1,)
-    return TrCores(
-        tuple(
-            rng.standard_normal((d, ranks[n], ranks[n + 1]))
-            for n, d in enumerate(dims)
-        )
-    )
 
 
 class TestNativeOracles:
@@ -72,7 +42,7 @@ class TestNativeOracles:
 
     def test_tt_all_rank_one_is_outer_product(self):
         rng = np.random.default_rng(0)
-        f = random_train(rng, (2, 3, 2), (1, 1))
+        f = random_factors("tt", (2, 3, 2), (1, 1), rng)
         fibers = [c[:, 0, 0] for c in f.cores]
         expected = np.multiply.outer(np.multiply.outer(fibers[0], fibers[1]), fibers[2])
         assert np.allclose(native_reconstruct("tt", f), expected, atol=1e-14)
@@ -97,14 +67,14 @@ class TestFromCp:
         rng = np.random.default_rng(100 + seed)
         dims = tuple(rng.choice([2, 3], size=rng.integers(2, 4)))
         rank = int(rng.integers(1, 4))
-        f = random_cp(rng, dims, rank)
+        f = random_factors("cp", dims, rank, rng)
         assert_matches_oracle(from_cp(f), "cp", f)
 
     def test_channel_axis_is_the_last_factor(self):
         # a rank-32 64x64x3x3 weight as factors F, Kh, Kw, C: on a 28x28
         # input with padding 1 the conv runs 4,598 MACs per output position,
         # where the axis order F, C, Kh, Kw ran 28,672
-        f = random_cp(np.random.default_rng(7), (64, 64, 3, 3), 32)
+        f = random_factors("cp", (64, 64, 3, 3), 32, np.random.default_rng(7))
         seq = from_cp(f)
         assert seq.shapes.rows == ((64, 1, 1, 1), (1, 1, 3, 1), (1, 1, 1, 3), (1, 64, 1, 1))
         assert conv_macs(seq, (28, 28), 1) == 3_604_736  # 4,597.9 x 28 x 28
@@ -130,7 +100,7 @@ class TestFromTucker:
         n = int(rng.integers(2, 4))
         dims = tuple(int(d) for d in rng.choice([2, 3], size=n))
         ranks = tuple(int(r) for r in rng.choice([1, 2], size=n))
-        f = random_tucker(rng, dims, ranks)
+        f = random_factors("tucker", dims, ranks, rng)
         assert_matches_oracle(from_tucker(f), "tucker", f)
 
     def test_rank_one_tucker_equals_rank_one_cp(self):
@@ -154,7 +124,7 @@ class TestFromTucker:
 class TestFromTr:
     def test_all_rank_one_ring_is_outer_product(self):
         rng = np.random.default_rng(7)
-        f = random_ring(rng, (2, 3), (1, 1))
+        f = random_factors("tr", (2, 3), (1, 1), rng)
         expected = np.multiply.outer(f.cores[0][:, 0, 0], f.cores[1][:, 0, 0])
         assert np.allclose(reconstruct(from_tr(f)), expected, atol=1e-14)
 
@@ -164,17 +134,17 @@ class TestFromTr:
         n = int(rng.integers(2, 4))
         dims = tuple(int(d) for d in rng.choice([2, 3], size=n))
         ranks = tuple(int(r) for r in rng.choice([1, 2, 3], size=n))
-        f = random_ring(rng, dims, ranks)
+        f = random_factors("tr", dims, ranks, rng)
         assert_matches_oracle(from_tr(f), "tr", f)
 
     def test_three_axis_rank_two_ring(self):
         rng = np.random.default_rng(8)
-        f = random_ring(rng, (2, 2, 2), (2, 2, 2))
+        f = random_factors("tr", (2, 2, 2), (2, 2, 2), rng)
         assert_matches_oracle(from_tr(f), "tr", f)
 
     def test_single_core_ring_traces_ranks(self):
         rng = np.random.default_rng(9)
-        f = random_ring(rng, (4,), (3,))
+        f = random_factors("tr", (4,), (3,), rng)
         expected = np.einsum("irr->i", f.cores[0])
         assert np.allclose(reconstruct(from_tr(f)), expected, atol=1e-14)
 
@@ -184,14 +154,14 @@ class TestFromTr:
 
     def test_first_factor_is_all_ones(self):
         rng = np.random.default_rng(10)
-        seq = from_tr(random_ring(rng, (2, 2), (2, 2)))
+        seq = from_tr(random_factors("tr", (2, 2), (2, 2), rng))
         assert np.array_equal(seq.factors[0], np.ones_like(seq.factors[0]))
 
 
 class TestFromTt:
     def test_rank_one_chain(self):
         rng = np.random.default_rng(11)
-        f = random_train(rng, (2, 3), (1,))
+        f = random_factors("tt", (2, 3), (1,), rng)
         assert_matches_oracle(from_tt(f), "tt", f)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -200,7 +170,7 @@ class TestFromTt:
         n = int(rng.integers(2, 4))
         dims = tuple(int(d) for d in rng.choice([2, 3], size=n))
         inner = tuple(int(r) for r in rng.choice([1, 2], size=n - 1))
-        f = random_train(rng, dims, inner)
+        f = random_factors("tt", dims, inner, rng)
         assert_matches_oracle(from_tt(f), "tt", f)
 
     def test_single_core(self):
@@ -209,7 +179,7 @@ class TestFromTt:
 
     def test_boundary_rank_must_be_one(self):
         rng = np.random.default_rng(12)
-        ring = random_ring(rng, (2, 2), (2, 2))
+        ring = random_factors("tr", (2, 2), (2, 2), rng)
         with pytest.raises(RankError):
             from_tt(ring)
 
@@ -221,10 +191,10 @@ def random_embeddings():
     rng = np.random.default_rng(40)
     dims = (32, 16, 3, 3)
     return {
-        "cp": from_cp(random_cp(rng, dims, 4)),
-        "tucker": from_tucker(random_tucker(rng, dims, (2, 3, 2, 2))),
-        "tr": from_tr(random_ring(rng, dims, (2, 3, 2, 2))),
-        "tt": from_tt(random_train(rng, dims, (2, 3, 2))),
+        "cp": from_cp(random_factors("cp", dims, 4, rng)),
+        "tucker": from_tucker(random_factors("tucker", dims, (2, 3, 2, 2), rng)),
+        "tr": from_tr(random_factors("tr", dims, (2, 3, 2, 2), rng)),
+        "tt": from_tt(random_factors("tt", dims, (2, 3, 2), rng)),
     }
 
 

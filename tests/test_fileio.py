@@ -1,7 +1,6 @@
 """Header validation of the ``.skt``/``.sks`` readers, the payload size check,
 and the writers' bytes against a writer that joins copied payloads."""
 
-import json
 import struct
 
 import numpy as np
@@ -22,13 +21,7 @@ from sekron import (
     write_sequence,
     write_tensor,
 )
-from oracles import random_sequence, write_sequence_joined, write_tensor_joined
-
-
-def write_raw(path, magic: bytes, header: dict, n_floats: int) -> None:
-    blob = json.dumps(header).encode("utf-8")
-    payload = np.arange(n_floats, dtype="<f8").tobytes()
-    path.write_bytes(magic + b"\x01" + struct.pack("<I", len(blob)) + blob + payload)
+from oracles import random_sequence, write_raw, write_sequence_joined, write_tensor_joined
 
 
 def sequence_header(factor_shapes, ranks) -> dict:

@@ -382,6 +382,14 @@ def small_sweep():
     return enumerate_configs(PlanRequest((4, 4, 1, 1), 2, target_cr=2.0, max_rank=1))
 
 
+def ragged_group(ranks=((1,), (2,)), cr=(1.0, 2.0), fr=(1.0, 2.0), latency=None):
+    """A two-row :class:`ShapeGroup` with the columns given: lists of the
+    tuples, so a column that is too short or too long stays so."""
+    shapes = FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3)))
+    return ShapeGroup(shapes, ranks, list(cr), list(fr),
+                      None if latency is None else list(latency))
+
+
 # each planner entry given an argument of the wrong type, and the name its
 # error gives that argument
 WRONG_TYPE = {
@@ -393,6 +401,14 @@ WRONG_TYPE = {
     "select-candidates": (lambda path: select_config(list(small_sweep()), 2.0), "got list"),
     "csv-list": (lambda path: write_candidates_csv([], path), "got list"),
     "csv-candidates": (lambda path: write_candidates_csv(list(small_sweep()), path), "got list"),
+    "sweep-none": (lambda path: Sweep(None), "got None"),
+    "sweep-tuple-group": (lambda path: Sweep([tuple(ragged_group())]), "got tuple"),
+    "sweep-short-fr": (lambda path: Sweep([ragged_group(fr=[1.0])]), "of one length"),
+    "sweep-short-cr": (lambda path: Sweep([ragged_group(cr=[1.0])]), "of one length"),
+    "sweep-long-ranks": (lambda path: Sweep([ragged_group(ranks=((1,), (2,), (3,)))]),
+                         "of one length"),
+    "sweep-short-latency": (lambda path: Sweep([ragged_group(latency=[1.0])]), "of one length"),
+    "sweep-none-ranks": (lambda path: Sweep([ragged_group(ranks=None)]), "of one length"),
 }
 
 

@@ -320,6 +320,8 @@ def test_integer_arguments_accept_numpy_ints_and_any_iterable_of_rows():
     [
         lambda: CpFactors(({},)),
         lambda: KroneckerSequence(FactorShapeMatrix(((2, 2),)), (), [{}]),
+        lambda: KroneckerSequence(FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3))), (1,), 5),
+        lambda: KroneckerSequence(FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3))), (1,), None),
         lambda: sekron_conv2d("x", _sequence()),
         lambda: sekron_conv2d([[1], [1, 2]], _sequence()),
         lambda: conv2d_reference("x", np.ones((2, 2, 3, 3))),
@@ -338,7 +340,8 @@ def test_integer_arguments_accept_numpy_ints_and_any_iterable_of_rows():
         lambda: FactorShapeMatrix.from_string(b"2x2"),
     ],
     ids=[
-        "cp-dict-matrix", "sequence-dict-factor", "conv-str-input", "conv-ragged-input",
+        "cp-dict-matrix", "sequence-dict-factor", "sequence-int-factors",
+        "sequence-none-factors", "conv-str-input", "conv-ragged-input",
         "reference-str-input", "svd-str-matrix", "decompose-str-shapes", "conv_macs-none",
         "conv-none", "reconstruct-none", "sequence-str-shapes", "param-count-str-shapes",
         "cr-str-shapes", "fr-str-shapes", "latency-none", "from-string-none",
