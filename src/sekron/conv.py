@@ -33,14 +33,13 @@ the image the last GEMM writes straight into the result.
 What the factor values do not decide, the stage order, the band height and
 the shapes and strides of every window and buffer, depends only on the
 factor shapes, the ranks, the input's height and width, the padding and the
-band size, and is memoized on them (:func:`_geometry`), after the input and
-the sequence are checked.  An entry holds the band height, not a list of
-bands, so it does not grow with the image.  The sequence is checked by the
-one check every consumer of a sequence runs
-(:func:`sekron.decompose._check_sequence`), and the memo holds no factor
-shapes to check against.  Each call then makes its factor matrices, from
-the stage records, and its window views and buffers from that geometry,
-once, and every band of every image reuses them.
+band size, and is memoized on them (:func:`_geometry`), after the input is
+checked.  An entry holds the band height, not a list of bands, so it does
+not grow with the image.  A :class:`sekron.decompose.KroneckerSequence` is
+checked once, when it is built, and cannot change after, so the memo holds
+no factor shapes to check against.  Each call then makes its factor
+matrices, from the stage records, and its window views and buffers from
+that geometry, once, and every band of every image reuses them.
 """
 
 import collections
@@ -50,9 +49,9 @@ import operator
 
 import numpy as np
 
-from sekron.decompose import KroneckerSequence, _branch_sizes, _check_sequence
+from sekron.decompose import KroneckerSequence, _branch_sizes
 from sekron.errors import ShapeError
-from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims, as_tensor
+from sekron.tensor_core import FactorShapeMatrix, _as_int, _dims, _instance, as_tensor
 
 
 # bytes of one float64, the dtype of every stage buffer
@@ -323,10 +322,10 @@ def _geometry(shapes: FactorShapeMatrix, ranks, h: int, w: int, padding: int, ba
     values, the shapes the factors must have or a list of bands, so an entry
     does not grow with the image and one entry serves every batch size and
     every sequence of these shapes and ranks.  Memoized on all six
-    arguments, at most 1,024 entries; callers validate them first, the
-    input and padding with :func:`_conv_shape` and the sequence with
-    :func:`sekron.decompose._check_sequence`, so ``padding`` is an int and
-    ``ranks`` a tuple of ints.
+    arguments, at most 1,024 entries; callers check the input and padding
+    first, with :func:`_conv_shape`, so ``padding`` is an int, and take
+    ``shapes`` and ``ranks`` from a sequence, whose ranks are a tuple of
+    ints.
     """
     _, stages = _cheaper_schedule(shapes, ranks)
     kh = shapes.target_shape[2]
@@ -376,7 +375,7 @@ def _plans(seq: KroneckerSequence, stages, slabs):
     view in :func:`_geometry`.  Every array is made once per call, the
     factor matrices once for both heights, straight from the stage records,
     so every band of a call reuses the same memory.  It compares no shapes:
-    the caller has checked ``seq`` (:func:`sekron.decompose._check_sequence`).
+    the sequence's constructor has checked them.
     """
     fmats = [
         np.ascontiguousarray(seq.factors[s.k].reshape(s.split).transpose(s.axes)).reshape(s.shape)
@@ -442,27 +441,22 @@ def sekron_conv2d(x, seq: KroneckerSequence, padding: int = 0) -> np.ndarray:
     last GEMM writes straight into the image's rows of the result;
     otherwise each band's last output is copied there.
 
-    After ``x`` is read, and before any field of it is, ``seq`` is checked
-    as :func:`sekron.decompose.reconstruct` and
-    :func:`sekron.fileio.write_sequence` check it
-    (:func:`sekron.decompose._check_sequence`), so it accepts exactly the
-    sequences they accept and raises :class:`RankError` or
-    :class:`ShapeError` for the rest, say one that is no sequence or one
-    whose ranks or factors were changed after construction; then
-    ``padding``.  Everything the factor values do not decide (stage order,
-    band height, window and buffer shapes and strides) is then read from a
-    memo keyed on ``seq.shapes``, the checked ranks, the input's height and
-    width, the padding and :data:`_BAND_BYTES` (:func:`_geometry`, at most
-    1,024 entries); the batch size is not in the key.  The memo
-    holds no arrays and no factor values: each call makes its factor
-    matrices from ``seq.factors`` as they are then, and its buffers, once
-    (:func:`_plans`), and reuses them across bands and images.  Numerically
-    equivalent to ``conv2d_reference(x, reconstruct(seq), padding)``, and
-    raises :class:`ShapeError` in the same cases, with ``seq.target_shape``
-    as the weight shape.
+    After ``x`` is read, ``seq`` that is no :class:`KroneckerSequence`
+    raises :class:`ShapeError`, before any field of it is read; then
+    ``padding`` is checked.  Everything the factor values do not decide
+    (stage order, band height, window and buffer shapes and strides) is
+    then read from a memo keyed on ``seq.shapes``, ``seq.ranks``, the
+    input's height and width, the padding and :data:`_BAND_BYTES`
+    (:func:`_geometry`, at most 1,024 entries); the batch size is not in
+    the key.  The memo holds no arrays and no factor values: each call
+    makes its factor matrices from ``seq.factors`` as they are then, and
+    its buffers, once (:func:`_plans`), and reuses them across bands and
+    images.  Numerically equivalent to ``conv2d_reference(x,
+    reconstruct(seq), padding)``, and raises :class:`ShapeError` in the
+    same cases, with ``seq.target_shape`` as the weight shape.
     """
     x = as_tensor(x)
-    ranks = _check_sequence(seq)
+    ranks = _instance(seq, KroneckerSequence, "sequence").ranks
     padding, out_h, out_w = _conv_shape(x.shape, seq.target_shape, padding)
     stages, step, slabs = _geometry(seq.shapes, ranks, *x.shape[2:], padding, _BAND_BYTES)
     plans = _plans(seq, stages, slabs)
@@ -507,11 +501,8 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     (:func:`sekron.tensor_core._dims`); anything else, a size that is not
     iterable included, a bad ``padding``, one that pads the input past any
     array (:func:`_conv_shape`), and a sequence whose factors do not have
-    the four axes ``(f, c, h, w)``, raises :class:`ShapeError`.
-    The sequence is checked as in :func:`sekron_conv2d`, so it accepts
-    exactly the sequences :func:`sekron.decompose.reconstruct` and
-    :func:`sekron.fileio.write_sequence` accept and raises
-    :class:`RankError` or :class:`ShapeError` for the rest.  A stage before
+    the four axes ``(f, c, h, w)``, raises :class:`ShapeError`, as does
+    ``seq`` that is no :class:`KroneckerSequence`.  A stage before
     a tapped stage writes, in every band, the border rows the taps read, so
     splitting an image into bands adds MACs when a factor that runs after
     another has taps.  These are the MACs the GEMMs run.
@@ -522,7 +513,7 @@ def conv_macs(seq: KroneckerSequence, input_hw, padding: int = 0) -> int:
     with the image.
     """
     h, w = _dims(input_hw, 2, "input size dimensions")
-    ranks = _check_sequence(seq)
+    ranks = _instance(seq, KroneckerSequence, "sequence").ranks
     # a weight without a channel axis fails _conv_shape's weight check
     x_shape = (1, *seq.target_shape[1:2], h, w)
     padding, out_h, _ = _conv_shape(x_shape, seq.target_shape, padding)

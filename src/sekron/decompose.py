@@ -76,8 +76,8 @@ def _check_shapes(shapes) -> FactorShapeMatrix:
     :class:`FactorShapeMatrix`: anything else, such as its string form,
     raises :class:`ShapeError`.  :func:`sekron_decompose`,
     :func:`_validate_ranks` (so :func:`stored_param_count` and
-    :func:`sekron.planner.compression_ratio`), :func:`_check_sequence` and
-    :func:`sekron.planner.flops_ratio` run it before they read the
+    :func:`sekron.planner.compression_ratio`), :class:`KroneckerSequence`
+    and :func:`sekron.planner.flops_ratio` run it before they read the
     shapes."""
     return _instance(shapes, FactorShapeMatrix, "factor shapes")
 
@@ -89,44 +89,6 @@ def _validate_ranks(shapes: FactorShapeMatrix, ranks) -> tuple[int, ...]:
     return _dims(ranks, len(_check_shapes(shapes).rows) - 1, "ranks", RankError)
 
 
-def _check_sequence(seq: "KroneckerSequence") -> tuple[int, ...]:
-    """The ranks of ``seq`` as a tuple of Python ints, after the one check
-    of a sequence: ``seq`` is a :class:`KroneckerSequence` and ``seq.shapes``
-    passes :func:`_check_shapes`, else :class:`ShapeError`; its ranks pass
-    :func:`_validate_ranks`, else :class:`RankError`; and ``seq.factors``
-    holds one array of shape ``(branch_sizes[k], *shapes.rows[k])`` per
-    factor ``k``, else :class:`ShapeError`, also where it is no list at all.
-
-    The constructor, :func:`reconstruct`, :func:`sekron.fileio.write_sequence`,
-    :func:`sekron.conv.sekron_conv2d` and :func:`sekron.conv.conv_macs` run
-    it, since a caller may change a sequence's fields after construction;
-    the conv keys its memo on the ranks it returns.
-    """
-    rows = _check_shapes(_instance(seq, KroneckerSequence, "sequence").shapes).rows
-    factors = seq.factors
-    # _validate_ranks' check, called directly: the conv runs this on every call
-    ranks = _dims(seq.ranks, len(rows) - 1, "ranks", RankError)
-    extended, rho = (*ranks, 1), 1
-    try:
-        count = len(factors)
-    except TypeError:
-        raise ShapeError(
-            f"factors must be a list of arrays, got {type(factors).__name__}"
-        ) from None
-    if count != len(rows):
-        raise ShapeError(f"expected {len(rows)} factors, got {count}")
-    # rho steps through the branch counts, the prefix products of (*ranks,
-    # 1) that _branch_sizes returns: the conv runs this loop on every call,
-    # and building that tuple and unpacking a zip per factor cost more than
-    # the comparisons
-    for k, factor in enumerate(factors):
-        rho *= extended[k]
-        if not isinstance(factor, np.ndarray) or factor.shape != (rho,) + rows[k]:
-            got, want = getattr(factor, "shape", type(factor).__name__), (rho,) + rows[k]
-            raise ShapeError(f"factor {k} has shape {got}, expected an array of shape {want}")
-    return ranks
-
-
 def stored_param_count(shapes: FactorShapeMatrix, ranks) -> int:
     """Elements stored by a sequence with these shapes and ranks:
     ``sum_k branch_k * volume_k`` over the factors."""
@@ -134,36 +96,56 @@ def stored_param_count(shapes: FactorShapeMatrix, ranks) -> int:
     return _branch_total(_branch_sizes(ranks), shapes.volumes)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KroneckerSequence:
-    """Factors of a Kronecker-sequence representation.
+    """Factors of a Kronecker-sequence representation, checked once, by
+    the constructor, and frozen.
 
     ``factors[k]`` has shape ``(branch_sizes[k], *shapes.rows[k])``, its
     branch axis as the :mod:`sekron.tensor_core` docstring defines it.
 
-    The constructor makes every factor a float64 array, ``factors`` that is
-    not iterable raising :class:`ShapeError`
-    (:func:`sekron.tensor_core._tuple`), and reads ``ranks`` as a tuple of
-    Python ints.  The fields stay open to callers, so a sequence may change
-    after construction; :func:`reconstruct`,
-    :func:`sekron.fileio.write_sequence`, :func:`sekron.conv.sekron_conv2d`
-    and :func:`sekron.conv.conv_macs` each check it again, through the
-    constructor's own check (:func:`_check_sequence`), and raise
-    :class:`RankError` or :class:`ShapeError` for a sequence it refuses.
+    The constructor is the one check of a sequence.  It stores ``factors``
+    as a tuple of float64 arrays (:func:`sekron.tensor_core.as_tensor`),
+    ``factors`` that is not iterable raising :class:`ShapeError`
+    (:func:`sekron.tensor_core._tuple`), and ``ranks`` as the tuple of
+    Python ints :func:`_validate_ranks` reads, else :class:`RankError`;
+    ``shapes`` that fail :func:`_check_shapes`, and a factor count or a
+    factor shape other than the shapes and ranks give, raise
+    :class:`ShapeError`.  No field can be assigned after, and no tuple
+    changed, so :func:`reconstruct`, :func:`sekron.fileio.write_sequence`,
+    :func:`sekron.conv.sekron_conv2d` and :func:`sekron.conv.conv_macs`
+    read a sequence as it was checked; only the factor values stay
+    writeable.  Sequences compare and hash by identity, never by their
+    arrays (``eq=False``).
 
     ``level_tails[k][b]`` is the squared singular-value tail that level ``k``
-    discarded on branch ``b``, measured as the residual of its kept factors;
-    it is ``None`` unless the sequence came from :func:`sekron_decompose`.
+    discarded on branch ``b``, measured as the residual of its kept factors,
+    a tuple of tuples; it is ``None`` unless the sequence came from
+    :func:`sekron_decompose`.
     """
 
     shapes: FactorShapeMatrix
     ranks: tuple[int, ...]
-    factors: list[np.ndarray] = field(repr=False)
-    level_tails: list[list[float]] | None = field(default=None, repr=False)
+    factors: tuple[np.ndarray, ...] = field(repr=False)
+    level_tails: tuple[tuple[float, ...], ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.factors = [as_tensor(f) for f in _tuple(self.factors, "factors", "arrays")]
-        self.ranks = _check_sequence(self)
+        factors = tuple(map(as_tensor, _tuple(self.factors, "factors", "arrays")))
+        rows = _check_shapes(self.shapes).rows
+        ranks = _validate_ranks(self.shapes, self.ranks)
+        if len(factors) != len(rows):
+            raise ShapeError(f"expected {len(rows)} factors, got {len(factors)}")
+        for k, (rho, row, factor) in enumerate(zip(_branch_sizes(ranks), rows, factors)):
+            if factor.shape != (rho, *row):
+                raise ShapeError(
+                    f"factor {k} has shape {factor.shape}, expected an array of shape {(rho, *row)}"
+                )
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "ranks", ranks)
+        if self.level_tails is not None:
+            tails = _tuple(self.level_tails, "level tails", "sequences of floats")
+            tails = tuple(_tuple(t, "level tails", "floats") for t in tails)
+            object.__setattr__(self, "level_tails", tails)
 
     @property
     def branch_sizes(self) -> tuple[int, ...]:
@@ -227,18 +209,18 @@ def reconstruct(seq: KroneckerSequence) -> np.ndarray:
     level below, and its flattening is that branch's slice of the working
     array one level up.  One inverse transpose of the last product then
     gives the dense tensor.  The result is always a new array, also for a
-    single factor, which has no level.  Raises :class:`RankError` or
-    :class:`ShapeError` for a sequence that fails :func:`_check_sequence`,
-    say one whose ranks or factors were changed after construction.
+    single factor, which has no level.  Every size it reshapes by comes
+    from the ranks and the shapes, none from a factor's own shape.  ``seq``
+    that is no :class:`KroneckerSequence` raises :class:`ShapeError`.
     """
-    ranks = _check_sequence(seq)
+    ranks = _instance(seq, KroneckerSequence, "sequence").ranks
     shapes, factors = seq.shapes, seq.factors
+    # level k has one branch per rank tuple of the levels before it
+    prefix = (1, *_branch_sizes(ranks))
     work = factors[-1]
-    for k in reversed(range(shapes.num_factors - 1)):
-        r = ranks[k]
-        n_branches = factors[k].shape[0] // r
-        u = factors[k].reshape(n_branches, r, -1).transpose(0, 2, 1)
-        work = u @ work.reshape(n_branches, r, -1)
+    for k in reversed(range(len(ranks))):
+        u = factors[k].reshape(prefix[k], ranks[k], -1).transpose(0, 2, 1)
+        work = u @ work.reshape(prefix[k], ranks[k], -1)
     split, order = _digit_major(shapes)
     digits = work.reshape([split[i] for i in order]).transpose(np.argsort(order))
     return digits.copy().reshape(shapes.target_shape)

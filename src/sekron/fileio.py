@@ -25,12 +25,7 @@ import struct
 
 import numpy as np
 
-from sekron.decompose import (
-    KroneckerSequence,
-    _branch_sizes,
-    _check_sequence,
-    stored_param_count,
-)
+from sekron.decompose import KroneckerSequence, _branch_sizes, stored_param_count
 from sekron.errors import (
     BadMagicError,
     MalformedHeaderError,
@@ -39,7 +34,7 @@ from sekron.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from sekron.tensor_core import FactorShapeMatrix, _dims, as_tensor
+from sekron.tensor_core import FactorShapeMatrix, _dims, _instance, as_tensor
 
 TENSOR_MAGIC = b"SKTN"
 SEQUENCE_MAGIC = b"SKSQ"
@@ -142,14 +137,12 @@ def write_sequence(path, seq: KroneckerSequence) -> None:
 
     Factors are concatenated in order, each row-major with its branch axis
     leading; branch sizes are reconstructed from the ranks on read.  The
-    sequence is checked first (:func:`sekron.decompose._check_sequence`),
-    since a caller may have changed its ranks or factors after
-    construction: a sequence it refuses raises :class:`RankError` or
-    :class:`ShapeError` and creates no file, and the header holds the ranks
-    it returns, Python ints.  A NaN or infinite value creates no file
-    either, with :class:`NonFinitePayloadError`.
+    header holds the sequence's ranks, Python ints, as its constructor
+    stored them.  ``seq`` that is no :class:`KroneckerSequence` raises
+    :class:`ShapeError`, and a NaN or infinite value
+    :class:`NonFinitePayloadError`; neither creates a file.
     """
-    ranks = _check_sequence(seq)
+    ranks = _instance(seq, KroneckerSequence, "sequence").ranks
     header = {
         "S": seq.shapes.num_factors,
         "N": seq.shapes.num_axes,

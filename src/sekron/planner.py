@@ -2,19 +2,20 @@
 latency measurement, and configuration selection for factorized conv layers.
 
 A sweep is stored as columns, one group per shape matrix (:class:`Sweep`):
-the matrix, its rank tuples, a list of CR and a list of FR values, and, once
-timed, a list of the group's own latencies, one per row.  A sweep holds
-numbers only, no text.  It shares each shape matrix among all of its rank
-tuples, each list of rank tuples among all of its shape matrices that have
-the same capped ranks, and each CR or FR list among the shape matrices whose
-counts give equal lists.  Enumeration (:func:`enumerate_configs`) builds a
+the matrix, its rank tuples, a tuple of CR and a tuple of FR values, and,
+once timed, a tuple of the group's own latencies, one per row.  A sweep
+holds numbers only, no text, and is frozen, its groups and columns
+tuples.  It shares each shape matrix among all of its rank tuples, each
+tuple of rank tuples among all of its shape matrices that have the same
+capped ranks, and each CR or FR tuple among the shape matrices whose counts
+give equal tuples.  Enumeration (:func:`enumerate_configs`) builds a
 sweep, and a sweep is the only form the CSV writer
 (:func:`write_candidates_csv`) and the selector (:func:`select_config`)
 read.  Each works one group at a time, so none of them builds an object per
 candidate; :class:`CandidateConfig` is the record of one candidate, built
 only where one is asked for: by iterating a sweep, for a latency probe, and
 for the pick.  The writer makes all of the CSV text, formatting each
-distinct rank-tuple list and each distinct CR or FR value once.  Both
+distinct rank-tuple column and each distinct CR or FR value once.  Both
 readers take each measured latency through one check (:func:`_latency`), so
 the CSV holds only latencies the selector accepts.
 A latency probe (:func:`measure_latency`) times the conv on an all-ones
@@ -83,17 +84,18 @@ class ShapeGroup(NamedTuple):
     the rank tuple ``ranks[i]``, CR ``cr[i]`` and FR ``fr[i]``.
 
     ``latency_ms`` is ``None`` for a group that was not timed, else one
-    entry per row, ``None`` where a row has no measured latency.  A group
-    holds numbers only; the CSV writer makes their text."""
+    entry per row, ``None`` where a row has no measured latency.  Every
+    column is a tuple (:class:`Sweep` refuses any other).  A group holds
+    numbers only; the CSV writer makes their text."""
 
     shapes: FactorShapeMatrix
     ranks: tuple[tuple[int, ...], ...]
-    cr: list[float]
-    fr: list[float]
-    latency_ms: list[float | None] | None = None
+    cr: tuple[float, ...]
+    fr: tuple[float, ...]
+    latency_ms: tuple[float | None, ...] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sweep:
     """A compression sweep as columns: one :class:`ShapeGroup` per shape
     matrix, the candidates in group order, then row order.
@@ -101,31 +103,31 @@ class Sweep:
     Each group holds its own rows' latencies (:class:`ShapeGroup`).  ``len``
     is the candidate count, and iterating yields each candidate as a
     :class:`CandidateConfig`, built as it is asked for.  Groups may share
-    their rank-tuple list, CR list and FR list, so the columns are not to
-    be changed in place; :meth:`with_latency` gives a timed sweep whose
-    groups share them.  A sweep holds no CSV text.
+    their rank-tuple, CR and FR columns, which are tuples, so none can be
+    changed in place; :meth:`with_latency` gives a timed sweep whose groups
+    share them.  A sweep holds no CSV text.
 
-    ``groups`` that is not iterable (:func:`sekron.tensor_core._tuple`), a
-    group that is no :class:`ShapeGroup`, and a group whose ``ranks``,
-    ``cr``, ``fr`` and, once timed, ``latency_ms`` are not sequences of one
-    length, which ``len``, iteration, the CSV and the selector would each
-    read differently, raise ``ValueError``.
+    The constructor stores ``groups`` as a tuple, checked once: ``groups``
+    that is not iterable (:func:`sekron.tensor_core._tuple`), a group that
+    is no :class:`ShapeGroup`, and a group whose ``ranks``, ``cr``, ``fr``
+    and, once timed, ``latency_ms`` are not tuples of one length, which
+    ``len``, iteration, the CSV and the selector would each read
+    differently, raise ``ValueError``.
     """
 
-    groups: list[ShapeGroup]
+    groups: tuple[ShapeGroup, ...]
 
     def __post_init__(self):
-        for group in _tuple(self.groups, "sweep groups", "ShapeGroups", ValueError):
+        groups = _tuple(self.groups, "sweep groups", "ShapeGroups", ValueError)
+        for group in groups:
             _, ranks, cr, fr, latency = _instance(group, ShapeGroup, "sweep group", ValueError)
             # an untimed group has no latency column to count
             latency = cr if latency is None else latency
-            try:
-                ragged = not len(ranks) == len(cr) == len(fr) == len(latency)
-            except TypeError:
-                ragged = True
-            if ragged:
-                raise ValueError("a sweep group's ranks, cr, fr and latencies must be sequences "
-                                 "of one length")
+            if not (type(ranks) is type(cr) is type(fr) is type(latency) is tuple
+                    and len(ranks) == len(cr) == len(fr) == len(latency)):
+                raise ValueError("a sweep group's ranks, cr, fr and latencies must be tuples of "
+                                 "one length")
+        object.__setattr__(self, "groups", groups)
 
     def __len__(self) -> int:
         return sum(len(group.cr) for group in self.groups)
@@ -144,8 +146,8 @@ class Sweep:
         if len(latency_ms) != len(self):
             raise ValueError(f"need {len(self)} latencies, got {len(latency_ms)}")
         latency = iter(latency_ms)
-        return Sweep([group._replace(latency_ms=list(itertools.islice(latency, len(group.cr))))
-                      for group in self.groups])
+        return Sweep(group._replace(latency_ms=tuple(itertools.islice(latency, len(group.cr))))
+                     for group in self.groups)
 
 
 def _real(value, what: str, least: float | None = None) -> float:
@@ -372,8 +374,8 @@ def enumerate_configs(req: PlanRequest) -> Sweep:
     (:func:`_branch_totals`): the same integers, hence the same floats, as
     :func:`compression_ratio` and :func:`flops_ratio`.  The shape matrices
     with the same capped ranks share one tuple of rank tuples, those with
-    the same factor volumes one CR list, and those with the same terms and
-    capped ranks one FR list, each computed once; no CSV text is built.
+    the same factor volumes one CR tuple, and those with the same terms and
+    capped ranks one FR tuple, each computed once; no CSV text is built.
     Candidates come out in the order of the shape matrices, then of the
     rank tuples, both lexicographic.  ``req`` that is no
     :class:`PlanRequest` raises ``ValueError``.
@@ -389,9 +391,9 @@ def enumerate_configs(req: PlanRequest) -> Sweep:
         )
     per_axis = [enumerate_factorizations(dim, s) for dim in req.target_shape]
     dense, max_rank = math.prod(req.target_shape), req.max_rank
-    # the capped ranks, rank tuples, ranges and CR list of each distinct
+    # the capped ranks, rank tuples, ranges and CR tuple of each distinct
     # volumes; the rank tuples and ranges of each distinct capped ranks; the
-    # FR list of each distinct terms and capped ranks
+    # FR tuple of each distinct terms and capped ranks
     by_volumes, grids, fr_columns, groups = {}, {}, {}, []
     for combo in itertools.product(*per_axis):
         # the enumerator's own ints, so the rows are not read again
@@ -404,13 +406,13 @@ def enumerate_configs(req: PlanRequest) -> Sweep:
             if grid is None:
                 ranges = [range(1, cap + 1) for cap in caps]
                 grid = grids[caps] = tuple(itertools.product(*ranges)), ranges
-            cr = list(map(dense.__truediv__, _branch_totals(volumes, grid[1])))
+            cr = tuple(map(dense.__truediv__, _branch_totals(volumes, grid[1])))
             column = by_volumes[volumes] = (caps, *grid, cr)
         caps, ranks, ranges, cr = column
         terms = _fr_terms(shapes)
         fr = fr_columns.get((terms, caps))
         if fr is None:
-            fr = fr_columns[terms, caps] = list(map(dense.__truediv__, _branch_totals(terms, ranges)))
+            fr = fr_columns[terms, caps] = tuple(map(dense.__truediv__, _branch_totals(terms, ranges)))
         groups.append(ShapeGroup(shapes, ranks, cr, fr))
     return Sweep(groups)
 
@@ -554,7 +556,7 @@ def write_candidates_csv(sweep: Sweep, path) -> None:
     The bytes are those of :func:`csv.writer` with its default dialect
     (``\\r\\n`` line ends, minimal quoting).  The rows are written group by
     group: a group's shapes field is quoted once; the rank fields of each
-    distinct rank-tuple list, one list object however many groups share
+    distinct rank-tuple column, one tuple object however many groups share
     it, are formatted once; each distinct CR and FR value is formatted
     once (:class:`_Text`); and the group's rows are joined in one call.  A
     sweep holds no text, so all of it is made here, every field that can
@@ -564,9 +566,9 @@ def write_candidates_csv(sweep: Sweep, path) -> None:
     ``sweep`` that is no :class:`Sweep`, or a latency the check refuses,
     raises ``ValueError`` before the file is opened.
     """
-    # the rank fields of each rank-tuple list, keyed by the list's identity,
-    # which costs less than hashing its tuples; the sweep keeps every list
-    # alive, so no identity is reused within the call
+    # the rank fields of each rank-tuple column, keyed by the column's
+    # identity, which costs less than hashing its tuples; the sweep keeps
+    # every column alive, so no identity is reused within the call
     ratios, rank_fields = _Text(), {}
     chunks = ["shapes,ranks,cr,fr,latency_ms\r\n"]
     for shapes, ranks, cr, fr, latency in _instance(sweep, Sweep, "sweep", ValueError).groups:

@@ -27,20 +27,22 @@ the error type its caller passes, never a raw ``TypeError``:
   the rows of a :class:`FactorShapeMatrix` and a target shape for it, a
   conv input shape, ``conv_macs``' input size and a plan request's target
   shape (:class:`ShapeError`); a sequence's ranks (:class:`RankError`,
-  :func:`sekron.decompose._check_sequence`); and the ``shape`` of a
+  :class:`sekron.decompose.KroneckerSequence`); and the ``shape`` of a
   ``.skt`` header and the ``S``, ``N`` and ``ranks`` of a ``.sks`` header
   (:class:`MalformedHeaderError`), whose reader also turns the
   :class:`ShapeError` of its ``factor_shapes`` rows into that type.
 
 :func:`_tuple`, which :func:`_dims` calls, reads a container into a tuple
 and refuses one that is not iterable; it also reads the rows of a
-:class:`FactorShapeMatrix` and the arrays of each format in
-:mod:`sekron.equivalences` (:class:`ShapeError`), and a sweep's latencies
-(``ValueError``).  :func:`_instance` refuses an argument of the wrong type:
-factor shapes that are no :class:`FactorShapeMatrix`, factor-shape text
-that is no ``str`` (:meth:`FactorShapeMatrix.from_string`) and a format
-object given to the wrong embedding (:class:`ShapeError`), and each planner
-entry's request, candidate or sweep (``ValueError``).
+:class:`FactorShapeMatrix`, the factors of a sequence and the arrays of
+each format in :mod:`sekron.equivalences` (:class:`ShapeError`), and a
+sweep's groups and latencies (``ValueError``).  :func:`_instance` refuses
+an argument of the wrong type: factor shapes that are no
+:class:`FactorShapeMatrix`, a sequence that is no
+:class:`sekron.decompose.KroneckerSequence`, factor-shape text that is no
+``str`` (:meth:`FactorShapeMatrix.from_string`) and a format object given
+to the wrong embedding (:class:`ShapeError`), and each planner entry's
+request, candidate or sweep (``ValueError``).
 
 Every array argument goes through one conversion, :func:`as_tensor`: the
 tensor to decompose or write, a conv input and weight, each factor of a
@@ -105,9 +107,9 @@ def _dims(values, ndim: int | None, what: str, error=ShapeError) -> tuple[int, .
     below 1 or the wrong count raises ``error``, its message naming the
     values ``what``: a plural, such as ``"ranks"``."""
     dims = _tuple(values, what, "integers", error)
-    # the conv reads its ranks here on every call, so ints are taken as they
-    # are, without a call per value, and neither a comprehension over this
-    # function's names nor min() with a default, each slower, is used
+    # the conv reads its input shape here on every call, so ints are taken
+    # as they are, without a call per value, and neither a comprehension over
+    # this function's names nor min() with a default, each slower, is used
     for v in dims:
         if type(v) is not int:
             each = itertools.repeat(f"each of the {what}")

@@ -1,8 +1,10 @@
 """Reference convolution and the equivalence of the factorized path."""
 
+import dataclasses
 import functools
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -281,37 +283,10 @@ def _write_and_read_back(seq, path):
     return path.read_bytes()
 
 
-# each change to the open fields of a 2x2x1x1,4x2x3x3 sequence of the given
-# rank, with the error it must raise and its message, or None where the
-# changed sequence is still the same sequence
-_CHANGES = [
-    # 8 elements, like the (2, 2, 2, 1, 1) it replaces, so every reshape succeeds
-    ("swap", (2,), lambda seq: seq.factors.__setitem__(0, np.ones((2, 1, 4, 1, 1))),
-     ShapeError, r"factor 0 has shape \(2, 1, 4, 1, 1\), expected an array of shape \(2, 2, 2"),
-    ("one branch", (2,), lambda seq: seq.factors.__setitem__(0, seq.factors[0][:1]),
-     ShapeError, r"factor 0 has shape \(1, 2, 2, 1, 1\)"),
-    ("nested list", (2,), lambda seq: seq.factors.__setitem__(0, seq.factors[0].tolist()),
-     ShapeError, "factor 0 has shape list"),
-    ("pop", (2,), lambda seq: seq.factors.pop(), ShapeError, "expected 2 factors, got 1"),
-    ("append", (2,), lambda seq: seq.factors.append(np.ones(3)),
-     ShapeError, "expected 2 factors, got 3"),
-    ("no ranks", (2,), lambda seq: setattr(seq, "ranks", ()), RankError, "need 1 ranks"),
-    ("float rank", (2,), lambda seq: setattr(seq, "ranks", (2.0,)), RankError, "integer"),
-    # True == 1, so only the type can refuse it
-    ("bool rank", (1,), lambda seq: setattr(seq, "ranks", (True,)), RankError, "bool"),
-    ("list of ranks", (2,), lambda seq: setattr(seq, "ranks", [2]), None, None),
-    ("numpy rank", (2,), lambda seq: setattr(seq, "ranks", (np.int64(2),)), None, None),
-    # not iterable at all: refused as the ranks or the factors they are
-    ("int ranks", (2,), lambda seq: setattr(seq, "ranks", 2), RankError,
-     "ranks must be a sequence of integers, got 2"),
-    ("none ranks", (2,), lambda seq: setattr(seq, "ranks", None), RankError,
-     "ranks must be a sequence of integers, got None"),
-    ("none factors", (2,), lambda seq: setattr(seq, "factors", None), ShapeError,
-     "factors must be a list of arrays, got NoneType"),
-]
-
-
-@pytest.mark.parametrize(
+# the four consumers of a sequence, each as a function of the sequence and
+# the path write_sequence writes to, returning a result an array comparison
+# can check bit for bit
+_CONSUMERS = pytest.mark.parametrize(
     "consume",
     [
         lambda seq, path: sekron_conv2d(np.ones((1, 4, 5, 5)), seq, padding=1),
@@ -321,25 +296,100 @@ _CHANGES = [
     ],
     ids=["sekron_conv2d", "reconstruct", "conv_macs", "write_sequence"],
 )
+
+# each change an open record would take on a 2x2x1x1,4x2x3x3 sequence of
+# rank 2, and the error the frozen record raises where the change is made:
+# its fields cannot be assigned and its factors are a tuple
+_CHANGES = [
+    ("swap", lambda seq: seq.factors.__setitem__(0, np.ones((2, 1, 4, 1, 1))), AttributeError),
+    ("item", lambda seq: operator.setitem(seq.factors, 0, np.ones((2, 2, 2, 1, 1))), TypeError),
+    ("pop", lambda seq: seq.factors.pop(), AttributeError),
+    ("append", lambda seq: seq.factors.append(np.ones(3)), AttributeError),
+    ("ranks", lambda seq: setattr(seq, "ranks", ()), dataclasses.FrozenInstanceError),
+    ("float rank", lambda seq: setattr(seq, "ranks", (2.0,)), dataclasses.FrozenInstanceError),
+    ("factors", lambda seq: setattr(seq, "factors", None), dataclasses.FrozenInstanceError),
+    ("shapes", lambda seq: setattr(seq, "shapes", FactorShapeMatrix.from_string("4x4x3x3")),
+     dataclasses.FrozenInstanceError),
+    ("delete ranks", lambda seq: delattr(seq, "ranks"), dataclasses.FrozenInstanceError),
+]
+
+
+@_CONSUMERS
 def test_a_factor_swapped_in_after_construction_is_refused(consume, tmp_path):
-    # every consumer reads a changed sequence through one check: a change it
-    # refuses raises ShapeError or RankError, never a raw Python error, and
-    # writes no file; a change to ranks of another type but the same values
-    # gives the unchanged sequence's result.  A warm call comes first, so the
-    # conv's memo holds the geometry of these shapes and ranks
+    # a change to a built sequence is refused where it is made, not by the
+    # consumer that reads it later: each consumer then gives the unchanged
+    # sequence's result.  A warm call comes first, so the conv's memo holds
+    # the geometry of these shapes and ranks
     shapes = FactorShapeMatrix.from_string("2x2x1x1,4x2x3x3")
-    for name, ranks, change, error, message in _CHANGES:
+    for name, change, error in _CHANGES:
+        seq = random_sequence(shapes, (2,), rng=28)
+        want = consume(seq, tmp_path / "unchanged.sks")
+        with pytest.raises(error):
+            change(seq)
+        got = consume(seq, tmp_path / f"{name}.sks")
+        assert type(got) is type(want) and np.array_equal(got, want), name
+
+
+# each change of the fields of a 2x2x1x1,4x2x3x3 sequence of the given rank,
+# made by building a new sequence, with the error the constructor raises and
+# its message, or None where the new sequence is still the same sequence
+_REBUILT = [
+    # 8 elements, like the (2, 2, 2, 1, 1) it replaces, so every reshape would succeed
+    ("swap", (2,), lambda f: {"factors": (np.ones((2, 1, 4, 1, 1)), f[1])},
+     ShapeError, r"factor 0 has shape \(2, 1, 4, 1, 1\), expected an array of shape \(2, 2, 2"),
+    ("one branch", (2,), lambda f: {"factors": (f[0][:1], f[1])},
+     ShapeError, r"factor 0 has shape \(1, 2, 2, 1, 1\)"),
+    ("nested list", (2,), lambda f: {"factors": (f[0].tolist(), f[1])}, None, None),
+    ("pop", (2,), lambda f: {"factors": f[:1]}, ShapeError, "expected 2 factors, got 1"),
+    ("append", (2,), lambda f: {"factors": (*f, np.ones(3))},
+     ShapeError, "expected 2 factors, got 3"),
+    ("no ranks", (2,), lambda f: {"ranks": ()}, RankError, "need 1 ranks"),
+    ("float rank", (2,), lambda f: {"ranks": (2.0,)}, RankError, "integer"),
+    # True == 1, so only the type can refuse it
+    ("bool rank", (1,), lambda f: {"ranks": (True,)}, RankError, "bool"),
+    ("list of ranks", (2,), lambda f: {"ranks": [2]}, None, None),
+    ("numpy rank", (2,), lambda f: {"ranks": (np.int64(2),)}, None, None),
+    # not iterable at all: refused as the ranks or the factors they are
+    ("int ranks", (2,), lambda f: {"ranks": 2}, RankError,
+     "ranks must be a sequence of integers, got 2"),
+    ("none ranks", (2,), lambda f: {"ranks": None}, RankError,
+     "ranks must be a sequence of integers, got None"),
+    ("none factors", (2,), lambda f: {"factors": None}, ShapeError,
+     "factors must be a sequence of arrays, got None"),
+]
+
+
+@_CONSUMERS
+def test_a_changed_sequence_is_refused_when_it_is_built(consume, tmp_path):
+    # the one check of a sequence is its constructor's: a change it refuses
+    # raises ShapeError or RankError, never a raw Python error, so no
+    # consumer is ever given the changed sequence; a change to fields of
+    # another type but the same values gives the unchanged sequence's result
+    shapes = FactorShapeMatrix.from_string("2x2x1x1,4x2x3x3")
+    for name, ranks, fields, error, message in _REBUILT:
         seq = random_sequence(shapes, ranks, rng=28)
         want = consume(seq, tmp_path / "unchanged.sks")
-        change(seq)
-        path = tmp_path / f"{name}.sks"
         if error is None:
-            got = consume(seq, path)
+            got = consume(dataclasses.replace(seq, **fields(seq.factors)), tmp_path / f"{name}.sks")
             assert type(got) is type(want) and np.array_equal(got, want), name
         else:
             with pytest.raises(error, match=message):
-                consume(seq, path)
-            assert not path.exists(), name
+                dataclasses.replace(seq, **fields(seq.factors))
+
+
+@_CONSUMERS
+def test_a_factor_shape_changed_in_place_changes_no_result(consume, tmp_path):
+    # the one change a frozen sequence still takes: a factor's own shape,
+    # set in place to another of the same size.  No consumer reads it; each
+    # takes every size from the shapes and ranks, so each gives the
+    # unchanged sequence's result bit for bit, and the file its bytes
+    shapes = FactorShapeMatrix.from_string("2x2x1x1,4x2x3x3")
+    for k in range(2):
+        seq = random_sequence(shapes, (2,), rng=28)
+        want = consume(seq, tmp_path / "unchanged.sks")
+        seq.factors[k].shape = (seq.factors[k].size,)
+        got = consume(seq, tmp_path / f"reshaped{k}.sks")
+        assert type(got) is type(want) and np.array_equal(got, want), k
 
 
 @pytest.mark.parametrize("padding", [True, 1.0, "1"])
@@ -370,7 +420,7 @@ def test_memo_holds_no_values(text, ranks):
     for hw in [(5, 6), (8, 7)]:
         for padding in (0, 1):
             for batch in (4, 1):
-                seq.factors[0] *= rng.uniform(0.5, 2.0, size=seq.factors[0].shape)
+                seq.factors[0][...] *= rng.uniform(0.5, 2.0, size=seq.factors[0].shape)
                 x = rng.standard_normal((batch, seq.target_shape[1], *hw))
                 got = sekron_conv2d(x, seq, padding=padding)
                 want = conv2d_reference(x, reconstruct(seq), padding=padding)

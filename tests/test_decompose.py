@@ -2,7 +2,7 @@
 and reconstruction against the Kronecker-sum oracle."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from functools import reduce
 
 import numpy as np
@@ -317,6 +317,25 @@ class TestInvariants:
 
 
 class TestSequenceValidation:
+    def test_a_sequence_is_frozen_and_holds_tuples(self):
+        shapes = FactorShapeMatrix(((2, 2), (2, 3)))
+        seq = sekron_decompose(np.random.default_rng(7).standard_normal((4, 6)), shapes, (2,))
+        assert type(seq.ranks) is tuple and type(seq.factors) is tuple
+        assert type(seq.level_tails) is tuple
+        assert all(type(tails) is tuple for tails in seq.level_tails)
+        for name in ("shapes", "ranks", "factors", "level_tails"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(seq, name, getattr(seq, name))
+        # compared and hashed by identity, never by its arrays
+        copy = replace(seq)
+        assert seq == seq and seq != copy and len({seq, copy}) == 2
+        # given as lists, tails are stored as tuples too; no iterable is a ShapeError
+        rebuilt = replace(seq, level_tails=[list(tails) for tails in seq.level_tails])
+        assert rebuilt.level_tails == seq.level_tails
+        for tails in (5, [5]):
+            with pytest.raises(ShapeError, match="level tails"):
+                replace(seq, level_tails=tails)
+
     def test_factor_shape_mismatch_rejected(self):
         shapes = FactorShapeMatrix(((2, 2), (2, 2)))
         with pytest.raises(ShapeError):

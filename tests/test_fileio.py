@@ -2,6 +2,7 @@
 and the writers' bytes against a writer that joins copied payloads."""
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -102,15 +103,13 @@ class TestSequenceHeader:
         [[(1, 2, 2), (2, 2, 2)], [(2, 2, 2)], [(2, 2, 2), (2, 2, 2), (2, 2, 2)]],
     )
     def test_replaced_factors_are_checked_before_writing(self, tmp_path, factor_shapes):
-        # the factors list is open to callers; a rank-2 2x2,2x2 sequence needs
-        # (2, 2, 2) twice, and a file written from anything else would not
-        # read back (96 payload bytes against 128 for the first case)
-        seq = random_sequence(FactorShapeMatrix(((2, 2), (2, 2))), (2,), rng=0)
-        seq.factors = [np.ones(shape) for shape in factor_shapes]
-        path = tmp_path / "s.sks"
+        # a rank-2 2x2,2x2 sequence needs (2, 2, 2) twice, and a file written
+        # from anything else would not read back (96 payload bytes against
+        # 128 for the first case); the constructor refuses such factors, so
+        # no sequence that holds them can reach the writer
+        factors = [np.ones(shape) for shape in factor_shapes]
         with pytest.raises(ShapeError, match="factor"):
-            write_sequence(path, seq)
-        assert not path.exists()
+            KroneckerSequence(FactorShapeMatrix(((2, 2), (2, 2))), (2,), factors)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -223,11 +222,12 @@ class TestWriterBytes:
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_sequence_matches_joined_writer(self, tmp_path, layout):
         shapes = FactorShapeMatrix(((2, 1, 3), (1, 2, 2), (2, 3, 1)))
-        seq = random_sequence(shapes, (2, 3), rng=2)
-        # the factors list is open to callers, so it may hold any layout or dtype
-        seq.factors = [LAYOUTS[layout](f) for f in seq.factors]
-        write_sequence(tmp_path / "a.sks", seq)
-        write_sequence_joined(tmp_path / "b.sks", seq)
+        given = [LAYOUTS[layout](f) for f in random_sequence(shapes, (2, 3), rng=2).factors]
+        # a caller may build a sequence from arrays of any layout or dtype;
+        # the file holds them as the joined writer copies the arrays given
+        write_sequence(tmp_path / "a.sks", KroneckerSequence(shapes, (2, 3), given))
+        write_sequence_joined(tmp_path / "b.sks", SimpleNamespace(shapes=shapes, ranks=(2, 3),
+                                                                  factors=given))
         assert (tmp_path / "a.sks").read_bytes() == (tmp_path / "b.sks").read_bytes()
 
 

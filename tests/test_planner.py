@@ -1,8 +1,10 @@
 """Compression/FLOP accounting, enumeration, selection, and latency probes."""
 
 import csv
+import dataclasses
 import itertools
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -250,7 +252,7 @@ class TestPlanRequest:
 
 def synthetic(rows, ranks, cr, fr, latency):
     """One candidate as a sweep group of its own."""
-    return ShapeGroup(FactorShapeMatrix(rows), (ranks,), [cr], [fr], [latency])
+    return ShapeGroup(FactorShapeMatrix(rows), (ranks,), (cr,), (fr,), (latency,))
 
 
 class TestSelectConfig:
@@ -320,7 +322,8 @@ class TestSelectConfig:
             select_config(missing, target_cr=4.0, latency_budget_ms=5.0)
 
     def test_order_independent(self):
-        base = self.candidates().groups + [
+        base = [
+            *self.candidates().groups,
             synthetic(((16, 16), (1, 1)), (1,), 3.9, 2.0, 4.0),
         ]
         picks = set()
@@ -383,11 +386,10 @@ def small_sweep():
 
 
 def ragged_group(ranks=((1,), (2,)), cr=(1.0, 2.0), fr=(1.0, 2.0), latency=None):
-    """A two-row :class:`ShapeGroup` with the columns given: lists of the
-    tuples, so a column that is too short or too long stays so."""
+    """A two-row :class:`ShapeGroup` with the columns given, as they are,
+    so a column that is too short or too long, or no tuple, stays so."""
     shapes = FactorShapeMatrix(((2, 2, 1, 1), (2, 2, 3, 3)))
-    return ShapeGroup(shapes, ranks, list(cr), list(fr),
-                      None if latency is None else list(latency))
+    return ShapeGroup(shapes, ranks, cr, fr, latency)
 
 
 # each planner entry given an argument of the wrong type, and the name its
@@ -403,12 +405,18 @@ WRONG_TYPE = {
     "csv-candidates": (lambda path: write_candidates_csv(list(small_sweep()), path), "got list"),
     "sweep-none": (lambda path: Sweep(None), "got None"),
     "sweep-tuple-group": (lambda path: Sweep([tuple(ragged_group())]), "got tuple"),
-    "sweep-short-fr": (lambda path: Sweep([ragged_group(fr=[1.0])]), "of one length"),
-    "sweep-short-cr": (lambda path: Sweep([ragged_group(cr=[1.0])]), "of one length"),
+    "sweep-short-fr": (lambda path: Sweep([ragged_group(fr=(1.0,))]), "of one length"),
+    "sweep-short-cr": (lambda path: Sweep([ragged_group(cr=(1.0,))]), "of one length"),
     "sweep-long-ranks": (lambda path: Sweep([ragged_group(ranks=((1,), (2,), (3,)))]),
                          "of one length"),
-    "sweep-short-latency": (lambda path: Sweep([ragged_group(latency=[1.0])]), "of one length"),
-    "sweep-none-ranks": (lambda path: Sweep([ragged_group(ranks=None)]), "of one length"),
+    "sweep-short-latency": (lambda path: Sweep([ragged_group(latency=(1.0,))]), "of one length"),
+    "sweep-none-ranks": (lambda path: Sweep([ragged_group(ranks=None)]), "tuples of one length"),
+    # a list column of the right length: a tuple alone cannot change in place
+    "sweep-list-cr": (lambda path: Sweep([ragged_group(cr=[1.0, 2.0])]), "tuples of one length"),
+    "sweep-list-ranks": (lambda path: Sweep([ragged_group(ranks=[(1,), (2,)])]),
+                         "tuples of one length"),
+    "sweep-list-latency": (lambda path: Sweep([ragged_group(latency=[1.0, 2.0])]),
+                           "tuples of one length"),
 }
 
 
@@ -418,6 +426,66 @@ def test_wrong_type_planner_argument_is_a_value_error(tmp_path, call, named):
     with pytest.raises(ValueError, match=named):
         call(path)
     assert not path.exists()
+
+
+def sweep_reads(sweep, path, budget=None):
+    """What the consumers of a sweep read from it: its length, its
+    candidates, its CSV bytes and its pick at CR 4."""
+    write_candidates_csv(sweep, path)
+    return len(sweep), list(sweep), path.read_bytes(), select_config(sweep, 4.0, budget)
+
+
+def test_a_sweep_built_from_a_one_shot_iterable_holds_every_group(tmp_path):
+    # the constructor keeps the tuple it checked, not the iterator it used up
+    sweep = enumerate_configs(PlanRequest((4, 4, 1, 1), 2, 4.0))
+    assert len(sweep) == 22
+    timed = sweep.with_latency([1.0 + i % 3 for i in range(len(sweep))])
+    for candidates in (sweep, timed):
+        want = sweep_reads(Sweep(list(candidates.groups)), tmp_path / "list.csv")
+        for name, groups in [("iter", iter(candidates.groups)),
+                             ("generator", (g for g in candidates.groups))]:
+            assert sweep_reads(Sweep(groups), tmp_path / f"{name}.csv") == want, name
+
+
+def test_enumerated_and_timed_sweeps_hold_tuples():
+    sweep = enumerate_configs(PlanRequest((8, 8, 3, 3), 2, 4.0, max_rank=2))
+    timed = sweep.with_latency([0.5] * len(sweep))
+    for candidates in (sweep, timed):
+        assert type(candidates.groups) is tuple
+        for group in candidates.groups:
+            columns = group.ranks, group.cr, group.fr
+            assert all(type(column) is tuple for column in columns)
+            assert group.latency_ms is None or type(group.latency_ms) is tuple
+    assert all(group.latency_ms is None for group in sweep.groups)
+    # the timed sweep shares the untimed one's columns
+    assert all(a.cr is b.cr and a.ranks is b.ranks for a, b in zip(sweep.groups, timed.groups))
+
+
+# each change an open record would take on a timed sweep, and the error the
+# frozen record raises where the change is made
+SWEEP_CHANGES = {
+    "groups": (lambda sweep: setattr(sweep, "groups", ()), dataclasses.FrozenInstanceError),
+    "append-group": (lambda sweep: sweep.groups.append(sweep.groups[0]), AttributeError),
+    "set-group": (lambda sweep: operator.setitem(sweep.groups, 0, sweep.groups[1]), TypeError),
+    # group 1 shares its CR column with group 3
+    "append-shared-cr": (lambda sweep: sweep.groups[1].cr.append(1.0), AttributeError),
+    "set-shared-cr": (lambda sweep: operator.setitem(sweep.groups[1].cr, 0, 4.0), TypeError),
+    "set-latency": (lambda sweep: operator.setitem(sweep.groups[1].latency_ms, 0, 0.0), TypeError),
+    "group-field": (lambda sweep: setattr(sweep.groups[1], "cr", ()), AttributeError),
+}
+
+
+@pytest.mark.parametrize("change, error", SWEEP_CHANGES.values(), ids=list(SWEEP_CHANGES))
+def test_a_sweep_refuses_a_change_where_it_is_made(tmp_path, change, error):
+    # once built and checked, a sweep cannot change: len, iteration, the
+    # CSV and the pick read it as its constructor checked it
+    sweep = enumerate_configs(PlanRequest((4, 4, 1, 1), 2, 4.0))
+    timed = sweep.with_latency([1.0 + i % 3 for i in range(len(sweep))])
+    assert timed.groups[1].cr is timed.groups[3].cr
+    want = sweep_reads(timed, tmp_path / "before.csv", 2.0)
+    with pytest.raises(error):
+        change(timed)
+    assert sweep_reads(timed, tmp_path / "after.csv", 2.0) == want
 
 
 class TestLatency:
@@ -473,7 +541,7 @@ class TestLatency:
 def rank_subsets():
     """A sweep whose groups each keep their own subset of a rank grid, as a
     producer that picks rank tuples per shape matrix gives one: no two
-    groups share a rank-tuple list, by identity or by value.  Every third
+    groups share a rank-tuple column, by identity or by value.  Every third
     group is untimed, and of the timed ones every other has rows with no
     measured latency."""
     full = enumerate_configs(PlanRequest((8, 8, 3, 3), 3, 4.0, max_rank=3))
@@ -485,8 +553,8 @@ def rank_subsets():
         if k % 3 == 2:
             latency[0] = None
         groups.append(ShapeGroup(group.shapes, tuple(group.ranks[i] for i in keep),
-                                 [group.cr[i] for i in keep], [group.fr[i] for i in keep],
-                                 None if k % 3 == 0 else latency))
+                                 tuple(group.cr[i] for i in keep), tuple(group.fr[i] for i in keep),
+                                 None if k % 3 == 0 else tuple(latency)))
     assert len(groups) >= 12
     assert len({group.ranks for group in groups}) == len(groups)
     return Sweep(groups)
@@ -566,7 +634,7 @@ def tie_rule_pick(candidates, target_cr, latency_budget_ms=None):
 
 def test_a_full_sweep_writes_and_picks_as_the_per_row_forms(tmp_path):
     # the S=3 sweep of a 128x64 1x1 layer up to rank 4: its groups share
-    # rank-tuple lists and CR lists, whose text the writer makes once each
+    # rank-tuple and CR columns, whose text the writer makes once each
     sweep = enumerate_configs(PlanRequest((128, 64, 1, 1), 3, 10.0, max_rank=4))
     assert (len(sweep), len(sweep.groups)) == (11_947, 1_008)
     rng = random.Random(9)
@@ -575,8 +643,8 @@ def test_a_full_sweep_writes_and_picks_as_the_per_row_forms(tmp_path):
     # rows, and two have no measured row
     starts = itertools.accumulate((len(group.cr) for group in timed.groups), initial=0)
     partly = Sweep([
-        group._replace(latency_ms=[None if (start + j) % 5 == 0 else t
-                                   for j, t in enumerate(group.latency_ms)])
+        group._replace(latency_ms=tuple(None if (start + j) % 5 == 0 else t
+                                        for j, t in enumerate(group.latency_ms)))
         for start, group in zip(starts, timed.groups)
     ])
     for name, candidates in [("untimed", sweep), ("timed", timed), ("partly", partly)]:
